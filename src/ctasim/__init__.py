@@ -10,7 +10,6 @@ from .resolvent import (
     Interval,
     nested_sgn_projection,
     proj,
-    sgn_set,
     sign_selection,
     solve_interval_sgn,
     solve_sgnsat,
@@ -22,8 +21,6 @@ from .controller import (
     Gains,
     explicit_step,
     fractional_power,
-    implicit_stage1,
-    implicit_stage2,
     implicit_step,
     initial_state,
 )
@@ -60,11 +57,10 @@ from .cli import (
 )
 
 __all__ = [
-    "Interval", "nested_sgn_projection", "proj", "sgn_set", "sign_selection",
+    "Interval", "nested_sgn_projection", "proj", "sign_selection",
     "solve_interval_sgn", "solve_sgnsat", "solve_two_sgn",
     "ControlOutput", "ControllerState", "Gains", "explicit_step",
-    "fractional_power", "implicit_stage1", "implicit_stage2", "implicit_step",
-    "initial_state",
+    "fractional_power", "implicit_step", "initial_state",
     "DIVERGENCE_LIMIT", "Disturbance", "PlantState", "SimConfig", "SimTrace",
     "SimulationDiverged", "Sinusoid", "eval_disturbance", "plant_step",
     "run_simulation",

@@ -29,6 +29,7 @@ from .plant import (
     SimTrace,
     SimulationDiverged,
     Sinusoid,
+    TRACE_COLUMNS,
     run_simulation,
 )
 
@@ -135,11 +136,15 @@ TRACE_HEADER = "t,z1,z2,z3,x1,x2,x3,u,u1,eta,delta"
 
 
 def write_trace_csv(trace: SimTrace, path: str) -> None:
-    """17 significant digits: parsing the file reproduces the doubles exactly."""
+    """17 significant digits: parsing the file reproduces the doubles exactly.
+
+    Rows are formatted one at a time and streamed to the file.
+    """
+    columns = [getattr(trace, c) for c in TRACE_COLUMNS]
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as f:
         f.write(TRACE_HEADER + "\n")
-        for i in range(trace.n):
-            f.write(",".join(f"{v:.17g}" for v in trace.row(i)) + "\n")
+        f.writelines(row_format % row for row in zip(*columns))
 
 
 def read_trace_csv(path: str, L: float) -> SimTrace:

@@ -12,11 +12,12 @@ matched disturbance.  Two discretizations are provided:
   the current state, which makes eta chatter with amplitude proportional to
   the step size.
 
-* ``implicit_step``: a two-stage backward-Euler scheme.  Each stage is an
-  inclusion in the *next* values of the discontinuous terms, solved exactly
-  through nested interval projections (see :mod:`ctasim.resolvent`), so the
-  selections at zero are chosen by the solver instead of by a sign lookup.
-  Stage I resolves the twisting part u1 inside the state-dependent bound
+* ``implicit_step``: a two-stage backward-Euler scheme, computed in one
+  pass.  Each stage is an inclusion in the *next* values of the
+  discontinuous terms, solved exactly by the nested interval projection of
+  :mod:`ctasim.resolvent` (written out as clamps), so the selections at
+  zero are chosen by the solver instead of by a sign lookup.  Stage I
+  resolves the twisting part u1 inside the state-dependent bound
   |h*u1| <= kp1*|zb1|^(1/3) + kp2*|zb2|^(1/2); stage II resolves the rate-
   limited integrator increment inside h*[kp3 - kp4, kp3 + kp4].
 
@@ -43,9 +44,10 @@ reduces to the nominal identification z3 = eta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
-from .resolvent import Interval, proj, sign_selection
+from .resolvent import nested_clamp, sign_selection
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,9 @@ class Gains:
 
     def __post_init__(self) -> None:
         for name in ("kp1", "kp2", "kp3", "kp4", "L"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not self.kp3 > self.kp4:
             raise ValueError(
                 f"kp3 must exceed kp4 for the integrator resolvent, "
@@ -78,9 +81,8 @@ class ControllerState:
     """Controller memory carried between steps.
 
     eta       -- disturbance-compensating integrator
-    zbar1/2   -- predictions of the current (z1, z2); the implicit scheme
-                 maintains them as the previous measured state
-    zbar3     -- stage-II prediction of the fictitious state eta + delta
+    zbar1/2   -- the previous measured (z1, z2); seeded with the initial
+                 state
     u1_prev   -- twisting component applied on the previous step
     delta_est -- newest reconstructed disturbance sample
     steps     -- completed implicit steps (drives the stage-I phase)
@@ -89,7 +91,6 @@ class ControllerState:
     eta: float
     zbar1: float
     zbar2: float
-    zbar3: float
     u1_prev: float = 0.0
     delta_est: float = 0.0
     steps: int = 0
@@ -105,8 +106,8 @@ class ControlOutput:
 
 
 def initial_state(z1: float, z2: float, eta: float = 0.0) -> ControllerState:
-    """Seed the predictions with the actual initial state."""
-    return ControllerState(eta=eta, zbar1=z1, zbar2=z2, zbar3=eta)
+    """Seed the measurement memory with the actual initial state."""
+    return ControllerState(eta=eta, zbar1=z1, zbar2=z2)
 
 
 def fractional_power(z: float, p: float) -> float:
@@ -124,130 +125,64 @@ def explicit_step(
     u1 = -g.kp1 * fractional_power(z1, 1.0 / 3.0) - g.kp2 * fractional_power(z2, 0.5)
     u = u1 + state.eta
     eta_next = state.eta - h * g.kp3 * sign_selection(z1) - h * g.kp4 * sign_selection(z2)
-    return ControlOutput(u=u, u1=u1, eta_next=eta_next), replace(state, eta=eta_next)
-
-
-def velocity_reference(z1: float, z2: float, steps: int, h: float) -> float:
-    """Stage-I velocity target for the current step.
-
-    Even steps: land the position.  The plant's next position z1 + h*z2 is
-    already fixed, so commanding v = -(z1 + h*z2)/h zeroes the position one
-    further update ahead.  Odd steps: kill the velocity (v = 0).
-    """
-    if steps % 2 == 0:
-        return -(z1 + h * z2) / h
-    return 0.0
-
-
-def implicit_stage1(
-    z1: float, z2: float, state: ControllerState, g: Gains, h: float
-) -> tuple[float, float, float]:
-    """Resolve the twisting component u1 and the predicted (z1, z2).
-
-    The magnitude interval is built from the carried predictions zbar1/zbar2:
-
-        A_k = [kp1*|zbar1|^(1/3) - kp2*|zbar2|^(1/2),
-               kp1*|zbar1|^(1/3) + kp2*|zbar2|^(1/2)]
-
-    and h*u1 is the velocity correction (reference - z2) pushed through the
-    nested projection [proj(-A_k, -z2), proj(A_k, -z2)], exactly the
-    two-signum resolvent with the signs taken at the implicit next values.
-    Returns (u1, ztilde1, ztilde2) with ztilde2 = z2 + h*u1 and
-    ztilde1 = z1 + h*ztilde2.
-    """
-    _check_step(h)
-    a = g.kp1 * abs(state.zbar1) ** (1.0 / 3.0)
-    b = g.kp2 * abs(state.zbar2) ** 0.5
-    bound = Interval(a - b, a + b)  # rejects NaN magnitudes
-    inner = Interval(proj(bound.negate(), -z2), proj(bound, -z2))
-    v_ref = velocity_reference(z1, z2, state.steps, h)
-    hu1 = proj(inner, v_ref - z2)
-    u1 = hu1 / h
-    ztilde2 = z2 + hu1
-    ztilde1 = z1 + h * ztilde2
-    return u1, ztilde1, ztilde2
-
-
-def reconstruct_disturbance(state: ControllerState, z2: float, h: float) -> float:
-    """Previous-interval disturbance recovered from the measured z2 increment.
-
-    The plant gives z2_k = zb2 + h*(u1_prev + eta_k + delta), so delta is
-    observable one step in arrears without ever reading it directly.
-    """
-    return (z2 - state.zbar2) / h - state.u1_prev - state.eta
-
-
-def disturbance_forecast(state: ControllerState, z2: float, h: float) -> float:
-    """One-step-ahead disturbance estimate for stage II.
-
-    Linear extrapolation of the two newest reconstructed samples; shorter
-    histories degrade gracefully to the newest sample, then to zero.  Higher
-    order extrapolation is deliberately avoided: it would push the tracking
-    error below the h^2 scale and change the scheme's accuracy signature.
-    """
-    if state.steps == 0:
-        return 0.0
-    newest = reconstruct_disturbance(state, z2, h)
-    if state.steps == 1:
-        return newest
-    return 2.0 * newest - state.delta_est
-
-
-def implicit_stage2(
-    z1: float, z2: float, u1: float, state: ControllerState, g: Gains, h: float
-) -> tuple[float, float, float, float]:
-    """Resolve the integrator increment and update the predictions.
-
-    With z3k = eta + disturbance forecast, ztilde2 = z2 + h*u1 and the
-    step's velocity reference v_ref,
-
-        y1 = ztilde2/h + z3k
-        y2 = (ztilde2 - v_ref)/h + z3k
-
-    the increment is proj([proj(-B_k, -y1), proj(B_k, -y1)], -y2) with
-    B_k = h*[kp3 - kp4, kp3 + kp4]: a rate-limited correction that vanishes
-    exactly when the commanded velocity is met and the forecast is exact.
-    Returns (eta_next, zbar1_next, zbar2_next, zbar3_next).
-    """
-    _check_step(h)
-    ztilde2 = z2 + h * u1
-    z3k = state.eta + disturbance_forecast(state, z2, h)
-    v_ref = velocity_reference(z1, z2, state.steps, h)
-    y1 = ztilde2 / h + z3k
-    y2 = (ztilde2 - v_ref) / h + z3k
-    rate = Interval(h * (g.kp3 - g.kp4), h * (g.kp3 + g.kp4))
-    inner = Interval(proj(rate.negate(), -y1), proj(rate, -y1))
-    d_eta = proj(inner, -y2)
-    eta_next = state.eta + d_eta
-    zbar3 = z3k + d_eta
-    zbar2 = ztilde2 + h * zbar3
-    zbar1 = z1 + h * z2 + h * h * u1 + h * h * zbar3
-    return eta_next, zbar1, zbar2, zbar3
+    return (ControlOutput(u, u1, eta_next),
+            ControllerState(eta_next, state.zbar1, state.zbar2, state.u1_prev,
+                            state.delta_est, state.steps))
 
 
 def implicit_step(
     z1: float, z2: float, state: ControllerState, g: Gains, h: float
 ) -> tuple[ControlOutput, ControllerState]:
-    """Full implicit step: stage I, stage II, u = u1 + eta_next.
+    """One implicit step: stage I, stage II, u = u1 + eta_next.
 
-    The next state's zbar1/zbar2 hold the measured (z1, z2) so that the
-    following step's magnitude interval and disturbance reconstruction both
-    refer to real data; zbar3 carries the stage-II prediction.
+    Stage I: with a = kp1*|zbar1|^(1/3) and b = kp2*|zbar2|^(1/2), h*u1 is
+    the velocity correction (v_ref - z2) clamped into
+    [proj(-A, -z2), proj(A, -z2)], A = [a - b, a + b].  The velocity
+    reference alternates: even steps command v_ref = -(z1 + h*z2)/h, which
+    zeroes the position one further plant update ahead (z1 + h*z2 is
+    already fixed); odd steps command v_ref = 0.
+
+    Stage II: the previous disturbance sample is reconstructed from the
+    measured z2 increment, d = (z2 - zbar2)/h - u1_prev - eta, and
+    extrapolated linearly (2*d - delta_est; only d after one step, 0 before
+    any).  Higher order extrapolation is deliberately avoided: it would push
+    the tracking error below the h^2 scale and change the scheme's accuracy
+    signature.  With z3k = eta + forecast and ztilde2 = z2 + h*u1,
+
+        y1 = ztilde2/h + z3k,   y2 = (ztilde2 - v_ref)/h + z3k
+
+    and the increment is -y2 clamped into [proj(-B, -y1), proj(B, -y1)],
+    B = h*[kp3 - kp4, kp3 + kp4].
+
+    Both projections go through resolvent.nested_clamp, which raises
+    ValueError on a NaN interval endpoint (NaN magnitudes, z2 or y1).  The
+    next state's zbar1/zbar2 hold the measured (z1, z2).
     """
-    u1, _, _ = implicit_stage1(z1, z2, state, g, h)
-    eta_next, _, _, zbar3 = implicit_stage2(z1, z2, u1, state, g, h)
-    out = ControlOutput(u=u1 + eta_next, u1=u1, eta_next=eta_next)
-    delta_est = reconstruct_disturbance(state, z2, h) if state.steps >= 1 else 0.0
-    new_state = ControllerState(
-        eta=eta_next,
-        zbar1=z1,
-        zbar2=z2,
-        zbar3=zbar3,
-        u1_prev=u1,
-        delta_est=delta_est,
-        steps=state.steps + 1,
-    )
-    return out, new_state
+    _check_step(h)
+    eta = state.eta
+    steps = state.steps
+
+    a = g.kp1 * abs(state.zbar1) ** (1.0 / 3.0)
+    b = g.kp2 * abs(state.zbar2) ** 0.5
+    v_ref = -(z1 + h * z2) / h if steps % 2 == 0 else 0.0
+    u1 = nested_clamp(a - b, a + b, -z2, v_ref - z2) / h
+
+    if steps == 0:
+        delta_est = forecast = 0.0
+    else:
+        delta_est = (z2 - state.zbar2) / h - state.u1_prev - eta
+        forecast = delta_est if steps == 1 else 2.0 * delta_est - state.delta_est
+    # Each expression rounds as in the two-stage form (tests/oracles.py),
+    # e.g. z2 + h*u1 rather than z2 plus the clamped h*u1: the golden
+    # traces pin every bit.
+    ztilde2 = z2 + h * u1
+    z3k = eta + forecast
+    y1 = ztilde2 / h + z3k
+    y2 = (ztilde2 - v_ref) / h + z3k
+    eta_next = eta + nested_clamp(h * (g.kp3 - g.kp4), h * (g.kp3 + g.kp4), -y1, -y2)
+
+    return (ControlOutput(u1 + eta_next, u1, eta_next),
+            ControllerState(eta_next, z1, z2, u1, delta_est, steps + 1))
 
 
 def _check_step(h: float) -> None:

@@ -59,25 +59,22 @@ class Sinusoid:
 
 @dataclass(frozen=True)
 class Disturbance:
-    """Constant plus a sum of sinusoids; derivative is evaluated analytically."""
+    """Constant plus a sum of sinusoids."""
 
     constant: float = 0.0
     sinusoids: tuple[Sinusoid, ...] = ()
 
 
-def eval_disturbance(d: Disturbance, t: float) -> tuple[float, float]:
-    """Return (delta(t), d/dt delta(t))."""
+def eval_disturbance(d: Disturbance, t: float) -> float:
+    """Return delta(t)."""
     delta = d.constant
-    delta_dot = 0.0
     for term in d.sinusoids:
         phase = term.omega * t
         if term.kind == "sin":
             delta += term.amplitude * math.sin(phase)
-            delta_dot += term.amplitude * term.omega * math.cos(phase)
         else:
             delta += term.amplitude * math.cos(phase)
-            delta_dot -= term.amplitude * term.omega * math.sin(phase)
-    return delta, delta_dot
+    return delta
 
 
 def plant_step(s: PlantState, u: float, delta: float, h: float) -> PlantState:
@@ -102,10 +99,14 @@ class SimConfig:
     disturbance: Disturbance = Disturbance()
 
     def __post_init__(self) -> None:
-        if not self.h > 0.0:
-            raise ValueError(f"h must be positive, got {self.h!r}")
-        if not self.t_final > 0.0:
-            raise ValueError(f"t_final must be positive, got {self.t_final!r}")
+        for name in ("h", "t_final"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("z1_0", "z2_0", "eta_0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
 
@@ -164,7 +165,9 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
 
     Within a step: the input is computed from the current measured state and
     the controller memory, the row is recorded, then the plant advances with
-    the disturbance sampled at the end of the interval.
+    the disturbance sampled at the end of the interval.  That sample is the
+    next step's delta(t): (k + 1)*h is the same float as the next k*h, so it
+    is carried over rather than evaluated twice.
     """
     step = _step_fn(cfg.method)
     g = cfg.gains
@@ -174,15 +177,15 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     plant = PlantState(cfg.z1_0, cfg.z2_0)
     trace = SimTrace(L=g.L)
 
+    delta_now = eval_disturbance(cfg.disturbance, 0.0)
     for k in range(n):
         t = k * h
-        delta_now, _ = eval_disturbance(cfg.disturbance, t)
         out, next_state = step(plant.z1, plant.z2, state, g, h)
         trace.append(t, plant.z1, plant.z2, state.eta + delta_now,
                      out.u, out.u1, state.eta, delta_now)
-        delta_applied, _ = eval_disturbance(cfg.disturbance, (k + 1) * h)
+        delta_now = eval_disturbance(cfg.disturbance, (k + 1) * h)
         try:
-            plant = plant_step(plant, out.u, delta_applied, h)
+            plant = plant_step(plant, out.u, delta_now, h)
         except SimulationDiverged:
             raise SimulationDiverged(k, t, "non-finite plant state")
         state = next_state
@@ -193,7 +196,6 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
                       f"(z1={plant.z1:g}, z2={plant.z2:g}, eta={state.eta:g})")
 
     t = n * h
-    delta_now, _ = eval_disturbance(cfg.disturbance, t)
     out, _ = step(plant.z1, plant.z2, state, g, h)  # evaluated, not committed
     trace.append(t, plant.z1, plant.z2, state.eta + delta_now,
                  out.u, out.u1, state.eta, delta_now)

@@ -36,9 +36,7 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
-        # NaN compares false, so this also rejects NaN endpoints.
-        if not self.lo <= self.hi:
-            raise ValueError(f"malformed interval: lo={self.lo!r} > hi={self.hi!r}")
+        _check_ordered(self.lo, self.hi)
 
     def negate(self) -> "Interval":
         """Mirror image -I = [-hi, -lo]; an involution."""
@@ -52,6 +50,12 @@ class Interval:
         return self.hi - self.lo
 
 
+def _check_ordered(lo: float, hi: float) -> None:
+    # NaN compares false, so this also rejects NaN endpoints.
+    if not lo <= hi:
+        raise ValueError(f"malformed interval: lo={lo!r} > hi={hi!r}")
+
+
 def proj(a: Interval, x: float) -> float:
     """Closest point of the closed interval ``a`` to ``x`` (clamp)."""
     if x < a.lo:
@@ -61,17 +65,8 @@ def proj(a: Interval, x: float) -> float:
     return x
 
 
-def sgn_set(x: float) -> Interval:
-    """Set-valued signum: {x/|x|} for x != 0 and [-1, 1] at x = 0."""
-    if x > 0.0:
-        return Interval(1.0, 1.0)
-    if x < 0.0:
-        return Interval(-1.0, -1.0)
-    return Interval(-1.0, 1.0)
-
-
 def sign_selection(x: float) -> float:
-    """Single-valued selection of sgn_set; the selection at 0 is 0.
+    """Single-valued selection of sgn; the selection at 0 is 0.
 
     The midpoint selection keeps explicit sliding-mode steps symmetric and
     avoids injecting bias exactly at the origin.
@@ -97,11 +92,23 @@ def nested_sgn_projection(c: Interval, y: float, x: float) -> float:
     """Resolvent kernel proj([proj(-C, y), proj(C, y)], x).
 
     Requires c.hi >= |c.lo| so that the inner bounds come out ordered; every
-    interval of the form [A - B, A + B] with A, B >= 0 qualifies.  The inner
-    Interval constructor re-checks the ordering.
+    interval of the form [A - B, A + B] with A, B >= 0 qualifies.
     """
-    inner = Interval(proj(c.negate(), y), proj(c, y))
-    return proj(inner, x)
+    return nested_clamp(c.lo, c.hi, y, x)
+
+
+def nested_clamp(lo: float, hi: float, y: float, x: float) -> float:
+    """nested_sgn_projection for C = [lo, hi] given by its endpoints.
+
+    Each proj is written out as a clamp, so no Interval is built, but C and
+    the inner interval are checked as Interval would check them: a
+    disordered or NaN endpoint raises ValueError.
+    """
+    _check_ordered(lo, hi)
+    ilo = -hi if y < -hi else (-lo if y > -lo else y)
+    ihi = lo if y < lo else (hi if y > hi else y)
+    _check_ordered(ilo, ihi)
+    return ilo if x < ilo else (ihi if x > ihi else x)
 
 
 def solve_interval_sgn(a: float, b: float, x: float) -> Interval:

@@ -1,10 +1,16 @@
-"""Independent brute-force oracles for the resolvent tests.
+"""Independent oracles for the resolvent and controller tests.
 
-Everything here checks set membership directly from the defining inclusions;
-none of it shares code with the nested-projection solvers under test.
+The brute-force resolvent oracles check set membership directly from the
+defining inclusions; none of them shares code with the nested-projection
+solvers under test.  ``reference_implicit_step`` is the implicit step in
+its two-stage form, built from validated ``Interval``s and ``proj``, for
+bit-identity checks of the one-pass step.
 """
 
 import numpy as np
+
+from ctasim.controller import ControllerState, ControlOutput
+from ctasim.resolvent import Interval, proj
 
 
 def _sgn_bounds(w):
@@ -48,3 +54,62 @@ def grid_solve_two_sgn(a, b, x, y, step=1e-4):
     fine = np.concatenate([np.arange(z0 - 0.3, z0 + 0.3, step), special])
     dists = two_sgn_distance(fine, a, b, x, y)
     return float(fine[np.argmin(dists)])
+
+
+# --- the implicit step, stage by stage --------------------------------------
+
+
+def reference_velocity(z1, z2, steps, h):
+    """Even steps land the position one plant update ahead; odd steps stop."""
+    if steps % 2 == 0:
+        return -(z1 + h * z2) / h
+    return 0.0
+
+
+def reference_stage1(z1, z2, state, g, h):
+    """u1 from h*u1 = proj([proj(-A, -z2), proj(A, -z2)], v_ref - z2)."""
+    if not h > 0.0:
+        raise ValueError(f"step size must be positive, got {h!r}")
+    a = g.kp1 * abs(state.zbar1) ** (1.0 / 3.0)
+    b = g.kp2 * abs(state.zbar2) ** 0.5
+    bound = Interval(a - b, a + b)
+    inner = Interval(proj(bound.negate(), -z2), proj(bound, -z2))
+    v_ref = reference_velocity(z1, z2, state.steps, h)
+    return proj(inner, v_ref - z2) / h
+
+
+def reference_reconstruction(state, z2, h):
+    """Previous disturbance sample from the measured z2 increment."""
+    return (z2 - state.zbar2) / h - state.u1_prev - state.eta
+
+
+def reference_forecast(state, z2, h):
+    """Linear extrapolation of the two newest reconstructions."""
+    if state.steps == 0:
+        return 0.0
+    newest = reference_reconstruction(state, z2, h)
+    if state.steps == 1:
+        return newest
+    return 2.0 * newest - state.delta_est
+
+
+def reference_stage2(z1, z2, u1, state, g, h):
+    """eta_next from the rate-limited nested projection."""
+    ztilde2 = z2 + h * u1
+    z3k = state.eta + reference_forecast(state, z2, h)
+    v_ref = reference_velocity(z1, z2, state.steps, h)
+    y1 = ztilde2 / h + z3k
+    y2 = (ztilde2 - v_ref) / h + z3k
+    rate = Interval(h * (g.kp3 - g.kp4), h * (g.kp3 + g.kp4))
+    inner = Interval(proj(rate.negate(), -y1), proj(rate, -y1))
+    return state.eta + proj(inner, -y2)
+
+
+def reference_implicit_step(z1, z2, state, g, h):
+    """Stage I, stage II, then the measured state becomes the memory."""
+    u1 = reference_stage1(z1, z2, state, g, h)
+    eta_next = reference_stage2(z1, z2, u1, state, g, h)
+    delta_est = reference_reconstruction(state, z2, h) if state.steps >= 1 else 0.0
+    return (ControlOutput(u=u1 + eta_next, u1=u1, eta_next=eta_next),
+            ControllerState(eta=eta_next, zbar1=z1, zbar2=z2, u1_prev=u1,
+                            delta_est=delta_est, steps=state.steps + 1))

@@ -157,6 +157,23 @@ class TestCommandLine:
         assert rc == 2
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["explicit", "implicit"])
+    @pytest.mark.parametrize("flags, field", [
+        (["--t-final", "inf"], "t_final"),
+        (["--h", "inf"], "h"),
+        (["--init", "nan,0,0"], "z1_0"),
+        (["--init", "0,-inf,0"], "z2_0"),
+        (["--init", "0,0,nan"], "eta_0"),
+        (["--gains", "inf,1,2,1"], "kp1"),
+        (["--gains", "1,1,nan,1"], "kp3"),
+    ])
+    def test_nonfinite_input_is_usage_error(self, capsys, method, flags, field):
+        rc = main(["simulate", "--preset", "paper-explicit", "--method", method,
+                   "--t-final", "0.01", *flags])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
+
     def test_sweep_requires_three_points(self, capsys):
         rc = main(["sweep", "--preset", "zero", "--h-list", "0.01,0.005"])
         assert rc == 1

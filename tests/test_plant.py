@@ -18,25 +18,29 @@ from ctasim.plant import (
 
 class TestDisturbance:
     def test_benchmark_value_at_zero(self):
-        delta, _ = eval_disturbance(PAPER_DISTURBANCE, 0.0)
-        assert delta == pytest.approx(35.6, abs=1e-12)
+        assert eval_disturbance(PAPER_DISTURBANCE, 0.0) == pytest.approx(35.6, abs=1e-12)
 
     def test_zero_signal(self):
-        assert eval_disturbance(Disturbance(), 17.3) == (0.0, 0.0)
+        assert eval_disturbance(Disturbance(), 17.3) == 0.0
 
     def test_single_sin_derivative_at_zero(self):
+        # the sampled signal starts at 0 with slope amplitude*omega
         d = Disturbance(sinusoids=(Sinusoid(0.4, math.sqrt(10.0), "sin"),))
-        delta, delta_dot = eval_disturbance(d, 0.0)
-        assert delta == 0.0
-        assert delta_dot == pytest.approx(0.4 * math.sqrt(10.0), rel=1e-12)
+        eps = 1e-6
+        assert eval_disturbance(d, 0.0) == 0.0
+        slope = (eval_disturbance(d, eps) - eval_disturbance(d, -eps)) / (2.0 * eps)
+        assert slope == pytest.approx(0.4 * math.sqrt(10.0), rel=1e-9)
 
     @pytest.mark.parametrize("t", [0.0, 0.37, 1.0, 2.5, 9.99])
     def test_derivative_matches_finite_difference(self, t):
-        # independent oracle: central difference of the evaluated signal
+        # independent oracle: the benchmark signal 35 + 0.6*cos(2t) +
+        # 0.4*sin(sqrt(10)*t) differentiated by hand, against a central
+        # difference of the evaluated samples
+        w = math.sqrt(10.0)
+        dd = -1.2 * math.sin(2.0 * t) + 0.4 * w * math.cos(w * t)
         eps = 1e-6
-        _, dd = eval_disturbance(PAPER_DISTURBANCE, t)
-        lo, _ = eval_disturbance(PAPER_DISTURBANCE, t - eps)
-        hi, _ = eval_disturbance(PAPER_DISTURBANCE, t + eps)
+        lo = eval_disturbance(PAPER_DISTURBANCE, t - eps)
+        hi = eval_disturbance(PAPER_DISTURBANCE, t + eps)
         assert dd == pytest.approx((hi - lo) / (2.0 * eps), abs=1e-5)
 
     def test_bad_kind_rejected(self):
@@ -154,3 +158,9 @@ class TestSimConfig:
             _cfg(t_final=-1.0)
         with pytest.raises(ValueError):
             _cfg(method="midpoint")
+
+    @pytest.mark.parametrize("field", ["h", "t_final", "z1_0", "z2_0", "eta_0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            _cfg(**{field: value})

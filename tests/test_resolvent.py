@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from ctasim.resolvent import (
     Interval,
     proj,
-    sgn_set,
     sign_selection,
     solve_interval_sgn,
     solve_sgnsat,
@@ -55,15 +54,6 @@ class TestProj:
 
 
 class TestSgnSet:
-    def test_negative(self):
-        assert sgn_set(-3.0) == Interval(-1.0, -1.0)
-
-    def test_zero(self):
-        assert sgn_set(0.0) == Interval(-1.0, 1.0)
-
-    def test_positive(self):
-        assert sgn_set(7.0) == Interval(1.0, 1.0)
-
     def test_selection_at_zero_is_zero(self):
         assert sign_selection(0.0) == 0.0
         assert sign_selection(-2.0) == -1.0
