@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .controller import Gains
 from .metrics import chatter_metrics, convergence_time, precision_envelope
@@ -86,14 +86,25 @@ def get_preset(name: str) -> ExperimentPreset:
         ) from None
 
 
-_OVERRIDABLE = ("method", "h", "t_final", "gains", "z1_0", "z2_0", "eta_0", "disturbance")
+# Settings name SimConfig fields, except that the gains go by kp1..kp4 and L,
+# plus the convergence threshold.
+_GAIN_KEYS = tuple(f.name for f in fields(Gains))
+_CONFIG_KEYS = frozenset(f.name for f in fields(SimConfig)) - {"gains"}
 
 
-def apply_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
-    bad = sorted(set(overrides) - set(_OVERRIDABLE))
+def resolve_config(cfg: SimConfig, settings: dict) -> tuple[SimConfig, float]:
+    """Apply flat settings over ``cfg``; return the config and the threshold.
+
+    Keys: method, h, t_final, kp1..kp4, L, z1_0, z2_0, eta_0, disturbance
+    and threshold.  Unknown keys raise ValueError.
+    """
+    rest = dict(settings)
+    threshold = rest.pop("threshold", DEFAULT_THRESHOLD)
+    kp = {k: rest.pop(k) for k in _GAIN_KEYS if k in rest}
+    bad = sorted(set(rest) - _CONFIG_KEYS)
     if bad:
-        raise ValueError(f"unknown override key(s): {', '.join(bad)}")
-    return replace(cfg, **overrides)
+        raise ValueError(f"unknown setting(s): {', '.join(bad)}")
+    return replace(cfg, gains=replace(cfg.gains, **kp), **rest), threshold
 
 
 def steady_window(cfg: SimConfig) -> tuple[float, float]:
@@ -120,10 +131,9 @@ def summarize(trace: SimTrace, cfg: SimConfig, threshold: float = DEFAULT_THRESH
     }
 
 
-def run_preset(name: str, overrides: dict | None = None,
-               threshold: float = DEFAULT_THRESHOLD) -> tuple[SimTrace, dict]:
-    preset = get_preset(name)
-    cfg = apply_overrides(preset.cfg, overrides or {})
+def run_preset(name: str, settings: dict | None = None) -> tuple[SimTrace, dict]:
+    """Run preset ``name`` with ``settings`` (see resolve_config) applied over it."""
+    cfg, threshold = resolve_config(get_preset(name).cfg, settings or {})
     trace = run_simulation(cfg)
     summary = summarize(trace, cfg, threshold)
     summary["preset"] = name
@@ -174,19 +184,6 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    preset: str
-    h_values: tuple[float, ...]
-    method: str | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.h_values) < 3:
-            raise ValueError("a sweep needs at least 3 step sizes")
-        if any(not h > 0.0 for h in self.h_values):
-            raise ValueError("step sizes must be positive")
-
-
-@dataclass(frozen=True)
 class SweepRow:
     h: float
     sup_abs_x: tuple[float, float, float] | None
@@ -211,19 +208,24 @@ def fit_loglog_slope(hs: list[float], sups: list[float]) -> float | None:
     return sxy / sxx
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
+def run_sweep(preset: str, h_values: tuple[float, ...],
+              method: str | None = None) -> SweepResult:
     """Run one simulation per step size; fit log(sup|x_i|) against log(h).
 
-    Divergent runs are kept in the table but excluded from the fits, as are
-    identically-zero envelopes.
+    ``method`` replaces the preset's method when given.  Divergent runs are
+    kept in the table but excluded from the fits, as are identically-zero
+    envelopes.
     """
-    preset = get_preset(spec.preset)
-    cfg = preset.cfg
-    if spec.method is not None:
-        cfg = apply_overrides(cfg, {"method": spec.method})
+    if len(h_values) < 3:
+        raise ValueError("a sweep needs at least 3 step sizes")
+    if any(not h > 0.0 for h in h_values):
+        raise ValueError("step sizes must be positive")
+    cfg = get_preset(preset).cfg
+    if method is not None:
+        cfg = replace(cfg, method=method)
     rows = []
-    for h in spec.h_values:
-        run_cfg = apply_overrides(cfg, {"h": h})
+    for h in h_values:
+        run_cfg = replace(cfg, h=h)
         try:
             trace = run_simulation(run_cfg)
         except SimulationDiverged:
@@ -256,51 +258,52 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
 # --- config files -----------------------------------------------------------
 
 
-def load_config_overrides(path: str) -> dict:
-    """Flat `key = value` file; returns an override dict plus CLI extras.
+_FLOAT_KEYS = ("h", "t_final", *_GAIN_KEYS, "z1_0", "z2_0", "eta_0", "threshold")
 
-    Recognized keys: method, h, t_final, kp1..kp4, L, z1_0, z2_0, eta_0,
-    threshold, delta_constant, and repeatable delta_sin / delta_cos lines of
-    the form `amp,omega`.  Lines starting with '#' are comments.
+
+def load_config(path: str) -> dict:
+    """Flat `key = value` file; returns settings for resolve_config.
+
+    Keys: method, h, t_final, kp1..kp4, L, z1_0, z2_0, eta_0, threshold,
+    delta_constant, and repeatable delta_sin / delta_cos lines of the form
+    `amp,omega`.  The delta_* lines build the `disturbance` setting, which
+    replaces the preset's disturbance.  Lines starting with '#' are comments.
+    Errors start with `path:lineno:` and name the key.
     """
-    raw: list[tuple[str, str]] = []
+    settings: dict = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected `key = value`")
-            key, _, value = stripped.partition("=")
-            raw.append((key.strip(), value.strip()))
+                raise ValueError(f"{path}:{lineno}: expected `key = value`, got {stripped!r}")
+            key, _, value = (part.strip() for part in stripped.partition("="))
+            try:
+                _set_config_value(settings, key, value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+    return settings
 
-    overrides: dict = {}
-    gains_kw: dict = {}
-    sinusoids: list[Sinusoid] = []
-    delta_constant: float | None = None
-    for key, value in raw:
-        if key == "method":
-            if value not in METHODS:
-                raise ValueError(f"{path}: bad method {value!r}")
-            overrides["method"] = value
-        elif key in ("h", "t_final", "z1_0", "z2_0", "eta_0", "threshold"):
-            overrides[key] = float(value)
-        elif key in ("kp1", "kp2", "kp3", "kp4", "L"):
-            gains_kw[key] = float(value)
-        elif key == "delta_constant":
-            delta_constant = float(value)
-        elif key in ("delta_sin", "delta_cos"):
-            amp, omega = (float(v) for v in value.split(","))
-            sinusoids.append(Sinusoid(amp, omega, key.removeprefix("delta_")))
+
+def _set_config_value(settings: dict, key: str, value: str) -> None:
+    if key == "method":
+        if value not in METHODS:
+            raise ValueError(f"must be one of {METHODS}, got {value!r}")
+        settings[key] = value
+    elif key in _FLOAT_KEYS:
+        settings[key] = float(value)
+    elif key in ("delta_constant", "delta_sin", "delta_cos"):
+        d = settings.get("disturbance", Disturbance())
+        if key == "delta_constant":
+            d = replace(d, constant=float(value))
         else:
-            raise ValueError(f"{path}: unknown config key {key!r}")
-    if gains_kw:
-        overrides["_gains_kw"] = gains_kw
-    if delta_constant is not None or sinusoids:
-        overrides["disturbance"] = Disturbance(
-            constant=delta_constant or 0.0, sinusoids=tuple(sinusoids)
-        )
-    return overrides
+            amp, omega = _parse_floats(value, 2, "amp,omega")
+            term = Sinusoid(amp, omega, key.removeprefix("delta_"))
+            d = replace(d, sinusoids=(*d.sinusoids, term))
+        settings["disturbance"] = d
+    else:
+        raise ValueError("unknown config key")
 
 
 # --- command line -----------------------------------------------------------
@@ -343,63 +346,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(payload: dict, path: str | None) -> None:
+    """Print ``payload`` as JSON and, given a path, write it there too."""
+    text = json.dumps(payload, indent=2)
+    if path:
+        with open(path, "w") as f:
+            f.write(text + "\n")
+    print(text)
+
+
 def _cmd_simulate(args) -> int:
-    preset = get_preset(args.preset)
-    cfg = preset.cfg
-    threshold = DEFAULT_THRESHOLD
-
-    overrides: dict = {}
-    if args.config:
-        overrides = load_config_overrides(args.config)
-        threshold = overrides.pop("threshold", threshold)
-        gains_kw = overrides.pop("_gains_kw", None)
-        if gains_kw:
-            base = {k: getattr(cfg.gains, k) for k in ("kp1", "kp2", "kp3", "kp4", "L")}
-            base.update(gains_kw)
-            overrides["gains"] = Gains(**base)
-    if args.method:
-        overrides["method"] = args.method
-    if args.h is not None:
-        overrides["h"] = args.h
-    if args.t_final is not None:
-        overrides["t_final"] = args.t_final
-    if args.gains or args.L is not None:
-        base_gains = overrides.get("gains", cfg.gains)
-        kw = {k: getattr(base_gains, k) for k in ("kp1", "kp2", "kp3", "kp4", "L")}
-        if args.gains:
-            kp1, kp2, kp3, kp4 = _parse_floats(args.gains, 4, "--gains")
-            kw.update(kp1=kp1, kp2=kp2, kp3=kp3, kp4=kp4)
-        if args.L is not None:
-            kw["L"] = args.L
-        overrides["gains"] = Gains(**kw)
+    # Flags are written over the file's settings: flags > file > preset.
+    settings = load_config(args.config) if args.config else {}
+    flags = {"method": args.method, "h": args.h, "t_final": args.t_final,
+             "L": args.L, "threshold": args.threshold}
+    settings.update((k, v) for k, v in flags.items() if v is not None)
+    if args.gains:
+        kp = _parse_floats(args.gains, 4, "--gains")
+        settings.update(zip(("kp1", "kp2", "kp3", "kp4"), kp))
     if args.init:
-        z1_0, z2_0, eta_0 = _parse_floats(args.init, 3, "--init")
-        overrides.update(z1_0=z1_0, z2_0=z2_0, eta_0=eta_0)
-    if args.threshold is not None:
-        threshold = args.threshold
-
-    cfg = apply_overrides(cfg, overrides)
-    trace = run_simulation(cfg)
-    summary = summarize(trace, cfg, threshold)
-    summary["preset"] = args.preset
-
+        settings.update(zip(("z1_0", "z2_0", "eta_0"), _parse_floats(args.init, 3, "--init")))
+    trace, summary = run_preset(args.preset, settings)
     if args.out:
         write_trace_csv(trace, args.out)
-    if args.summary:
-        with open(args.summary, "w") as f:
-            json.dump(summary, f, indent=2)
-            f.write("\n")
-    print(json.dumps(summary, indent=2))
+    _emit(summary, args.summary)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     h_values = tuple(float(p) for p in args.h_list.split(",") if p != "")
-    spec = SweepSpec(preset=args.preset, h_values=h_values, method=args.method)
-    result = run_sweep(spec)
+    result = run_sweep(args.preset, h_values, args.method)
     if args.out:
         write_sweep_csv(result, args.out)
-    payload = {
+    _emit({
         "preset": args.preset,
         "method": result.method,
         "rows": [
@@ -408,12 +387,7 @@ def _cmd_sweep(args) -> int:
             for r in result.rows
         ],
         "fitted_slopes": list(result.slopes),
-    }
-    if args.summary:
-        with open(args.summary, "w") as f:
-            json.dump(payload, f, indent=2)
-            f.write("\n")
-    print(json.dumps(payload, indent=2))
+    }, args.summary)
     return 0
 
 

@@ -45,11 +45,15 @@ def precision_envelope(
     """Exact maxima of |x_i| over the window, and v_i = sup|x_i| / h^p_i."""
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h!r}")
+    scales = tuple(h**p for p in orders)
+    if 0.0 in scales:
+        raise ValueError(f"h must be large enough that h**{max(orders):g} "
+                         f"does not underflow to 0, got {h!r}")
     idx = _window_indices(trace, window)
     sups = tuple(
         max(abs(col[i]) for i in idx) for col in (trace.x1, trace.x2, trace.x3)
     )
-    v = tuple(s / h**p for s, p in zip(sups, orders))
+    v = tuple(s / scale for s, scale in zip(sups, scales))
     return PrecisionReport(window=window, orders=orders, sup_abs_x=sups, v_constants=v)
 
 

@@ -53,6 +53,10 @@ class Sinusoid:
     kind: str = "sin"
 
     def __post_init__(self) -> None:
+        for name in ("amplitude", "omega"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.kind not in ("sin", "cos"):
             raise ValueError(f"kind must be 'sin' or 'cos', got {self.kind!r}")
 
@@ -63,6 +67,10 @@ class Disturbance:
 
     constant: float = 0.0
     sinusoids: tuple[Sinusoid, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.constant):
+            raise ValueError(f"constant must be finite, got {self.constant!r}")
 
 
 def eval_disturbance(d: Disturbance, t: float) -> float:

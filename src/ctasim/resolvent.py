@@ -1,13 +1,14 @@
 """Closed intervals, projections, and set-valued signum resolvents.
 
 The discrete sliding-mode steps in this package reduce to scalar inclusions
+of the two-signum form
 
-    x in F*sgn(y - x)                       (saturation form)
-    z in A*sgn(x - z) + B*sgn(y - z)        (two-signum form)
+    z in A*sgn(x - z) + B*sgn(y - z)
 
-where sgn is set-valued at zero (sgn(0) = [-1, 1]).  Both inclusions have
-closed-form solutions built from nested projections onto closed intervals;
-this module provides the interval type, the projection, and those solvers.
+where sgn is set-valued at zero (sgn(0) = [-1, 1]).  The inclusion has a
+closed-form solution built from nested projections onto closed intervals;
+this module provides the interval type, the projection, the nested clamp
+kernel and the solver built on it.
 
 For the two-signum form with A > B > 0 the solution is the unique
 
@@ -42,13 +43,6 @@ class Interval:
         """Mirror image -I = [-hi, -lo]; an involution."""
         return Interval(-self.hi, -self.lo)
 
-    def __contains__(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def _check_ordered(lo: float, hi: float) -> None:
     # NaN compares false, so this also rejects NaN endpoints.
@@ -78,49 +72,20 @@ def sign_selection(x: float) -> float:
     return 0.0
 
 
-def solve_sgnsat(f: float, y: float) -> float:
-    """Solve x in f*sgn(y - x) for x, with f >= 0.
-
-    The unique solution is the saturation x = proj([-f, f], y).
-    """
-    if not f >= 0.0:
-        raise ValueError(f"saturation gain must be nonnegative, got {f!r}")
-    return proj(Interval(-f, f), y)
-
-
-def nested_sgn_projection(c: Interval, y: float, x: float) -> float:
-    """Resolvent kernel proj([proj(-C, y), proj(C, y)], x).
-
-    Requires c.hi >= |c.lo| so that the inner bounds come out ordered; every
-    interval of the form [A - B, A + B] with A, B >= 0 qualifies.
-    """
-    return nested_clamp(c.lo, c.hi, y, x)
-
-
 def nested_clamp(lo: float, hi: float, y: float, x: float) -> float:
-    """nested_sgn_projection for C = [lo, hi] given by its endpoints.
+    """Resolvent kernel proj([proj(-C, y), proj(C, y)], x) for C = [lo, hi].
 
-    Each proj is written out as a clamp, so no Interval is built, but C and
-    the inner interval are checked as Interval would check them: a
-    disordered or NaN endpoint raises ValueError.
+    Requires hi >= |lo| so that the inner bounds come out ordered; every
+    interval of the form [A - B, A + B] with A, B >= 0 qualifies.  Each proj
+    is written out as a clamp, so no Interval is built, but C and the inner
+    interval are checked as Interval would check them: a disordered or NaN
+    endpoint raises ValueError.
     """
     _check_ordered(lo, hi)
     ilo = -hi if y < -hi else (-lo if y > -lo else y)
     ihi = lo if y < lo else (hi if y > hi else y)
     _check_ordered(ilo, ihi)
     return ilo if x < ilo else (ihi if x > ihi else x)
-
-
-def solve_interval_sgn(a: float, b: float, x: float) -> Interval:
-    """Solution set of y in [-a, a] + b*sgn(x - y), as an interval.
-
-    With C = [a - b, a + b], the solutions are exactly
-    [proj(-C, x), proj(C, x)].  Hypothesis for the equivalence: a > b > 0.
-    """
-    if not a > 0.0 or not b > 0.0:
-        raise ValueError(f"gains must be positive, got a={a!r}, b={b!r}")
-    c = Interval(a - b, a + b)
-    return Interval(proj(c.negate(), x), proj(c, x))
 
 
 def solve_two_sgn(a: float, b: float, x: float, y: float) -> float:
@@ -134,4 +99,4 @@ def solve_two_sgn(a: float, b: float, x: float, y: float) -> float:
         raise ValueError(f"leading gain must be positive, got a={a!r}")
     if not b >= 0.0:
         raise ValueError(f"second gain must be nonnegative, got b={b!r}")
-    return nested_sgn_projection(Interval(a - b, a + b), y, x)
+    return nested_clamp(a - b, a + b, y, x)

@@ -30,13 +30,6 @@ def two_sgn_distance(z, a, b, x, y):
     return np.maximum(0.0, np.maximum(lo - z, z - hi))
 
 
-def interval_sgn_distance(yv, a, b, x):
-    """Distance from yv to the set [-a, a] + b*sgn(x - yv)."""
-    yv = np.asarray(yv, dtype=float)
-    lo1, hi1 = _sgn_bounds(x - yv)
-    return np.maximum(0.0, np.maximum((-a + b * lo1) - yv, yv - (a + b * hi1)))
-
-
 def grid_solve_two_sgn(a, b, x, y, step=1e-4):
     """Grid search for z with z in a*sgn(x - z) + b*sgn(y - z).
 

@@ -13,7 +13,6 @@ import pytest
 from conftest import ACCEPTANCE_RESULTS
 from ctasim.cli import (
     ORDERS,
-    SweepSpec,
     get_preset,
     run_preset,
     run_sweep,
@@ -226,7 +225,7 @@ def test_criterion_6_order_sweep():
     ok = True
     for preset, targets in (("paper-explicit", (3.0, 2.0, 1.0)),
                             ("paper-implicit", (4.0, 3.0, 2.0))):
-        result = run_sweep(SweepSpec(preset=preset, h_values=h_values))
+        result = run_sweep(preset, h_values)
         assert all(r.status == "ok" for r in result.rows)
         assert all(s is not None for s in result.slopes)
         details.append(

@@ -1,20 +1,25 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ctasim
+from ctasim import cli
 from ctasim.cli import (
-    PRESETS,
-    SweepSpec,
-    apply_overrides,
     get_preset,
-    load_config_overrides,
+    load_config,
     main,
     read_trace_csv,
+    resolve_config,
     run_preset,
     run_sweep,
     write_trace_csv,
 )
-from ctasim.plant import Disturbance
+from ctasim.controller import Gains
+from ctasim.plant import Disturbance, Sinusoid
 
 
 class TestPresets:
@@ -41,10 +46,15 @@ class TestPresets:
 
     def test_override_validation(self):
         cfg = get_preset("zero").cfg
-        with pytest.raises(ValueError):
-            apply_overrides(cfg, {"stepsize": 0.1})
-        out = apply_overrides(cfg, {"h": 0.01, "method": "explicit"})
+        for bad in ({"stepsize": 0.1}, {"gains": cfg.gains}):
+            with pytest.raises(ValueError, match="unknown setting"):
+                resolve_config(cfg, bad)
+        out, threshold = resolve_config(cfg, {"h": 0.01, "method": "explicit"})
         assert out.h == 0.01 and out.method == "explicit"
+        assert out.gains == cfg.gains and threshold == 0.01
+        g = cfg.gains
+        out, threshold = resolve_config(cfg, {"kp1": 100.0, "L": 2.0, "threshold": 0.5})
+        assert out.gains == Gains(100.0, g.kp2, g.kp3, g.kp4, L=2.0) and threshold == 0.5
 
 
 class TestTraceCsv:
@@ -67,11 +77,16 @@ class TestTraceCsv:
 
 class TestSweep:
     def test_needs_three_points(self):
-        with pytest.raises(ValueError):
-            SweepSpec(preset="zero", h_values=(0.01, 0.02))
+        with pytest.raises(ValueError, match="at least 3"):
+            run_sweep("zero", (0.01, 0.02))
+
+    @pytest.mark.parametrize("h", [0.0, -0.005, float("nan")])
+    def test_rejects_nonpositive_step(self, h):
+        with pytest.raises(ValueError, match="step sizes must be positive"):
+            run_sweep("zero", (0.01, h, 0.002))
 
     def test_zero_preset_sweep_has_no_slopes(self):
-        res = run_sweep(SweepSpec(preset="zero", h_values=(0.01, 0.005, 0.002)))
+        res = run_sweep("zero", (0.01, 0.005, 0.002))
         assert all(r.status == "ok" for r in res.rows)
         assert res.slopes == (None, None, None)  # all-zero envelopes
 
@@ -90,20 +105,36 @@ class TestConfigFile:
             "delta_sin = 0.5,3.0\n"
             "threshold = 0.05\n"
         )
-        overrides = load_config_overrides(str(cfg_file))
-        assert overrides["method"] == "explicit"
-        assert overrides["h"] == 0.002
-        assert overrides["threshold"] == 0.05
-        assert overrides["_gains_kw"] == {"kp1": 100.0}
-        dist = overrides["disturbance"]
-        assert isinstance(dist, Disturbance) and dist.constant == 2.0
-        assert dist.sinusoids[0].kind == "sin"
+        settings = load_config(str(cfg_file))
+        dist = Disturbance(2.0, (Sinusoid(0.5, 3.0, "sin"),))
+        assert settings == {"method": "explicit", "h": 0.002, "t_final": 0.5,
+                            "kp1": 100.0, "eta_0": 1.0, "disturbance": dist,
+                            "threshold": 0.05}
+        preset = get_preset("paper-implicit").cfg
+        cfg, threshold = resolve_config(preset, settings)
+        assert (cfg.method, cfg.h, cfg.t_final, cfg.eta_0) == ("explicit", 0.002, 0.5, 1.0)
+        assert cfg.gains.kp1 == 100.0 and cfg.gains.kp2 == preset.gains.kp2
+        assert (cfg.z1_0, cfg.z2_0) == (preset.z1_0, preset.z2_0)
+        assert cfg.disturbance == dist and threshold == 0.05
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("stepsize = 0.1\n")
         with pytest.raises(ValueError):
-            load_config_overrides(str(cfg_file))
+            load_config(str(cfg_file))
+
+    @pytest.mark.parametrize("line, key", [
+        ("kp1 = abc", "kp1"),
+        ("delta_sin = 1", "delta_sin"),
+        ("method = rk4", "method"),
+        ("stepsize = 0.1", "stepsize"),
+    ])
+    def test_errors_name_file_line_and_key(self, tmp_path, line, key):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"# comment\n{line}\n")
+        with pytest.raises(ValueError) as info:
+            load_config(str(cfg_file))
+        assert str(info.value).startswith(f"{cfg_file}:2: {key}: ")
 
 
 class TestCommandLine:
@@ -173,6 +204,51 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("line, field", [
+        ("delta_constant = nan", "constant"),
+        ("delta_sin = inf,1", "amplitude"),
+        ("delta_cos = 1,-inf", "omega"),
+    ])
+    def test_nonfinite_disturbance_is_usage_error(self, tmp_path, capsys, line, field):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(line + "\n")
+        rc = main(["simulate", "--preset", "paper-explicit", "--t-final", "0.01",
+                   "--config", str(cfg_file)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {cfg_file}:1: ") and err.count("\n") == 1
+        assert f"{field} must be finite" in err
+
+    def test_underflowing_step_is_usage_error(self, capsys):
+        rc = main(["simulate", "--preset", "zero", "--h", "1e-300", "--t-final", "1e-300"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: h must be") and err.count("\n") == 1
+
+    def test_runs_as_module(self):
+        # The package must not import ctasim.cli, or runpy warns that the
+        # module was already imported before running it as __main__.
+        src = str(Path(ctasim.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ctasim.cli",
+             "simulate", "--preset", "zero", "--t-final", "0.01"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["preset"] == "zero"
+
+    def test_simulate_runs_through_cli_run_simulation(self, monkeypatch):
+        # perfbench/setup_probe.py stops `simulate` by replacing this name.
+        class Reached(Exception):
+            pass
+
+        def stop(cfg):
+            raise Reached
+
+        monkeypatch.setattr(cli, "run_simulation", stop)
+        with pytest.raises(Reached):
+            main(["simulate", "--preset", "zero"])
 
     def test_sweep_requires_three_points(self, capsys):
         rc = main(["sweep", "--preset", "zero", "--h-list", "0.01,0.005"])

@@ -6,11 +6,9 @@ from ctasim.resolvent import (
     Interval,
     proj,
     sign_selection,
-    solve_interval_sgn,
-    solve_sgnsat,
     solve_two_sgn,
 )
-from oracles import grid_solve_two_sgn, interval_sgn_distance, two_sgn_distance
+from oracles import grid_solve_two_sgn, two_sgn_distance
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -30,11 +28,6 @@ class TestInterval:
     def test_negate_is_involution(self, a, b):
         iv = Interval(min(a, b), max(a, b))
         assert iv.negate().negate() == iv
-
-    def test_contains(self):
-        iv = Interval(-1.0, 2.0)
-        assert 0.0 in iv and -1.0 in iv and 2.0 in iv
-        assert 2.5 not in iv
 
 
 class TestProj:
@@ -58,64 +51,6 @@ class TestSgnSet:
         assert sign_selection(0.0) == 0.0
         assert sign_selection(-2.0) == -1.0
         assert sign_selection(5.0) == 1.0
-
-
-class TestSolveSgnsat:
-    def test_saturation(self):
-        assert solve_sgnsat(1.0, 5.0) == 1.0
-
-    def test_interior(self):
-        assert solve_sgnsat(1.0, 0.3) == 0.3
-
-    def test_zero_gain_forces_zero(self):
-        assert solve_sgnsat(0.0, 123.4) == 0.0
-        assert solve_sgnsat(0.0, -9.0) == 0.0
-
-    def test_negative_gain_rejected(self):
-        with pytest.raises(ValueError):
-            solve_sgnsat(-1.0, 0.0)
-
-    @given(
-        st.floats(min_value=1e-9, max_value=100.0),
-        st.floats(min_value=-200.0, max_value=200.0),
-    )
-    def test_solution_satisfies_inclusion(self, f, y):
-        # x in f*sgn(y - x): pointwise when y != x, |x| <= f when y == x.
-        x = solve_sgnsat(f, y)
-        if y == x:
-            assert abs(x) <= f + 1e-12
-        else:
-            assert abs(x - f * sign_selection(y - x)) <= 1e-12
-
-
-class TestSolveIntervalSgn:
-    def test_centered(self):
-        assert solve_interval_sgn(2.0, 1.0, 0.0) == Interval(-1.0, 1.0)
-
-    def test_far_right(self):
-        assert solve_interval_sgn(2.0, 1.0, 10.0) == Interval(-1.0, 3.0)
-
-    def test_far_left(self):
-        assert solve_interval_sgn(2.0, 1.0, -10.0) == Interval(-3.0, 1.0)
-
-    def test_invalid_gains_rejected(self):
-        with pytest.raises(ValueError):
-            solve_interval_sgn(0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            solve_interval_sgn(2.0, -1.0, 0.0)
-
-    @given(
-        st.floats(min_value=1e-3, max_value=100.0),
-        st.floats(min_value=0.01, max_value=0.99),
-        st.floats(min_value=-200.0, max_value=200.0),
-    )
-    def test_members_satisfy_inclusion(self, a, frac, x):
-        b = a * frac  # a > b > 0
-        sol = solve_interval_sgn(a, b, x)
-        assert sol.lo <= sol.hi
-        mid = 0.5 * (sol.lo + sol.hi)
-        for y in (sol.lo, mid, sol.hi):
-            assert float(interval_sgn_distance(y, a, b, x)) <= 1e-9
 
 
 class TestSolveTwoSgn:
