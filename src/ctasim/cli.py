@@ -142,37 +142,42 @@ def run_preset(name: str, settings: dict | None = None) -> tuple[SimTrace, dict]
 
 # --- trace serialization ---------------------------------------------------
 
-TRACE_HEADER = "t,z1,z2,z3,x1,x2,x3,u,u1,eta,delta"
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
 
 
 def write_trace_csv(trace: SimTrace, path: str) -> None:
     """17 significant digits: parsing the file reproduces the doubles exactly.
 
-    Rows are formatted one at a time and streamed to the file.
+    Rows are formatted one at a time, x = z/L included, and streamed to the file.
     """
-    columns = [getattr(trace, c) for c in TRACE_COLUMNS]
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    L = trace.L
+    row_format = ",".join(["%.17g"] * len(TRACE_COLUMNS)) + "\n"
+    rows = zip(trace.t, trace.z1, trace.z2, trace.z3,
+               trace.u, trace.u1, trace.eta, trace.delta)
     with open(path, "w", newline="") as f:
         f.write(TRACE_HEADER + "\n")
-        f.writelines(row_format % row for row in zip(*columns))
+        f.writelines(row_format % (t, z1, z2, z3, z1 / L, z2 / L, z3 / L, u, u1, eta, delta)
+                     for t, z1, z2, z3, u, u1, eta, delta in rows)
 
 
 def read_trace_csv(path: str, L: float) -> SimTrace:
+    """Parse a trace CSV.  The x columns are not stored: a row whose x is not
+    z/L (NaN never is) raises ValueError starting with `path:lineno:`."""
     trace = SimTrace(L=L)
     with open(path, "r", newline="") as f:
         header = f.readline().strip()
         if header != TRACE_HEADER:
             raise ValueError(f"unexpected trace header: {header!r}")
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             vals = [float(v) for v in line.split(",")]
             (t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta) = vals
+            if x1 != z1 / L or x2 != z2 / L or x3 != z3 / L:
+                raise ValueError(f"{path}:{lineno}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
+                                 f"z/L = {z1 / L!r}, {z2 / L!r}, {z3 / L!r} for L = {L!r}")
             trace.t.append(t)
             trace.z1.append(z1)
             trace.z2.append(z2)
             trace.z3.append(z3)
-            trace.x1.append(x1)
-            trace.x2.append(x2)
-            trace.x3.append(x3)
             trace.u.append(u)
             trace.u1.append(u1)
             trace.eta.append(eta)

@@ -98,11 +98,11 @@ class ControllerState:
 
 @dataclass(frozen=True)
 class ControlOutput:
-    """One step's input decomposition: u = u1 + eta term."""
+    """One step's input decomposition: u = u1 + eta term.  The updated
+    integrator is the next ControllerState's eta."""
 
     u: float
     u1: float
-    eta_next: float
 
 
 def initial_state(z1: float, z2: float, eta: float = 0.0) -> ControllerState:
@@ -125,7 +125,7 @@ def explicit_step(
     u1 = -g.kp1 * fractional_power(z1, 1.0 / 3.0) - g.kp2 * fractional_power(z2, 0.5)
     u = u1 + state.eta
     eta_next = state.eta - h * g.kp3 * sign_selection(z1) - h * g.kp4 * sign_selection(z2)
-    return (ControlOutput(u, u1, eta_next),
+    return (ControlOutput(u, u1),
             ControllerState(eta_next, state.zbar1, state.zbar2, state.u1_prev,
                             state.delta_est, state.steps))
 
@@ -181,7 +181,7 @@ def implicit_step(
     y2 = (ztilde2 - v_ref) / h + z3k
     eta_next = eta + nested_clamp(h * (g.kp3 - g.kp4), h * (g.kp3 + g.kp4), -y1, -y2)
 
-    return (ControlOutput(u1 + eta_next, u1, eta_next),
+    return (ControlOutput(u1 + eta_next, u1),
             ControllerState(eta_next, z1, z2, u1, delta_est, steps + 1))
 
 

@@ -50,8 +50,10 @@ def precision_envelope(
         raise ValueError(f"h must be large enough that h**{max(orders):g} "
                          f"does not underflow to 0, got {h!r}")
     idx = _window_indices(trace, window)
+    # x = z/L.  Correctly rounded division by L > 0 is monotone, so
+    # max|z_i| / L equals max|z_i / L| bit for bit.
     sups = tuple(
-        max(abs(col[i]) for i in idx) for col in (trace.x1, trace.x2, trace.x3)
+        max(abs(col[i]) for i in idx) / trace.L for col in (trace.z1, trace.z2, trace.z3)
     )
     v = tuple(s / scale for s, scale in zip(sups, scales))
     return PrecisionReport(window=window, orders=orders, sup_abs_x=sups, v_constants=v)

@@ -26,6 +26,10 @@ from .controller import Gains, explicit_step, implicit_step, initial_state
 
 DIVERGENCE_LIMIT = 1e12
 
+# The largest run in the repository is the sweep's 1e5 steps; 1e7 rows of
+# eight float columns take about 2.6 GB.
+MAX_STEPS = 10_000_000
+
 METHODS = ("explicit", "implicit")
 
 
@@ -36,12 +40,6 @@ class SimulationDiverged(RuntimeError):
         super().__init__(f"simulation diverged at step {step} (t={t:g}): {detail}")
         self.step = step
         self.t = t
-
-
-@dataclass(frozen=True)
-class PlantState:
-    z1: float
-    z2: float
 
 
 @dataclass(frozen=True)
@@ -85,14 +83,11 @@ def eval_disturbance(d: Disturbance, t: float) -> float:
     return delta
 
 
-def plant_step(s: PlantState, u: float, delta: float, h: float) -> PlantState:
-    """One forward-Euler update of the double integrator."""
+def plant_step(z1: float, z2: float, u: float, delta: float, h: float) -> tuple[float, float]:
+    """One forward-Euler update of the double integrator; returns (z1, z2)."""
     if not h > 0.0:
         raise ValueError(f"step size must be positive, got {h!r}")
-    nxt = PlantState(z1=s.z1 + h * s.z2, z2=s.z2 + h * u + h * delta)
-    if not (math.isfinite(nxt.z1) and math.isfinite(nxt.z2)):
-        raise SimulationDiverged(-1, float("nan"), f"non-finite plant state {nxt}")
-    return nxt
+    return z1 + h * z2, z2 + h * u + h * delta
 
 
 @dataclass(frozen=True)
@@ -111,6 +106,18 @@ class SimConfig:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        # A whole number of steps, from 1 to MAX_STEPS; the ratio overflows
+        # to inf for a tiny h, which fails the first test too.
+        steps = self.t_final / self.h
+        if not steps < MAX_STEPS + 0.5:
+            raise ValueError(f"h must give at most {MAX_STEPS} steps over t_final="
+                             f"{self.t_final!r}, got {self.h!r} ({steps:.3g} steps)")
+        if round(steps) < 1:
+            raise ValueError(f"t_final must span at least one step h={self.h!r}, "
+                             f"got {self.t_final!r}")
+        if abs(round(steps) * self.h - self.t_final) > 1e-9 * self.t_final:
+            raise ValueError(f"t_final must be a whole number of steps h={self.h!r}, "
+                             f"got {self.t_final!r} ({steps:.6g} steps)")
         for name in ("z1_0", "z2_0", "eta_0"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -128,16 +135,16 @@ TRACE_COLUMNS = ("t", "z1", "z2", "z3", "x1", "x2", "x3", "u", "u1", "eta", "del
 
 @dataclass
 class SimTrace:
-    """Column-oriented record of one run; one row per time point."""
+    """Column-oriented record of one run; one row per time point.
+
+    x1..x3 = z/L are derived on each read, not stored.
+    """
 
     L: float
     t: list[float] = field(default_factory=list)
     z1: list[float] = field(default_factory=list)
     z2: list[float] = field(default_factory=list)
     z3: list[float] = field(default_factory=list)
-    x1: list[float] = field(default_factory=list)
-    x2: list[float] = field(default_factory=list)
-    x3: list[float] = field(default_factory=list)
     u: list[float] = field(default_factory=list)
     u1: list[float] = field(default_factory=list)
     eta: list[float] = field(default_factory=list)
@@ -147,29 +154,28 @@ class SimTrace:
     def n(self) -> int:
         return len(self.t)
 
+    x1 = property(lambda self: [z / self.L for z in self.z1])
+    x2 = property(lambda self: [z / self.L for z in self.z2])
+    x3 = property(lambda self: [z / self.L for z in self.z3])
+
     def row(self, i: int) -> tuple[float, ...]:
-        return tuple(getattr(self, c)[i] for c in TRACE_COLUMNS)
+        z1, z2, z3, L = self.z1[i], self.z2[i], self.z3[i], self.L
+        return (self.t[i], z1, z2, z3, z1 / L, z2 / L, z3 / L,
+                self.u[i], self.u1[i], self.eta[i], self.delta[i])
 
     def append(self, t, z1, z2, z3, u, u1, eta, delta) -> None:
         self.t.append(t)
         self.z1.append(z1)
         self.z2.append(z2)
         self.z3.append(z3)
-        self.x1.append(z1 / self.L)
-        self.x2.append(z2 / self.L)
-        self.x3.append(z3 / self.L)
         self.u.append(u)
         self.u1.append(u1)
         self.eta.append(eta)
         self.delta.append(delta)
 
 
-def _step_fn(method: str):
-    return explicit_step if method == "explicit" else implicit_step
-
-
 def run_simulation(cfg: SimConfig) -> SimTrace:
-    """Run the closed loop for round(t_final/h) steps; return the full trace.
+    """Run the closed loop for cfg.steps steps; return the full trace.
 
     Within a step: the input is computed from the current measured state and
     the controller memory, the row is recorded, then the plant advances with
@@ -177,34 +183,33 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     next step's delta(t): (k + 1)*h is the same float as the next k*h, so it
     is carried over rather than evaluated twice.
     """
-    step = _step_fn(cfg.method)
+    step = explicit_step if cfg.method == "explicit" else implicit_step
     g = cfg.gains
     h = cfg.h
     n = cfg.steps
     state = initial_state(cfg.z1_0, cfg.z2_0, cfg.eta_0)
-    plant = PlantState(cfg.z1_0, cfg.z2_0)
+    z1, z2 = cfg.z1_0, cfg.z2_0
     trace = SimTrace(L=g.L)
 
     delta_now = eval_disturbance(cfg.disturbance, 0.0)
     for k in range(n):
         t = k * h
-        out, next_state = step(plant.z1, plant.z2, state, g, h)
-        trace.append(t, plant.z1, plant.z2, state.eta + delta_now,
+        out, next_state = step(z1, z2, state, g, h)
+        trace.append(t, z1, z2, state.eta + delta_now,
                      out.u, out.u1, state.eta, delta_now)
         delta_now = eval_disturbance(cfg.disturbance, (k + 1) * h)
-        try:
-            plant = plant_step(plant, out.u, delta_now, h)
-        except SimulationDiverged:
-            raise SimulationDiverged(k, t, "non-finite plant state")
+        z1, z2 = plant_step(z1, z2, out.u, delta_now, h)
         state = next_state
-        if (abs(plant.z1) > DIVERGENCE_LIMIT or abs(plant.z2) > DIVERGENCE_LIMIT
-                or abs(state.eta) > DIVERGENCE_LIMIT):
+        # Written as "not within", so that NaN, which fails every
+        # comparison, diverges too.
+        if not (abs(z1) <= DIVERGENCE_LIMIT and abs(z2) <= DIVERGENCE_LIMIT
+                and abs(state.eta) <= DIVERGENCE_LIMIT):
             raise SimulationDiverged(
                 k, t, f"|state| exceeded {DIVERGENCE_LIMIT:g} "
-                      f"(z1={plant.z1:g}, z2={plant.z2:g}, eta={state.eta:g})")
+                      f"(z1={z1:g}, z2={z2:g}, eta={state.eta:g})")
 
     t = n * h
-    out, _ = step(plant.z1, plant.z2, state, g, h)  # evaluated, not committed
-    trace.append(t, plant.z1, plant.z2, state.eta + delta_now,
+    out, _ = step(z1, z2, state, g, h)  # evaluated, not committed
+    trace.append(t, z1, z2, state.eta + delta_now,
                  out.u, out.u1, state.eta, delta_now)
     return trace

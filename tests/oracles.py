@@ -103,6 +103,6 @@ def reference_implicit_step(z1, z2, state, g, h):
     u1 = reference_stage1(z1, z2, state, g, h)
     eta_next = reference_stage2(z1, z2, u1, state, g, h)
     delta_est = reference_reconstruction(state, z2, h) if state.steps >= 1 else 0.0
-    return (ControlOutput(u=u1 + eta_next, u1=u1, eta_next=eta_next),
+    return (ControlOutput(u=u1 + eta_next, u1=u1),
             ControllerState(eta=eta_next, zbar1=z1, zbar2=z2, u1_prev=u1,
                             delta_est=delta_est, steps=state.steps + 1))

@@ -74,6 +74,27 @@ class TestTraceCsv:
         first = path.read_text().splitlines()[0]
         assert first == "t,z1,z2,z3,x1,x2,x3,u,u1,eta,delta"
 
+    def test_edited_x_cell_rejected(self, tmp_path):
+        trace, _ = run_preset("paper-implicit", {"t_final": 0.01})
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[4].split(",")
+        cells[5] = repr(float(cells[5]) * 2.0)  # x2 on line 5, the row at t = 0.003
+        lines[4] = ",".join(cells)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as info:
+            read_trace_csv(str(path), L=trace.L)
+        assert str(info.value).startswith(f"{path}:5: x1..x3 = ")
+
+    def test_wrong_scale_rejected(self, tmp_path):
+        trace, _ = run_preset("paper-implicit", {"t_final": 0.01})
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        with pytest.raises(ValueError) as info:
+            read_trace_csv(str(path), L=2.0 * trace.L)
+        assert str(info.value).startswith(f"{path}:2: x1..x3 = ")
+
 
 class TestSweep:
     def test_needs_three_points(self):
@@ -219,6 +240,22 @@ class TestCommandLine:
         assert rc == 1
         assert err.startswith(f"error: {cfg_file}:1: ") and err.count("\n") == 1
         assert f"{field} must be finite" in err
+
+    @pytest.mark.parametrize("h, field", [
+        ("0.3", "t_final"), ("0.7", "t_final"), ("2", "t_final"), ("1e-9", "h"),
+    ])
+    def test_step_grid_is_usage_error(self, capsys, h, field):
+        rc = main(["simulate", "--preset", "zero", "--h", h, "--t-final", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {field} must") and err.count("\n") == 1
+
+    def test_nan_state_is_divergence(self, nan_plant_from_step_3, capsys):
+        rc = main(["simulate", "--preset", "zero", "--t-final", "0.01"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: simulation diverged at step 3") and err.count("\n") == 1
+        assert "z1=nan" in err
 
     def test_underflowing_step_is_usage_error(self, capsys):
         rc = main(["simulate", "--preset", "zero", "--h", "1e-300", "--t-final", "1e-300"])

@@ -140,11 +140,11 @@ class TestImplicitStage1:
 
 
 class TestImplicitStage2:
-    """Stage II of the one-pass step, read off its eta_next output."""
+    """Stage II of the one-pass step, read off the next state's eta."""
 
     def test_origin(self):
         out, nxt = implicit_step(0.0, 0.0, make_state(), PAPER, 0.001)
-        assert out.eta_next == 0.0
+        assert nxt.eta == 0.0
         assert (nxt.eta, nxt.zbar1, nxt.zbar2) == (0.0, 0.0, 0.0)
 
     def test_rate_interval_endpoints(self):
@@ -159,8 +159,8 @@ class TestImplicitStage2:
         st0 = make_state(eta=10.0)
         out, nxt = implicit_step(0.0, 0.0, st0, g, 1.0)
         assert out.u1 == 0.0
-        assert out.eta_next == pytest.approx(7.0, abs=1e-15)
-        assert nxt.eta == out.eta_next
+        assert nxt.eta == pytest.approx(7.0, abs=1e-15)
+        assert out.u == nxt.eta
 
     @given(state_floats, state_floats, state_floats, state_floats, state_floats,
            st.integers(min_value=0, max_value=5))
@@ -168,8 +168,8 @@ class TestImplicitStage2:
     def test_rate_limit(self, z1, z2, zb1, zb2, eta, steps):
         st0 = make_state(eta=eta, zbar1=zb1, zbar2=zb2, steps=steps)
         h = 0.001
-        out, _ = implicit_step(z1, z2, st0, PAPER, h)
-        assert abs(out.eta_next - eta) <= h * (PAPER.kp3 + PAPER.kp4) * (1.0 + 1e-12)
+        _, nxt = implicit_step(z1, z2, st0, PAPER, h)
+        assert abs(nxt.eta - eta) <= h * (PAPER.kp3 + PAPER.kp4) * (1.0 + 1e-12)
 
 
 class TestImplicitStep:
@@ -187,7 +187,7 @@ class TestImplicitStep:
         u1 = -(PAPER.kp1 * 2.0 - PAPER.kp2 * math.sqrt(12.0)) / 0.001
         # cold start: stage II sees z3 = eta = 0, rate clamp gives -0.0135
         assert out.u1 == pytest.approx(u1, rel=1e-12)
-        assert out.eta_next == pytest.approx(-0.0135, abs=1e-15)
+        assert nxt.eta == pytest.approx(-0.0135, abs=1e-15)
         assert out.u == pytest.approx(u1 - 0.0135, rel=1e-12)
         assert nxt.zbar1 == 8.0 and nxt.zbar2 == -12.0
         assert nxt.u1_prev == out.u1
@@ -197,8 +197,8 @@ class TestImplicitStep:
     @settings(max_examples=200)
     def test_output_identity(self, z1, z2, eta, zb1, zb2, steps):
         st0 = make_state(eta=eta, zbar1=zb1, zbar2=zb2, steps=steps)
-        out, _ = implicit_step(z1, z2, st0, PAPER, 0.001)
-        assert out.u == out.u1 + out.eta_next
+        out, nxt = implicit_step(z1, z2, st0, PAPER, 0.001)
+        assert out.u == out.u1 + nxt.eta
 
     @given(state_floats, state_floats, state_floats, state_floats, state_floats,
            state_floats, state_floats, st.integers(min_value=0, max_value=5))

@@ -14,7 +14,7 @@ import os
 import pytest
 
 from ctasim.cli import TRACE_HEADER, run_preset, write_trace_csv
-from ctasim.plant import TRACE_COLUMNS, SimTrace
+from ctasim.plant import SimTrace
 
 GOLDENS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "goldens.json")
@@ -37,14 +37,12 @@ def test_preset_trace_and_summary(preset, goldens, tmp_path):
 
 def test_writer_matches_per_value_format(tmp_path):
     """Row-at-a-time %-formatting writes the bytes of a per-value
-    f"{v:.17g}" join, edge values included."""
+    f"{v:.17g}" join, edge values and the derived x = z/L columns included."""
     edge = [-0.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf, 1e308, -1e308,
             math.nan, 0.1, 1.0 / 3.0, 35.6, 1e-17, 123456789012345678.0]
-    trace = SimTrace(L=1.0)
-    for i, v in enumerate(edge):
-        row = [edge[(i + j) % len(edge)] for j in range(len(TRACE_COLUMNS))]
-        for column, value in zip(TRACE_COLUMNS, row):
-            getattr(trace, column).append(value)
+    trace = SimTrace(L=3.0)
+    for i in range(len(edge)):
+        trace.append(*(edge[(i + j) % len(edge)] for j in range(8)))
     path = tmp_path / "edge.csv"
     write_trace_csv(trace, str(path))
     expected = TRACE_HEADER + "\n" + "".join(

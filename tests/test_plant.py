@@ -5,8 +5,8 @@ import pytest
 from ctasim.cli import PAPER_DISTURBANCE, PAPER_GAINS
 from ctasim.controller import implicit_step, initial_state
 from ctasim.plant import (
+    MAX_STEPS,
     Disturbance,
-    PlantState,
     SimConfig,
     SimulationDiverged,
     Sinusoid,
@@ -50,24 +50,19 @@ class TestDisturbance:
 
 class TestPlantStep:
     def test_benchmark_initial_state(self):
-        nxt = plant_step(PlantState(8.0, -12.0), 0.0, 35.0, 0.001)
-        assert nxt.z1 == pytest.approx(7.988, abs=1e-15)
-        assert nxt.z2 == pytest.approx(-11.965, abs=1e-15)
+        z1, z2 = plant_step(8.0, -12.0, 0.0, 35.0, 0.001)
+        assert z1 == pytest.approx(7.988, abs=1e-15)
+        assert z2 == pytest.approx(-11.965, abs=1e-15)
 
     def test_equilibrium(self):
-        assert plant_step(PlantState(0.0, 0.0), 0.0, 0.0, 0.001) == PlantState(0.0, 0.0)
+        assert plant_step(0.0, 0.0, 0.0, 0.0, 0.001) == (0.0, 0.0)
 
     def test_input_cancels_disturbance(self):
-        nxt = plant_step(PlantState(1.0, 0.0), -1.0, 1.0, 1.0)
-        assert nxt == PlantState(1.0, 0.0)
+        assert plant_step(1.0, 0.0, -1.0, 1.0, 1.0) == (1.0, 0.0)
 
     def test_nonpositive_step_rejected(self):
         with pytest.raises(ValueError):
-            plant_step(PlantState(0.0, 0.0), 0.0, 0.0, -0.1)
-
-    def test_nonfinite_state_aborts(self):
-        with pytest.raises(SimulationDiverged):
-            plant_step(PlantState(0.0, 1e308), 0.0, float("inf"), 1.0)
+            plant_step(0.0, 0.0, 0.0, 0.0, -0.1)
 
 
 def _cfg(**kw):
@@ -106,10 +101,11 @@ class TestRunSimulation:
             _cfg(z1_0=8.0, z2_0=-12.0, disturbance=PAPER_DISTURBANCE, t_final=0.5)
         )
         L = PAPER_GAINS.L
+        x1 = trace.x1
         for i in range(trace.n):
-            # x stores z/L exactly; the round trip is within one ulp of z
-            assert trace.x1[i] == trace.z1[i] / L
-            assert abs(trace.x1[i] * L - trace.z1[i]) <= math.ulp(abs(trace.z1[i]) + 1e-300)
+            # x is z/L exactly; the round trip is within one ulp of z
+            assert x1[i] == trace.z1[i] / L
+            assert abs(x1[i] * L - trace.z1[i]) <= math.ulp(abs(trace.z1[i]) + 1e-300)
             assert trace.z3[i] == trace.eta[i] + trace.delta[i]
 
     def test_reproducible(self):
@@ -145,11 +141,40 @@ class TestRunSimulation:
         with pytest.raises(SimulationDiverged):
             run_simulation(cfg)
 
+    @pytest.mark.parametrize("method", ["explicit", "implicit"])
+    def test_nan_state_diverges_at_its_step(self, nan_plant_from_step_3, method):
+        # A NaN state fails every comparison, so a `>` limit test would let
+        # it through; the loop must still stop at the step that made it.
+        with pytest.raises(SimulationDiverged) as err:
+            run_simulation(_cfg(method=method, t_final=0.1))
+        assert err.value.step == 3
+        assert "(z1=nan, z2=0, eta=0)" in str(err.value)
+
 
 class TestSimConfig:
     def test_step_count_rounds(self):
         assert _cfg(t_final=10.0).steps == 10000
-        assert _cfg(h=0.3, t_final=1.0).steps == 3
+        with pytest.raises(ValueError, match="^t_final must be a whole number of steps"):
+            _cfg(h=0.3, t_final=1.0)
+
+    @pytest.mark.parametrize("h, t_final, message", [
+        (0.7, 1.0, "t_final must be a whole number of steps"),
+        (1.0, 1.5, "t_final must be a whole number of steps"),
+        (2.0, 1.0, "t_final must span at least one step"),
+        (1e-9, 1.0, "h must give at most 10000000 steps"),
+        (5e-324, 1.0, "h must give at most 10000000 steps"),
+    ])
+    def test_step_grid_rejected(self, h, t_final, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            _cfg(h=h, t_final=t_final)
+
+    def test_step_cap(self):
+        # Checked on the config alone: nothing this large is ever run.
+        assert _cfg(h=1.0 / MAX_STEPS, t_final=1.0).steps == MAX_STEPS
+        with pytest.raises(ValueError, match="^h must give at most"):
+            _cfg(h=1.0 / (MAX_STEPS + 1), t_final=1.0)
+        assert _cfg(h=1.0, t_final=1.0).steps == 1
+        assert _cfg(h=0.1, t_final=0.3).steps == 3  # 0.3/0.1 = 2.9999999999999996
 
     def test_validation(self):
         with pytest.raises(ValueError):
