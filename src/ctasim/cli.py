@@ -100,6 +100,8 @@ def resolve_config(cfg: SimConfig, settings: dict) -> tuple[SimConfig, float]:
     """
     rest = dict(settings)
     threshold = rest.pop("threshold", DEFAULT_THRESHOLD)
+    if not (threshold > 0.0 and math.isfinite(threshold)):
+        raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
     kp = {k: rest.pop(k) for k in _GAIN_KEYS if k in rest}
     bad = sorted(set(rest) - _CONFIG_KEYS)
     if bad:
@@ -225,6 +227,8 @@ def run_sweep(preset: str, h_values: tuple[float, ...],
         raise ValueError("a sweep needs at least 3 step sizes")
     if any(not h > 0.0 for h in h_values):
         raise ValueError("step sizes must be positive")
+    if len(set(h_values)) < len(h_values):
+        raise ValueError(f"step sizes must be distinct, got {h_values}")
     cfg = get_preset(preset).cfg
     if method is not None:
         cfg = replace(cfg, method=method)
@@ -303,7 +307,7 @@ def _set_config_value(settings: dict, key: str, value: str) -> None:
         if key == "delta_constant":
             d = replace(d, constant=float(value))
         else:
-            amp, omega = _parse_floats(value, 2, "amp,omega")
+            amp, omega = _parse_floats(value, "amp,omega", 2)
             term = Sinusoid(amp, omega, key.removeprefix("delta_"))
             d = replace(d, sinusoids=(*d.sinusoids, term))
         settings["disturbance"] = d
@@ -314,15 +318,29 @@ def _set_config_value(settings: dict, key: str, value: str) -> None:
 # --- command line -----------------------------------------------------------
 
 
-def _parse_floats(text: str, n: int, what: str) -> list[float]:
+def _parse_floats(text: str, what: str, n: int | None = None) -> list[float]:
+    """Comma-separated floats, exactly ``n`` of them when ``n`` is given;
+    errors name ``what``."""
     parts = [p for p in text.split(",") if p != ""]
-    if len(parts) != n:
+    if n is not None and len(parts) != n:
         raise ValueError(f"{what} expects {n} comma-separated values, got {text!r}")
-    return [float(p) for p in parts]
+    try:
+        return [float(p) for p in parts]
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so that main reports them like every
+    other bad input: one `error:` line and exit 1 (argparse's exit 2 is the
+    divergence code)."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctasim",
         description="Twisting-controller simulator for a perturbed double integrator.",
     )
@@ -353,7 +371,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(payload: dict, path: str | None) -> None:
     """Print ``payload`` as JSON and, given a path, write it there too."""
-    text = json.dumps(payload, indent=2)
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:  # a non-finite float has no JSON form
+        raise ValueError(f"summary is not valid JSON: {exc}") from None
     if path:
         with open(path, "w") as f:
             f.write(text + "\n")
@@ -367,10 +388,10 @@ def _cmd_simulate(args) -> int:
              "L": args.L, "threshold": args.threshold}
     settings.update((k, v) for k, v in flags.items() if v is not None)
     if args.gains:
-        kp = _parse_floats(args.gains, 4, "--gains")
+        kp = _parse_floats(args.gains, "--gains", 4)
         settings.update(zip(("kp1", "kp2", "kp3", "kp4"), kp))
     if args.init:
-        settings.update(zip(("z1_0", "z2_0", "eta_0"), _parse_floats(args.init, 3, "--init")))
+        settings.update(zip(("z1_0", "z2_0", "eta_0"), _parse_floats(args.init, "--init", 3)))
     trace, summary = run_preset(args.preset, settings)
     if args.out:
         write_trace_csv(trace, args.out)
@@ -379,7 +400,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    h_values = tuple(float(p) for p in args.h_list.split(",") if p != "")
+    h_values = tuple(_parse_floats(args.h_list, "--h-list"))
     result = run_sweep(args.preset, h_values, args.method)
     if args.out:
         write_sweep_csv(result, args.out)
@@ -397,9 +418,8 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_sweep(args)

@@ -76,40 +76,6 @@ class Gains:
             )
 
 
-@dataclass(frozen=True)
-class ControllerState:
-    """Controller memory carried between steps.
-
-    eta       -- disturbance-compensating integrator
-    zbar1/2   -- the previous measured (z1, z2); seeded with the initial
-                 state
-    u1_prev   -- twisting component applied on the previous step
-    delta_est -- newest reconstructed disturbance sample
-    steps     -- completed implicit steps (drives the stage-I phase)
-    """
-
-    eta: float
-    zbar1: float
-    zbar2: float
-    u1_prev: float = 0.0
-    delta_est: float = 0.0
-    steps: int = 0
-
-
-@dataclass(frozen=True)
-class ControlOutput:
-    """One step's input decomposition: u = u1 + eta term.  The updated
-    integrator is the next ControllerState's eta."""
-
-    u: float
-    u1: float
-
-
-def initial_state(z1: float, z2: float, eta: float = 0.0) -> ControllerState:
-    """Seed the measurement memory with the actual initial state."""
-    return ControllerState(eta=eta, zbar1=z1, zbar2=z2)
-
-
 def fractional_power(z: float, p: float) -> float:
     """Odd fractional power |z|^p * sgn(z), with the 0 selection at z = 0."""
     if z == 0.0:
@@ -118,24 +84,33 @@ def fractional_power(z: float, p: float) -> float:
 
 
 def explicit_step(
-    z1: float, z2: float, state: ControllerState, g: Gains, h: float
-) -> tuple[ControlOutput, ControllerState]:
-    """Forward-Euler step: u = u1 + eta, then bang-bang eta update."""
-    _check_step(h)
+    k: int, z1: float, z2: float, zb1: float, zb2: float, eta: float,
+    u1_prev: float, d_prev: float, g: Gains, h: float,
+) -> tuple[float, float, float, float]:
+    """Forward-Euler step: u = u1 + eta, then bang-bang eta update.
+
+    Takes the implicit step's arguments and ignores its memory (k, zb1,
+    zb2, u1_prev, d_prev); returns (u, u1, eta_next, 0.0).
+    """
     u1 = -g.kp1 * fractional_power(z1, 1.0 / 3.0) - g.kp2 * fractional_power(z2, 0.5)
-    u = u1 + state.eta
-    eta_next = state.eta - h * g.kp3 * sign_selection(z1) - h * g.kp4 * sign_selection(z2)
-    return (ControlOutput(u, u1),
-            ControllerState(eta_next, state.zbar1, state.zbar2, state.u1_prev,
-                            state.delta_est, state.steps))
+    eta_next = eta - h * g.kp3 * sign_selection(z1) - h * g.kp4 * sign_selection(z2)
+    return u1 + eta, u1, eta_next, 0.0
 
 
 def implicit_step(
-    z1: float, z2: float, state: ControllerState, g: Gains, h: float
-) -> tuple[ControlOutput, ControllerState]:
-    """One implicit step: stage I, stage II, u = u1 + eta_next.
+    k: int, z1: float, z2: float, zb1: float, zb2: float, eta: float,
+    u1_prev: float, d_prev: float, g: Gains, h: float,
+) -> tuple[float, float, float, float]:
+    """Implicit step k at the measured (z1, z2): stage I, stage II, u = u1 + eta_next.
 
-    Stage I: with a = kp1*|zbar1|^(1/3) and b = kp2*|zbar2|^(1/2), h*u1 is
+    The memory is the previous measurement (zb1, zb2), seeded with the
+    initial state, the integrator eta, the previous twisting component
+    u1_prev and the previous reconstruction d_prev (both 0.0 at k = 0).
+    Returns (u, u1, eta_next, delta_est); the caller carries u1, eta_next
+    and delta_est into step k + 1 as u1_prev, eta and d_prev.  h and the
+    gains are validated once, by SimConfig and Gains.
+
+    Stage I: with a = kp1*|zb1|^(1/3) and b = kp2*|zb2|^(1/2), h*u1 is
     the velocity correction (v_ref - z2) clamped into
     [proj(-A, -z2), proj(A, -z2)], A = [a - b, a + b].  The velocity
     reference alternates: even steps command v_ref = -(z1 + h*z2)/h, which
@@ -143,11 +118,11 @@ def implicit_step(
     already fixed); odd steps command v_ref = 0.
 
     Stage II: the previous disturbance sample is reconstructed from the
-    measured z2 increment, d = (z2 - zbar2)/h - u1_prev - eta, and
-    extrapolated linearly (2*d - delta_est; only d after one step, 0 before
-    any).  Higher order extrapolation is deliberately avoided: it would push
-    the tracking error below the h^2 scale and change the scheme's accuracy
-    signature.  With z3k = eta + forecast and ztilde2 = z2 + h*u1,
+    measured z2 increment, delta_est = (z2 - zb2)/h - u1_prev - eta, and
+    extrapolated linearly (2*delta_est - d_prev; only delta_est at k = 1, 0
+    at k = 0).  Higher order extrapolation is deliberately avoided: it would
+    push the tracking error below the h^2 scale and change the scheme's
+    accuracy signature.  With z3k = eta + forecast and ztilde2 = z2 + h*u1,
 
         y1 = ztilde2/h + z3k,   y2 = (ztilde2 - v_ref)/h + z3k
 
@@ -155,23 +130,18 @@ def implicit_step(
     B = h*[kp3 - kp4, kp3 + kp4].
 
     Both projections go through resolvent.nested_clamp, which raises
-    ValueError on a NaN interval endpoint (NaN magnitudes, z2 or y1).  The
-    next state's zbar1/zbar2 hold the measured (z1, z2).
+    ValueError on a NaN interval endpoint (NaN magnitudes, z2 or y1).
     """
-    _check_step(h)
-    eta = state.eta
-    steps = state.steps
-
-    a = g.kp1 * abs(state.zbar1) ** (1.0 / 3.0)
-    b = g.kp2 * abs(state.zbar2) ** 0.5
-    v_ref = -(z1 + h * z2) / h if steps % 2 == 0 else 0.0
+    a = g.kp1 * abs(zb1) ** (1.0 / 3.0)
+    b = g.kp2 * abs(zb2) ** 0.5
+    v_ref = -(z1 + h * z2) / h if k % 2 == 0 else 0.0
     u1 = nested_clamp(a - b, a + b, -z2, v_ref - z2) / h
 
-    if steps == 0:
+    if k == 0:
         delta_est = forecast = 0.0
     else:
-        delta_est = (z2 - state.zbar2) / h - state.u1_prev - eta
-        forecast = delta_est if steps == 1 else 2.0 * delta_est - state.delta_est
+        delta_est = (z2 - zb2) / h - u1_prev - eta
+        forecast = delta_est if k == 1 else 2.0 * delta_est - d_prev
     # Each expression rounds as in the two-stage form (tests/oracles.py),
     # e.g. z2 + h*u1 rather than z2 plus the clamped h*u1: the golden
     # traces pin every bit.
@@ -180,11 +150,4 @@ def implicit_step(
     y1 = ztilde2 / h + z3k
     y2 = (ztilde2 - v_ref) / h + z3k
     eta_next = eta + nested_clamp(h * (g.kp3 - g.kp4), h * (g.kp3 + g.kp4), -y1, -y2)
-
-    return (ControlOutput(u1 + eta_next, u1),
-            ControllerState(eta_next, z1, z2, u1, delta_est, steps + 1))
-
-
-def _check_step(h: float) -> None:
-    if not h > 0.0:
-        raise ValueError(f"step size must be positive, got {h!r}")
+    return u1 + eta_next, u1, eta_next, delta_est

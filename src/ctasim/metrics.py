@@ -13,8 +13,6 @@ from .plant import SimTrace
 class PrecisionReport:
     """Steady-window sup of |x_i| plus implied constants v_i = sup/h^p_i."""
 
-    window: tuple[float, float]
-    orders: tuple[float, float, float]
     sup_abs_x: tuple[float, float, float]
     v_constants: tuple[float, float, float]
 
@@ -45,7 +43,11 @@ def precision_envelope(
     """Exact maxima of |x_i| over the window, and v_i = sup|x_i| / h^p_i."""
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h!r}")
-    scales = tuple(h**p for p in orders)
+    try:
+        scales = tuple(h**p for p in orders)
+    except OverflowError:
+        raise ValueError(f"h must be small enough that h**{max(orders):g} "
+                         f"does not overflow, got {h!r}") from None
     if 0.0 in scales:
         raise ValueError(f"h must be large enough that h**{max(orders):g} "
                          f"does not underflow to 0, got {h!r}")
@@ -56,7 +58,7 @@ def precision_envelope(
         max(abs(col[i]) for i in idx) / trace.L for col in (trace.z1, trace.z2, trace.z3)
     )
     v = tuple(s / scale for s, scale in zip(sups, scales))
-    return PrecisionReport(window=window, orders=orders, sup_abs_x=sups, v_constants=v)
+    return PrecisionReport(sup_abs_x=sups, v_constants=v)
 
 
 def convergence_time(trace: SimTrace, threshold: float) -> float:

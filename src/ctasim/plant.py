@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .controller import Gains, explicit_step, implicit_step, initial_state
+from .controller import Gains, explicit_step, implicit_step
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -85,8 +85,6 @@ def eval_disturbance(d: Disturbance, t: float) -> float:
 
 def plant_step(z1: float, z2: float, u: float, delta: float, h: float) -> tuple[float, float]:
     """One forward-Euler update of the double integrator; returns (z1, z2)."""
-    if not h > 0.0:
-        raise ValueError(f"step size must be positive, got {h!r}")
     return z1 + h * z2, z2 + h * u + h * delta
 
 
@@ -124,6 +122,19 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        # The controller's largest magnitudes, within the divergence limit,
+        # must stay finite: the stage-I bound, the stage-II rate and x = z/L.
+        g = self.gains
+        if not math.isfinite(g.kp1 * DIVERGENCE_LIMIT ** (1.0 / 3.0)
+                             + g.kp2 * DIVERGENCE_LIMIT ** 0.5):
+            raise ValueError(f"gains kp1={g.kp1!r}, kp2={g.kp2!r} overflow the stage-I bound "
+                             f"kp1*|z1|**(1/3) + kp2*|z2|**0.5 at |z| = {DIVERGENCE_LIMIT:g}")
+        if not math.isfinite(self.h * (g.kp3 + g.kp4)):
+            raise ValueError(f"gains kp3={g.kp3!r}, kp4={g.kp4!r} overflow the stage-II "
+                             f"rate h*(kp3 + kp4) for h={self.h!r}")
+        if not math.isfinite(DIVERGENCE_LIMIT / g.L):
+            raise ValueError(f"L must be large enough that x = z/L stays finite for "
+                             f"|z| <= {DIVERGENCE_LIMIT:g}, got {g.L!r}")
 
     @property
     def steps(self) -> int:
@@ -181,35 +192,34 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     the controller memory, the row is recorded, then the plant advances with
     the disturbance sampled at the end of the interval.  That sample is the
     next step's delta(t): (k + 1)*h is the same float as the next k*h, so it
-    is carried over rather than evaluated twice.
+    is carried over rather than evaluated twice.  The controller memory is
+    local floats, passed to and returned by the step (see
+    controller.implicit_step).
     """
     step = explicit_step if cfg.method == "explicit" else implicit_step
     g = cfg.gains
     h = cfg.h
     n = cfg.steps
-    state = initial_state(cfg.z1_0, cfg.z2_0, cfg.eta_0)
-    z1, z2 = cfg.z1_0, cfg.z2_0
+    z1, z2, eta = cfg.z1_0, cfg.z2_0, cfg.eta_0
+    zb1, zb2, u1, d_est = z1, z2, 0.0, 0.0
     trace = SimTrace(L=g.L)
 
     delta_now = eval_disturbance(cfg.disturbance, 0.0)
     for k in range(n):
         t = k * h
-        out, next_state = step(z1, z2, state, g, h)
-        trace.append(t, z1, z2, state.eta + delta_now,
-                     out.u, out.u1, state.eta, delta_now)
+        u, u1, eta_next, d_est = step(k, z1, z2, zb1, zb2, eta, u1, d_est, g, h)
+        trace.append(t, z1, z2, eta + delta_now, u, u1, eta, delta_now)
         delta_now = eval_disturbance(cfg.disturbance, (k + 1) * h)
-        z1, z2 = plant_step(z1, z2, out.u, delta_now, h)
-        state = next_state
+        zb1, zb2, eta = z1, z2, eta_next
+        z1, z2 = plant_step(z1, z2, u, delta_now, h)
         # Written as "not within", so that NaN, which fails every
         # comparison, diverges too.
         if not (abs(z1) <= DIVERGENCE_LIMIT and abs(z2) <= DIVERGENCE_LIMIT
-                and abs(state.eta) <= DIVERGENCE_LIMIT):
+                and abs(eta) <= DIVERGENCE_LIMIT):
             raise SimulationDiverged(
                 k, t, f"|state| exceeded {DIVERGENCE_LIMIT:g} "
-                      f"(z1={z1:g}, z2={z2:g}, eta={state.eta:g})")
+                      f"(z1={z1:g}, z2={z2:g}, eta={eta:g})")
 
-    t = n * h
-    out, _ = step(z1, z2, state, g, h)  # evaluated, not committed
-    trace.append(t, z1, z2, state.eta + delta_now,
-                 out.u, out.u1, state.eta, delta_now)
+    u, u1, _, _ = step(n, z1, z2, zb1, zb2, eta, u1, d_est, g, h)  # evaluated, not committed
+    trace.append(n * h, z1, z2, eta + delta_now, u, u1, eta, delta_now)
     return trace

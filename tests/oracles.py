@@ -9,7 +9,6 @@ bit-identity checks of the one-pass step.
 
 import numpy as np
 
-from ctasim.controller import ControllerState, ControlOutput
 from ctasim.resolvent import Interval, proj
 
 
@@ -52,57 +51,54 @@ def grid_solve_two_sgn(a, b, x, y, step=1e-4):
 # --- the implicit step, stage by stage --------------------------------------
 
 
-def reference_velocity(z1, z2, steps, h):
+def reference_velocity(z1, z2, k, h):
     """Even steps land the position one plant update ahead; odd steps stop."""
-    if steps % 2 == 0:
+    if k % 2 == 0:
         return -(z1 + h * z2) / h
     return 0.0
 
 
-def reference_stage1(z1, z2, state, g, h):
+def reference_stage1(k, z1, z2, zb1, zb2, g, h):
     """u1 from h*u1 = proj([proj(-A, -z2), proj(A, -z2)], v_ref - z2)."""
-    if not h > 0.0:
-        raise ValueError(f"step size must be positive, got {h!r}")
-    a = g.kp1 * abs(state.zbar1) ** (1.0 / 3.0)
-    b = g.kp2 * abs(state.zbar2) ** 0.5
+    a = g.kp1 * abs(zb1) ** (1.0 / 3.0)
+    b = g.kp2 * abs(zb2) ** 0.5
     bound = Interval(a - b, a + b)
     inner = Interval(proj(bound.negate(), -z2), proj(bound, -z2))
-    v_ref = reference_velocity(z1, z2, state.steps, h)
+    v_ref = reference_velocity(z1, z2, k, h)
     return proj(inner, v_ref - z2) / h
 
 
-def reference_reconstruction(state, z2, h):
+def reference_reconstruction(z2, zb2, eta, u1_prev, h):
     """Previous disturbance sample from the measured z2 increment."""
-    return (z2 - state.zbar2) / h - state.u1_prev - state.eta
+    return (z2 - zb2) / h - u1_prev - eta
 
 
-def reference_forecast(state, z2, h):
+def reference_forecast(k, z2, zb2, eta, u1_prev, d_prev, h):
     """Linear extrapolation of the two newest reconstructions."""
-    if state.steps == 0:
+    if k == 0:
         return 0.0
-    newest = reference_reconstruction(state, z2, h)
-    if state.steps == 1:
+    newest = reference_reconstruction(z2, zb2, eta, u1_prev, h)
+    if k == 1:
         return newest
-    return 2.0 * newest - state.delta_est
+    return 2.0 * newest - d_prev
 
 
-def reference_stage2(z1, z2, u1, state, g, h):
+def reference_stage2(k, z1, z2, zb2, eta, u1_prev, d_prev, u1, g, h):
     """eta_next from the rate-limited nested projection."""
     ztilde2 = z2 + h * u1
-    z3k = state.eta + reference_forecast(state, z2, h)
-    v_ref = reference_velocity(z1, z2, state.steps, h)
+    z3k = eta + reference_forecast(k, z2, zb2, eta, u1_prev, d_prev, h)
+    v_ref = reference_velocity(z1, z2, k, h)
     y1 = ztilde2 / h + z3k
     y2 = (ztilde2 - v_ref) / h + z3k
     rate = Interval(h * (g.kp3 - g.kp4), h * (g.kp3 + g.kp4))
     inner = Interval(proj(rate.negate(), -y1), proj(rate, -y1))
-    return state.eta + proj(inner, -y2)
+    return eta + proj(inner, -y2)
 
 
-def reference_implicit_step(z1, z2, state, g, h):
-    """Stage I, stage II, then the measured state becomes the memory."""
-    u1 = reference_stage1(z1, z2, state, g, h)
-    eta_next = reference_stage2(z1, z2, u1, state, g, h)
-    delta_est = reference_reconstruction(state, z2, h) if state.steps >= 1 else 0.0
-    return (ControlOutput(u=u1 + eta_next, u1=u1),
-            ControllerState(eta=eta_next, zbar1=z1, zbar2=z2, u1_prev=u1,
-                            delta_est=delta_est, steps=state.steps + 1))
+def reference_implicit_step(k, z1, z2, zb1, zb2, eta, u1_prev, d_prev, g, h):
+    """Stage I, stage II, then (u, u1, eta_next, delta_est) as implicit_step
+    returns them."""
+    u1 = reference_stage1(k, z1, z2, zb1, zb2, g, h)
+    eta_next = reference_stage2(k, z1, z2, zb2, eta, u1_prev, d_prev, u1, g, h)
+    delta_est = reference_reconstruction(z2, zb2, eta, u1_prev, h) if k >= 1 else 0.0
+    return u1 + eta_next, u1, eta_next, delta_est

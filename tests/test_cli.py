@@ -1,10 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctasim
 from ctasim import cli
@@ -105,6 +109,11 @@ class TestSweep:
     def test_rejects_nonpositive_step(self, h):
         with pytest.raises(ValueError, match="step sizes must be positive"):
             run_sweep("zero", (0.01, h, 0.002))
+
+    def test_rejects_repeated_step(self):
+        # three equal h would leave the log-log fit nothing to divide by
+        with pytest.raises(ValueError, match="step sizes must be distinct"):
+            run_sweep("paper-implicit", (0.5, 0.25, 0.5))
 
     def test_zero_preset_sweep_has_no_slopes(self):
         res = run_sweep("zero", (0.01, 0.005, 0.002))
@@ -257,6 +266,55 @@ class TestCommandLine:
         assert err.startswith("error: simulation diverged at step 3") and err.count("\n") == 1
         assert "z1=nan" in err
 
+    @pytest.mark.parametrize("argv, fragment", [
+        (["simulate", "--preset", "zero", "--h-bogus", "1"], "unrecognized arguments"),
+        (["simulate"], "required: --preset"),
+        (["simulate", "--preset", "zero", "--method", "bogus"], "argument --method: invalid"),
+        (["simulate", "--preset", "zero", "--h", "abc"], "argument --h: invalid float"),
+        (["simulate", "--preset", "zero", "--gains", "1,abc,2,1"], "--gains: could not"),
+        (["simulate", "--preset", "zero", "--init", "1,x,0"], "--init: could not"),
+        (["sweep", "--preset", "zero", "--h-list", "1e-3,abc,3e-3"], "--h-list: could not"),
+        ([], "required: command"),
+    ])
+    def test_usage_error_is_one_line_exit_1(self, capsys, argv, fragment):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert fragment in captured.err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--help"])
+        assert info.value.code == 0
+        assert "--preset" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["explicit", "implicit"])
+    def test_overflowing_gains_are_usage_error(self, capsys, method):
+        rc = main(["simulate", "--preset", "paper-explicit", "--method", method,
+                   "--t-final", "0.01", "--gains", "1e308,1e308,2e307,1e307"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: gains kp1=1e+308, kp2=1e+308 overflow")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("preset, flags, message", [
+        ("zero", ["--threshold", "inf"], "threshold must be positive and finite"),
+        ("paper-implicit", ["--L", "1e-320"], "L must be large enough"),
+        ("zero", ["--h", "1e100", "--t-final", "1e100"], "h must be small enough"),
+        # v = sup|x| / h**4 overflows; only the JSON backstop sees it
+        ("paper-implicit", ["--h", "1e-78", "--t-final", "1e-78"],
+         "summary is not valid JSON"),
+    ])
+    def test_nonfinite_summary_is_usage_error(self, tmp_path, capsys, preset, flags, message):
+        summ = tmp_path / "summary.json"
+        rc = main(["simulate", "--preset", preset, "--t-final", "0.01",
+                   "--summary", str(summ), *flags])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and not summ.exists()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+
     def test_underflowing_step_is_usage_error(self, capsys):
         rc = main(["simulate", "--preset", "zero", "--h", "1e-300", "--t-final", "1e-300"])
         err = capsys.readouterr().err
@@ -303,3 +361,81 @@ class TestCommandLine:
         assert len(lines) == 4
         payload = json.loads(capsys.readouterr().out)
         assert payload["fitted_slopes"] == [None, None, None]
+
+
+# --- main() under generated flag values ---------------------------------------
+
+# Finite, extreme, non-finite, empty and malformed values.  Step sizes are
+# drawn so that no example runs more than a few hundred steps: the step cap
+# is tested through the config error alone (tests/test_plant.py).
+ODD_VALUES = ["0", "-0", "1e308", "-1e308", "5e-324", "1e-320", "inf", "-inf", "nan",
+              "", " ", "abc", "1e", "0x10", "1,2"]
+numbers = st.one_of(st.floats().map(repr), st.sampled_from(ODD_VALUES))
+t_finals = st.one_of(st.floats(min_value=-1.0, max_value=0.02).map(repr),
+                     st.sampled_from(["0.01", "0.02", *ODD_VALUES]))
+steps = st.one_of(st.floats(min_value=1e-4, max_value=1.0).map(repr),
+                  st.sampled_from(["0.001", "0.002", "0.005", "0.01", "1e-300",
+                                   *ODD_VALUES]))
+presets = st.sampled_from(["zero", "paper-explicit", "paper-implicit", "bogus"])
+methods = st.sampled_from(["explicit", "implicit", "bogus", ""])
+extra_flags = st.sampled_from([[], [], ["--h-bogus", "1"], ["--gains"]])
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _joined(values, max_size):
+    return st.lists(values, max_size=max_size).map(",".join)
+
+
+simulate_argvs = st.tuples(
+    st.just(["simulate", "--preset"]), presets.map(lambda p: [p]),
+    t_finals.map(lambda t: ["--t-final", t]),
+    _optional("--method", methods), _optional("--h", steps),
+    _optional("--gains", _joined(numbers, 5)), _optional("--init", _joined(numbers, 4)),
+    _optional("--L", numbers), _optional("--threshold", numbers), extra_flags,
+).map(lambda parts: sum(parts, []))
+
+sweep_steps = st.sampled_from(["0.5", "0.25", "0.2", "0.1", "1", "2", "0.3", *ODD_VALUES])
+sweep_argvs = st.tuples(
+    st.just(["sweep", "--preset"]), presets.map(lambda p: [p]),
+    _optional("--method", methods),
+    _optional("--h-list", _joined(sweep_steps, 5)), extra_flags,
+).map(lambda parts: sum(parts, []))
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _check_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+    except (Exception, SystemExit) as exc:
+        pytest.fail(f"main({argv!r}) raised {exc!r}")
+    err = err.getvalue()
+    assert rc in (0, 1, 2), argv
+    if rc == 0:
+        assert err == "", argv
+        json.loads(out.getvalue(), parse_constant=_no_constant)
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert (rc == 2) == err.startswith("error: simulation diverged"), (argv, err)
+
+
+class TestMainProperty:
+    """Every input ends in exit 0 with JSON, exit 1 with one `error:` line,
+    or exit 2 with one divergence line; nothing escapes main()."""
+
+    @given(simulate_argvs)
+    @settings(max_examples=150, deadline=None)
+    def test_simulate(self, argv):
+        _check_main(argv)
+
+    @given(sweep_argvs)
+    @settings(max_examples=60, deadline=None)
+    def test_sweep(self, argv):
+        _check_main(argv)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from ctasim.cli import PAPER_DISTURBANCE, PAPER_GAINS
-from ctasim.controller import implicit_step, initial_state
+from ctasim.controller import Gains, implicit_step
 from ctasim.plant import (
     MAX_STEPS,
     Disturbance,
@@ -59,10 +59,6 @@ class TestPlantStep:
 
     def test_input_cancels_disturbance(self):
         assert plant_step(1.0, 0.0, -1.0, 1.0, 1.0) == (1.0, 0.0)
-
-    def test_nonpositive_step_rejected(self):
-        with pytest.raises(ValueError):
-            plant_step(0.0, 0.0, 0.0, 0.0, -0.1)
 
 
 def _cfg(**kw):
@@ -120,10 +116,13 @@ class TestRunSimulation:
         # reproduces the input column exactly
         cfg = _cfg(z1_0=8.0, z2_0=-12.0, disturbance=PAPER_DISTURBANCE, t_final=0.3)
         trace = run_simulation(cfg)
-        state = initial_state(cfg.z1_0, cfg.z2_0, cfg.eta_0)
+        zb1, zb2, eta, u1, d_est = cfg.z1_0, cfg.z2_0, cfg.eta_0, 0.0, 0.0
         for k in range(trace.n - 1):
-            out, state = implicit_step(trace.z1[k], trace.z2[k], state, cfg.gains, cfg.h)
-            assert out.u == trace.u[k]
+            z1, z2 = trace.z1[k], trace.z2[k]
+            u, u1, eta, d_est = implicit_step(k, z1, z2, zb1, zb2, eta, u1, d_est,
+                                              cfg.gains, cfg.h)
+            zb1, zb2 = z1, z2
+            assert u == trace.u[k]
 
     def test_first_input_is_disturbance_independent(self):
         strong = _cfg(z1_0=8.0, z2_0=-12.0, disturbance=PAPER_DISTURBANCE, t_final=0.01)
@@ -175,6 +174,15 @@ class TestSimConfig:
             _cfg(h=1.0 / (MAX_STEPS + 1), t_final=1.0)
         assert _cfg(h=1.0, t_final=1.0).steps == 1
         assert _cfg(h=0.1, t_final=0.3).steps == 3  # 0.3/0.1 = 2.9999999999999996
+
+    @pytest.mark.parametrize("gains, message", [
+        (Gains(1e308, 1e308, 2e307, 1e307, L=5.0), r"gains kp1=1e\+308, kp2=1e\+308 overflow"),
+        (Gains(1.0, 1.0, 1.5e308, 1e308, L=5.0), r"gains kp3=1.5e\+308, kp4=1e\+308 overflow"),
+        (Gains(1.0, 1.0, 2.0, 1.0, L=1e-320), "L must be large enough"),
+    ])
+    def test_overflowing_gains_rejected(self, gains, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            _cfg(gains=gains)
 
     def test_validation(self):
         with pytest.raises(ValueError):
