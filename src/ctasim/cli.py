@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 
 from .controller import Gains
 from .metrics import chatter_metrics, convergence_time, precision_envelope
@@ -48,10 +48,7 @@ DEFAULT_THRESHOLD = 0.01
 STEADY_WINDOW = (8.0, 10.0)
 
 
-@dataclass(frozen=True)
-class ExperimentPreset:
-    name: str
-    cfg: SimConfig
+ExperimentPreset = namedtuple("ExperimentPreset", "name cfg")
 
 
 def _benchmark_cfg(method: str) -> SimConfig:
@@ -88,8 +85,8 @@ def get_preset(name: str) -> ExperimentPreset:
 
 # Settings name SimConfig fields, except that the gains go by kp1..kp4 and L,
 # plus the convergence threshold.
-_GAIN_KEYS = tuple(f.name for f in fields(Gains))
-_CONFIG_KEYS = frozenset(f.name for f in fields(SimConfig)) - {"gains"}
+_GAIN_KEYS = Gains._fields
+_CONFIG_KEYS = frozenset(SimConfig._fields) - {"gains"}
 
 
 def resolve_config(cfg: SimConfig, settings: dict) -> tuple[SimConfig, float]:
@@ -106,7 +103,7 @@ def resolve_config(cfg: SimConfig, settings: dict) -> tuple[SimConfig, float]:
     bad = sorted(set(rest) - _CONFIG_KEYS)
     if bad:
         raise ValueError(f"unknown setting(s): {', '.join(bad)}")
-    return replace(cfg, gains=replace(cfg.gains, **kp), **rest), threshold
+    return cfg.replace(gains=cfg.gains.replace(**kp), **rest), threshold
 
 
 def steady_window(cfg: SimConfig) -> tuple[float, float]:
@@ -190,18 +187,9 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
 # --- step-size sweep --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    h: float
-    sup_abs_x: tuple[float, float, float] | None
-    status: str  # "ok" or "divergent"
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    method: str
-    rows: tuple[SweepRow, ...]
-    slopes: tuple[float | None, float | None, float | None]
+# status is "ok" or "divergent"; a divergent row's sup_abs_x is None.
+SweepRow = namedtuple("SweepRow", "h sup_abs_x status")
+SweepResult = namedtuple("SweepResult", "method rows slopes")
 
 
 def fit_loglog_slope(hs: list[float], sups: list[float]) -> float | None:
@@ -231,10 +219,10 @@ def run_sweep(preset: str, h_values: tuple[float, ...],
         raise ValueError(f"step sizes must be distinct, got {h_values}")
     cfg = get_preset(preset).cfg
     if method is not None:
-        cfg = replace(cfg, method=method)
+        cfg = cfg.replace(method=method)
     rows = []
     for h in h_values:
-        run_cfg = replace(cfg, h=h)
+        run_cfg = cfg.replace(h=h)
         try:
             trace = run_simulation(run_cfg)
         except SimulationDiverged:
@@ -305,11 +293,11 @@ def _set_config_value(settings: dict, key: str, value: str) -> None:
     elif key in ("delta_constant", "delta_sin", "delta_cos"):
         d = settings.get("disturbance", Disturbance())
         if key == "delta_constant":
-            d = replace(d, constant=float(value))
+            d = d.replace(constant=float(value))
         else:
             amp, omega = _parse_floats(value, "amp,omega", 2)
             term = Sinusoid(amp, omega, key.removeprefix("delta_"))
-            d = replace(d, sinusoids=(*d.sinusoids, term))
+            d = d.replace(sinusoids=(*d.sinusoids, term))
         settings["disturbance"] = d
     else:
         raise ValueError("unknown config key")
@@ -423,12 +411,11 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_sweep(args)
-    except SimulationDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (SimulationDiverged, ValueError, OSError) as exc:
+        # Paths and arguments are echoed raw; escape CR/LF to keep one line.
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+        print(f"error: {message}", file=sys.stderr)
+        return 2 if isinstance(exc, SimulationDiverged) else 1
 
 
 if __name__ == "__main__":

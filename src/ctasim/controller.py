@@ -45,35 +45,27 @@ reduces to the nominal identification z3 = eta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .resolvent import nested_clamp, sign_selection
 
 
-@dataclass(frozen=True)
-class Gains:
+class Gains(Record):
     """Scaled twisting gains plus the reporting scale factor L.
 
     kp3 > kp4 keeps the stage-II interval h*[kp3 - kp4, kp3 + kp4] strictly
     positive, which the two-signum resolvent requires.
     """
 
-    kp1: float
-    kp2: float
-    kp3: float
-    kp4: float
-    L: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("kp1", "kp2", "kp3", "kp4", "L"):
+    def __init__(self, kp1: float, kp2: float, kp3: float, kp4: float, L: float = 1.0):
+        self._set(locals())
+        for name in self._fields:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not self.kp3 > self.kp4:
-            raise ValueError(
-                f"kp3 must exceed kp4 for the integrator resolvent, "
-                f"got kp3={self.kp3!r}, kp4={self.kp4!r}"
-            )
+        if not kp3 > kp4:
+            raise ValueError(f"kp3 must exceed kp4 for the integrator resolvent, "
+                             f"got kp3={kp3!r}, kp4={kp4!r}")
 
 
 def fractional_power(z: float, p: float) -> float:

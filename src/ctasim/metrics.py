@@ -4,23 +4,13 @@ time, and chattering measures."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .plant import SimTrace
 
-
-@dataclass(frozen=True)
-class PrecisionReport:
-    """Steady-window sup of |x_i| plus implied constants v_i = sup/h^p_i."""
-
-    sup_abs_x: tuple[float, float, float]
-    v_constants: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class ChatterReport:
-    total_variation_u: float
-    sign_flips_u_delta: int
+# Steady-window sup of |x_i| plus implied constants v_i = sup/h^p_i.
+PrecisionReport = namedtuple("PrecisionReport", "sup_abs_x v_constants")
+ChatterReport = namedtuple("ChatterReport", "total_variation_u sign_flips_u_delta")
 
 
 def _window_indices(trace: SimTrace, window: tuple[float, float]) -> list[int]:

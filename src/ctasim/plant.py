@@ -20,8 +20,8 @@ the final state, evaluated without committing the controller update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .controller import Gains, explicit_step, implicit_step
 
 DIVERGENCE_LIMIT = 1e12
@@ -42,33 +42,26 @@ class SimulationDiverged(RuntimeError):
         self.t = t
 
 
-@dataclass(frozen=True)
-class Sinusoid:
+class Sinusoid(Record):
     """One disturbance term amplitude*sin(omega*t) or amplitude*cos(omega*t)."""
 
-    amplitude: float
-    omega: float
-    kind: str = "sin"
-
-    def __post_init__(self) -> None:
+    def __init__(self, amplitude: float, omega: float, kind: str = "sin"):
+        self._set(locals())
         for name in ("amplitude", "omega"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.kind not in ("sin", "cos"):
-            raise ValueError(f"kind must be 'sin' or 'cos', got {self.kind!r}")
+        if kind not in ("sin", "cos"):
+            raise ValueError(f"kind must be 'sin' or 'cos', got {kind!r}")
 
 
-@dataclass(frozen=True)
-class Disturbance:
+class Disturbance(Record):
     """Constant plus a sum of sinusoids."""
 
-    constant: float = 0.0
-    sinusoids: tuple[Sinusoid, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.constant):
-            raise ValueError(f"constant must be finite, got {self.constant!r}")
+    def __init__(self, constant: float = 0.0, sinusoids: tuple[Sinusoid, ...] = ()):
+        self._set(locals())
+        if not math.isfinite(constant):
+            raise ValueError(f"constant must be finite, got {constant!r}")
 
 
 def eval_disturbance(d: Disturbance, t: float) -> float:
@@ -88,18 +81,11 @@ def plant_step(z1: float, z2: float, u: float, delta: float, h: float) -> tuple[
     return z1 + h * z2, z2 + h * u + h * delta
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    h: float
-    t_final: float
-    method: str
-    gains: Gains
-    z1_0: float = 0.0
-    z2_0: float = 0.0
-    eta_0: float = 0.0
-    disturbance: Disturbance = Disturbance()
-
-    def __post_init__(self) -> None:
+class SimConfig(Record):
+    def __init__(self, h: float, t_final: float, method: str, gains: Gains,
+                 z1_0: float = 0.0, z2_0: float = 0.0, eta_0: float = 0.0,
+                 disturbance: Disturbance = Disturbance()):
+        self._set(locals())
         for name in ("h", "t_final"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
@@ -120,6 +106,13 @@ class SimConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        # eval_disturbance samples up to t = steps*h; an infinite phase would
+        # end in a bare "math domain error" from sin/cos.
+        t_last = self.steps * self.h
+        for term in self.disturbance.sinusoids:
+            if not math.isfinite(term.omega * t_last):
+                raise ValueError(f"omega must keep the phase omega*t finite up to "
+                                 f"t={t_last!r}, got {term.omega!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         # The controller's largest magnitudes, within the divergence limit,
@@ -144,22 +137,16 @@ class SimConfig:
 TRACE_COLUMNS = ("t", "z1", "z2", "z3", "x1", "x2", "x3", "u", "u1", "eta", "delta")
 
 
-@dataclass
 class SimTrace:
     """Column-oriented record of one run; one row per time point.
 
     x1..x3 = z/L are derived on each read, not stored.
     """
 
-    L: float
-    t: list[float] = field(default_factory=list)
-    z1: list[float] = field(default_factory=list)
-    z2: list[float] = field(default_factory=list)
-    z3: list[float] = field(default_factory=list)
-    u: list[float] = field(default_factory=list)
-    u1: list[float] = field(default_factory=list)
-    eta: list[float] = field(default_factory=list)
-    delta: list[float] = field(default_factory=list)
+    def __init__(self, L: float):
+        self.L = L
+        self.t, self.z1, self.z2, self.z3, self.u, self.u1, self.eta, self.delta = (
+            [] for _ in range(8))
 
     @property
     def n(self) -> int:

@@ -22,22 +22,19 @@ by brute-force grid checks in the test suite rather than by the lemma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Closed real interval [lo, hi].
 
     Construction with lo > hi (or NaN endpoints) raises: ordering bugs in
     nested projections must surface loudly, never be silently swapped.
     """
 
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        _check_ordered(self.lo, self.hi)
+    def __init__(self, lo: float, hi: float):
+        self._set(locals())
+        _check_ordered(lo, hi)
 
     def negate(self) -> "Interval":
         """Mirror image -I = [-hi, -lo]; an involution."""

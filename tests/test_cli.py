@@ -333,6 +333,40 @@ class TestCommandLine:
         assert proc.returncode == 0 and proc.stderr == ""
         assert json.loads(proc.stdout)["preset"] == "zero"
 
+    def test_import_loads_no_dataclasses(self):
+        # `dataclasses` pulls in `inspect` (and ast, dis, tokenize): about
+        # half of a CLI run's start-up.
+        src = str(Path(ctasim.__file__).resolve().parents[1])
+        code = ("import sys, ctasim.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+    @pytest.mark.parametrize("raw, shown", [
+        ("a\nb", r"a\nb"), ("a\rb", r"a\rb"), ("a\r\nb", r"a\r\nb"),
+    ])
+    def test_error_with_raw_newline_is_one_line(self, tmp_path, capsys, raw, shown):
+        # argparse and load_config's `path:lineno:` prefix echo raw strings.
+        rc = main(["simulate", "--preset", "zero", "--t-final", "0.01", raw])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {shown}\n"
+        (tmp_path / f"bad{raw}name.cfg").write_text("stepsize = 0.1\n")
+        rc = main(["simulate", "--preset", "zero", "--config", f"{tmp_path}/bad{raw}name.cfg"])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {tmp_path}/bad{shown}name.cfg:1: "
+                                           f"stepsize: unknown config key\n")
+
+    def test_overflowing_disturbance_phase_is_usage_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("delta_sin = 1,1e308\n")
+        rc = main(["simulate", "--preset", "zero", "--t-final", "2", "--h", "1",
+                   "--config", str(cfg_file)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: omega must keep the phase omega*t finite up to t=2.0, " \
+                      "got 1e+308\n"
+
     def test_simulate_runs_through_cli_run_simulation(self, monkeypatch):
         # perfbench/setup_probe.py stops `simulate` by replacing this name.
         class Reached(Exception):

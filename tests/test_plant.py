@@ -197,3 +197,57 @@ class TestSimConfig:
     def test_nonfinite_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             _cfg(**{field: value})
+
+    def test_overflowing_phase_rejected_by_omega(self):
+        # sin(1e308 * 2.0) would be a bare "math domain error" at run time.
+        dist = Disturbance(sinusoids=(Sinusoid(1.0, 1e308, "sin"),))
+        with pytest.raises(ValueError, match=r"^omega must keep the phase omega\*t finite "
+                                             r"up to t=2\.0, got 1e\+308$"):
+            _cfg(h=1.0, t_final=2.0, disturbance=dist)
+        assert _cfg(h=1.0, t_final=1.0, disturbance=dist).steps == 1
+
+
+class TestRecords:
+    """Configs are read-only values: replace() re-checks, == and hash go by field."""
+
+    @pytest.mark.parametrize("record, change", [
+        (_cfg(), {"h": math.nan}),
+        (_cfg(), {"method": "midpoint"}),
+        (PAPER_GAINS, {"kp3": 1.0}),
+        (Disturbance(), {"constant": math.inf}),
+        (Sinusoid(1.0, 2.0), {"kind": "tan"}),
+    ])
+    def test_replace_runs_the_constructor_checks(self, record, change):
+        fields = {name: getattr(record, name) for name in record._fields}
+        with pytest.raises(ValueError) as built:
+            type(record)(**{**fields, **change})
+        with pytest.raises(ValueError) as replaced:
+            record.replace(**change)
+        assert str(replaced.value) == str(built.value)
+        assert "\n" not in str(replaced.value)
+
+    def test_replace_keeps_unchanged_fields(self):
+        cfg = _cfg(z1_0=8.0, disturbance=PAPER_DISTURBANCE)
+        assert cfg.replace(h=0.002) == _cfg(h=0.002, z1_0=8.0, disturbance=PAPER_DISTURBANCE)
+        assert PAPER_GAINS.replace(L=2.0).kp1 == PAPER_GAINS.kp1
+        with pytest.raises(TypeError):
+            cfg.replace(stepsize=0.1)
+
+    def test_equal_records_compare_and_hash_equal(self):
+        a = _cfg(disturbance=Disturbance(35.0, (Sinusoid(0.6, 2.0, "cos"),)))
+        b = _cfg(disturbance=Disturbance(35.0, (Sinusoid(0.6, 2.0, "cos"),)))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != a.replace(z1_0=1.0)
+        assert Gains(1.0, 1.0, 2.0, 1.0) != Gains(1.0, 1.0, 2.0, 1.0, L=2.0)
+        assert Sinusoid(1.0, 2.0) != (1.0, 2.0, "sin")
+        assert repr(Sinusoid(1.0, 2.0)) == "Sinusoid(amplitude=1.0, omega=2.0, kind='sin')"
+
+    def test_fields_are_read_only(self):
+        # Every preset shares PAPER_GAINS: a write would move the goldens.
+        with pytest.raises(AttributeError, match="read-only"):
+            PAPER_GAINS.kp1 = 1.0
+        with pytest.raises(AttributeError, match="read-only"):
+            del PAPER_GAINS.L
+        with pytest.raises(AttributeError, match="read-only"):
+            _cfg().h = 0.5
+        assert PAPER_GAINS == Gains(kp1=160.236, kp2=60.3738, kp3=28.5, kp4=15.0, L=5.0)
