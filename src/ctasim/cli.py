@@ -151,36 +151,31 @@ def write_trace_csv(trace: SimTrace, path: str) -> None:
     """
     L = trace.L
     row_format = ",".join(["%.17g"] * len(TRACE_COLUMNS)) + "\n"
-    rows = zip(trace.t, trace.z1, trace.z2, trace.z3,
-               trace.u, trace.u1, trace.eta, trace.delta)
     with open(path, "w", newline="") as f:
         f.write(TRACE_HEADER + "\n")
         f.writelines(row_format % (t, z1, z2, z3, z1 / L, z2 / L, z3 / L, u, u1, eta, delta)
-                     for t, z1, z2, z3, u, u1, eta, delta in rows)
+                     for t, z1, z2, z3, u, u1, eta, delta in trace.rows())
 
 
 def read_trace_csv(path: str, L: float) -> SimTrace:
-    """Parse a trace CSV.  The x columns are not stored: a row whose x is not
-    z/L (NaN never is) raises ValueError starting with `path:lineno:`."""
+    """Parse a trace CSV.  The x columns are not stored.  A malformed row (a
+    field count other than 11, a cell that is not a float, a blank line) or a
+    row whose x is not z/L (NaN never is) raises ValueError starting with
+    `path:lineno:`."""
     trace = SimTrace(L=L)
     with open(path, "r", newline="") as f:
         header = f.readline().strip()
         if header != TRACE_HEADER:
             raise ValueError(f"unexpected trace header: {header!r}")
         for lineno, line in enumerate(f, start=2):
-            vals = [float(v) for v in line.split(",")]
-            (t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta) = vals
+            try:
+                t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, line.split(","))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if x1 != z1 / L or x2 != z2 / L or x3 != z3 / L:
                 raise ValueError(f"{path}:{lineno}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
                                  f"z/L = {z1 / L!r}, {z2 / L!r}, {z3 / L!r} for L = {L!r}")
-            trace.t.append(t)
-            trace.z1.append(z1)
-            trace.z2.append(z2)
-            trace.z3.append(z3)
-            trace.u.append(u)
-            trace.u1.append(u1)
-            trace.eta.append(eta)
-            trace.delta.append(delta)
+            trace.append(t, z1, z2, z3, u, u1, eta, delta)
     return trace
 
 

@@ -15,10 +15,11 @@ ChatterReport = namedtuple("ChatterReport", "total_variation_u sign_flips_u_delt
 
 def _window_indices(trace: SimTrace, window: tuple[float, float]) -> list[int]:
     t0, t1 = window
+    ts = trace.t
     # Row times are k*h, so boundary rows can miss the nominal window by an
     # ulp; use a grid-relative tolerance.
-    tol = (trace.t[1] - trace.t[0]) * 1e-6 if trace.n >= 2 else 0.0
-    idx = [i for i, t in enumerate(trace.t) if t0 - tol <= t <= t1 + tol]
+    tol = (ts[1] - ts[0]) * 1e-6 if len(ts) >= 2 else 0.0
+    idx = [i for i, t in enumerate(ts) if t0 - tol <= t <= t1 + tol]
     if not idx:
         raise ValueError(f"window {window} selects no trace records")
     return idx
@@ -74,18 +75,19 @@ def state_settling_time(trace: SimTrace, bands: tuple[float, float, float]) -> f
         if not band > 0.0:
             raise ValueError(f"{name} band must be positive, got {band!r}")
     last_bad = -1
-    for i in range(trace.n):
-        if abs(trace.z1[i]) >= b1 or abs(trace.z2[i]) >= b2 or abs(trace.z3[i]) >= b3:
+    for i, (z1, z2, z3) in enumerate(zip(trace.z1, trace.z2, trace.z3)):
+        if abs(z1) >= b1 or abs(z2) >= b2 or abs(z3) >= b3:
             last_bad = i
     if last_bad == trace.n - 1:
         return math.inf
-    return trace.t[last_bad + 1]
+    return trace.row(last_bad + 1)[0]
 
 
 def chatter_metrics(trace: SimTrace, window: tuple[float, float]) -> ChatterReport:
     """Total variation of u and sign changes of its increments over the window."""
     idx = _window_indices(trace, window)
-    us = [trace.u[i] for i in idx]
+    u = trace.u
+    us = [u[i] for i in idx]
     diffs = [us[i + 1] - us[i] for i in range(len(us) - 1)]
     tv = sum(abs(d) for d in diffs)
     flips = sum(1 for i in range(len(diffs) - 1) if diffs[i] * diffs[i + 1] < 0.0)

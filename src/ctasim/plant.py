@@ -20,6 +20,8 @@ the final state, evaluated without committing the controller update.
 from __future__ import annotations
 
 import math
+import struct
+from array import array
 
 from ._record import Record
 from .controller import Gains, explicit_step, implicit_step
@@ -27,7 +29,7 @@ from .controller import Gains, explicit_step, implicit_step
 DIVERGENCE_LIMIT = 1e12
 
 # The largest run in the repository is the sweep's 1e5 steps; 1e7 rows of
-# eight float columns take about 2.6 GB.
+# eight packed float64s take about 0.64 GB.
 MAX_STEPS = 10_000_000
 
 METHODS = ("explicit", "implicit")
@@ -136,40 +138,53 @@ class SimConfig(Record):
 
 TRACE_COLUMNS = ("t", "z1", "z2", "z3", "x1", "x2", "x3", "u", "u1", "eta", "delta")
 
+# One stored row: t, z1, z2, z3, u, u1, eta, delta as native float64s.
+_ROW = struct.Struct("8d")
+
+
+def _column(j: int) -> property:
+    return property(lambda self: self._rows[j::8], doc=f"Stored column {j}, as a copy.")
+
 
 class SimTrace:
-    """Column-oriented record of one run; one row per time point.
+    """Record of one run: one row of eight float64s per time point, packed
+    row after row in one array('d') (64 B per row).
 
-    x1..x3 = z/L are derived on each read, not stored.
+    Each column read returns a fresh array('d') copy, O(n): bind a column
+    once before indexing it in a loop.  x1..x3 = z/L are derived on each
+    read, not stored.
     """
 
     def __init__(self, L: float):
         self.L = L
-        self.t, self.z1, self.z2, self.z3, self.u, self.u1, self.eta, self.delta = (
-            [] for _ in range(8))
+        self._rows = array("d")
 
     @property
     def n(self) -> int:
-        return len(self.t)
+        return len(self._rows) // 8
 
-    x1 = property(lambda self: [z / self.L for z in self.z1])
-    x2 = property(lambda self: [z / self.L for z in self.z2])
-    x3 = property(lambda self: [z / self.L for z in self.z3])
+    t, z1, z2, z3, u, u1, eta, delta = (_column(j) for j in range(8))
+    x1 = property(lambda self: array("d", [z / self.L for z in self.z1]))
+    x2 = property(lambda self: array("d", [z / self.L for z in self.z2]))
+    x3 = property(lambda self: array("d", [z / self.L for z in self.z3]))
 
     def row(self, i: int) -> tuple[float, ...]:
-        z1, z2, z3, L = self.z1[i], self.z2[i], self.z3[i], self.L
-        return (self.t[i], z1, z2, z3, z1 / L, z2 / L, z3 / L,
-                self.u[i], self.u1[i], self.eta[i], self.delta[i])
+        """Row i as the eleven TRACE_COLUMNS values; i < 0 counts from the end."""
+        i = range(self.n)[i]
+        t, z1, z2, z3, u, u1, eta, delta = _ROW.unpack_from(self._rows, _ROW.size * i)
+        L = self.L
+        return (t, z1, z2, z3, z1 / L, z2 / L, z3 / L, u, u1, eta, delta)
+
+    def rows(self):
+        """Iterate the stored rows as (t, z1, z2, z3, u, u1, eta, delta) tuples.
+
+        The iterator holds the array's buffer until it is exhausted, so the
+        trace takes no append meanwhile (BufferError).
+        """
+        return _ROW.iter_unpack(self._rows)
 
     def append(self, t, z1, z2, z3, u, u1, eta, delta) -> None:
-        self.t.append(t)
-        self.z1.append(z1)
-        self.z2.append(z2)
-        self.z3.append(z3)
-        self.u.append(u)
-        self.u1.append(u1)
-        self.eta.append(eta)
-        self.delta.append(delta)
+        self._rows.frombytes(_ROW.pack(t, z1, z2, z3, u, u1, eta, delta))
 
 
 def run_simulation(cfg: SimConfig) -> SimTrace:

@@ -99,6 +99,23 @@ class TestTraceCsv:
             read_trace_csv(str(path), L=2.0 * trace.L)
         assert str(info.value).startswith(f"{path}:2: x1..x3 = ")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line.rsplit(",", 1)[0] + "\n", "not enough values to unpack"),
+        (lambda line: line.rstrip("\n") + ",0\n", "too many values to unpack"),
+        (lambda line: "abc," + line.split(",", 1)[1], "could not convert string to float: 'abc'"),
+        (lambda line: "\n", "could not convert string to float"),
+    ], ids=["too-few-fields", "too-many-fields", "non-numeric-cell", "blank-line"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, edit, message):
+        trace, _ = run_preset("zero", {"t_final": 0.01})
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = edit(lines[3])
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as info:
+            read_trace_csv(str(path), L=trace.L)
+        assert str(info.value).startswith(f"{path}:4: {message}")
+
 
 class TestSweep:
     def test_needs_three_points(self):

@@ -1,15 +1,19 @@
 import math
+import struct
+import tracemalloc
 
 import pytest
 
-from ctasim.cli import PAPER_DISTURBANCE, PAPER_GAINS
+from ctasim.cli import PAPER_DISTURBANCE, PAPER_GAINS, get_preset
 from ctasim.controller import Gains, implicit_step
 from ctasim.plant import (
     MAX_STEPS,
     Disturbance,
     SimConfig,
     SimulationDiverged,
+    SimTrace,
     Sinusoid,
+    TRACE_COLUMNS,
     eval_disturbance,
     plant_step,
     run_simulation,
@@ -251,3 +255,74 @@ class TestRecords:
         with pytest.raises(AttributeError, match="read-only"):
             _cfg().h = 0.5
         assert PAPER_GAINS == Gains(kp1=160.236, kp2=60.3738, kp3=28.5, kp4=15.0, L=5.0)
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+class TestSimTrace:
+    """The trace packs each row as eight float64s; columns are read as copies."""
+
+    EDGE = (-0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.1, 1e308)
+
+    def _edge_trace(self):
+        trace = SimTrace(L=3.0)
+        for i in range(len(self.EDGE)):
+            trace.append(*(self.EDGE[(i + j) % len(self.EDGE)] for j in range(8)))
+        return trace
+
+    def test_edge_values_survive_bit_for_bit(self):
+        trace = self._edge_trace()
+        stored = ("t", "z1", "z2", "z3", "u", "u1", "eta", "delta")
+        for i in range(trace.n):
+            expected = [self.EDGE[(i + j) % len(self.EDGE)] for j in range(8)]
+            row = dict(zip(TRACE_COLUMNS, trace.row(i)))
+            assert _bits(row[c] for c in stored) == _bits(expected)
+            assert _bits(row[c] for c in ("x1", "x2", "x3")) == \
+                _bits(row[c] / 3.0 for c in ("z1", "z2", "z3"))
+        for j, name in enumerate(stored):
+            assert _bits(getattr(trace, name)) == \
+                _bits(self.EDGE[(i + j) % len(self.EDGE)] for i in range(trace.n))
+        for name in ("x1", "x2", "x3"):
+            assert _bits(getattr(trace, name)) == \
+                _bits(z / 3.0 for z in getattr(trace, "z" + name[1]))
+
+    def test_column_read_is_a_copy(self):
+        trace = self._edge_trace()
+        before = [_bits(getattr(trace, c)) for c in TRACE_COLUMNS]
+        for name in TRACE_COLUMNS:
+            column = getattr(trace, name)
+            column[0] = 42.0
+            column.append(42.0)
+        assert [_bits(getattr(trace, c)) for c in TRACE_COLUMNS] == before
+
+    def test_append_while_a_column_is_held(self):
+        trace = self._edge_trace()
+        held = [getattr(trace, c) for c in TRACE_COLUMNS]
+        n = trace.n
+        trace.append(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+        assert trace.n == n + 1 and all(len(c) == n for c in held)
+        assert trace.row(-1) == (1.0, 2.0, 3.0, 4.0, 2.0 / 3.0, 1.0, 4.0 / 3.0,
+                                 5.0, 6.0, 7.0, 8.0)
+
+    def test_row_indexes_like_a_list(self):
+        trace = run_simulation(_cfg(z1_0=8.0, disturbance=PAPER_DISTURBANCE, t_final=0.01))
+        n = trace.n
+        assert trace.row(-1) == trace.row(n - 1)
+        assert trace.row(-n) == trace.row(0)
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                trace.row(i)
+        assert list(trace.rows()) == [trace.row(i)[:4] + trace.row(i)[7:] for i in range(n)]
+
+    def test_paper_implicit_peak_memory_per_row(self):
+        cfg = get_preset("paper-implicit").cfg
+        tracemalloc.start()
+        try:
+            trace = run_simulation(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.n == cfg.steps + 1
+        assert peak / trace.n <= 100.0
