@@ -159,10 +159,12 @@ def write_trace_csv(trace: SimTrace, path: str) -> None:
 
 def read_trace_csv(path: str, L: float) -> SimTrace:
     """Parse a trace CSV.  The x columns are not stored.  A malformed row (a
-    field count other than 11, a cell that is not a float, a blank line) or a
-    row whose x is not z/L (NaN never is) raises ValueError starting with
-    `path:lineno:`."""
+    field count other than 11, a cell that is not a float, a blank line), a
+    row whose t is not finite or not greater than the previous row's (the
+    time order SimTrace requires), or a row whose x is not z/L (NaN never
+    is) raises ValueError starting with `path:lineno:`."""
     trace = SimTrace(L=L)
+    t_prev = -math.inf
     with open(path, "r", newline="") as f:
         header = f.readline().strip()
         if header != TRACE_HEADER:
@@ -172,6 +174,12 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
                 t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, line.split(","))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not t_prev < t < math.inf:
+                if not math.isfinite(t):
+                    raise ValueError(f"{path}:{lineno}: t = {t!r} is not finite")
+                raise ValueError(f"{path}:{lineno}: t = {t!r} is not greater than "
+                                 f"the previous row's t = {t_prev!r}")
+            t_prev = t
             if x1 != z1 / L or x2 != z2 / L or x3 != z3 / L:
                 raise ValueError(f"{path}:{lineno}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
                                  f"z/L = {z1 / L!r}, {z2 / L!r}, {z3 / L!r} for L = {L!r}")

@@ -1,10 +1,20 @@
 """Post-processing of simulation traces: precision envelopes, convergence
-time, and chattering measures."""
+time, and chattering measures.
+
+Every metric reads the packed trace in place through SimTrace.view, with
+no column copies, and releases each view before it returns or raises.  The
+rows must be in strictly increasing time order (see SimTrace), so that a
+time window is one contiguous run of rows, found by bisection on t.
+"""
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from itertools import pairwise
+from operator import sub
 
 from .plant import SimTrace
 
@@ -13,16 +23,19 @@ PrecisionReport = namedtuple("PrecisionReport", "sup_abs_x v_constants")
 ChatterReport = namedtuple("ChatterReport", "total_variation_u sign_flips_u_delta")
 
 
-def _window_indices(trace: SimTrace, window: tuple[float, float]) -> list[int]:
+def _window(trace: SimTrace, window: tuple[float, float]) -> tuple[int, int]:
+    """The window's rows a..b-1, with a < b; rows are in time order."""
     t0, t1 = window
-    ts = trace.t
-    # Row times are k*h, so boundary rows can miss the nominal window by an
-    # ulp; use a grid-relative tolerance.
-    tol = (ts[1] - ts[0]) * 1e-6 if len(ts) >= 2 else 0.0
-    idx = [i for i, t in enumerate(ts) if t0 - tol <= t <= t1 + tol]
-    if not idx:
+    with trace.view("t") as ts:
+        # Row times are k*h, so boundary rows can miss the nominal window by
+        # an ulp; use a grid-relative tolerance.
+        tol = (ts[1] - ts[0]) * 1e-6 if len(ts) >= 2 else 0.0
+        lo, hi = t0 - tol, t1 + tol
+        a, b = bisect_left(ts, lo), bisect_right(ts, hi)
+    # lo <= hi fails for a NaN bound, which bisection does not see.
+    if not (lo <= hi and a < b):
         raise ValueError(f"window {window} selects no trace records")
-    return idx
+    return a, b
 
 
 def precision_envelope(
@@ -31,7 +44,10 @@ def precision_envelope(
     h: float,
     orders: tuple[float, float, float],
 ) -> PrecisionReport:
-    """Exact maxima of |x_i| over the window, and v_i = sup|x_i| / h^p_i."""
+    """Exact maxima of |x_i| over the window, and v_i = sup|x_i| / h^p_i.
+
+    Rows must be in time order (see SimTrace).
+    """
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h!r}")
     try:
@@ -42,12 +58,11 @@ def precision_envelope(
     if 0.0 in scales:
         raise ValueError(f"h must be large enough that h**{max(orders):g} "
                          f"does not underflow to 0, got {h!r}")
-    idx = _window_indices(trace, window)
+    a, b = _window(trace, window)
     # x = z/L.  Correctly rounded division by L > 0 is monotone, so
     # max|z_i| / L equals max|z_i / L| bit for bit.
-    sups = tuple(
-        max(abs(col[i]) for i in idx) / trace.L for col in (trace.z1, trace.z2, trace.z3)
-    )
+    with trace.view("z1") as z1, trace.view("z2") as z2, trace.view("z3") as z3:
+        sups = tuple(max(map(abs, z[a:b])) / trace.L for z in (z1, z2, z3))
     v = tuple(s / scale for s, scale in zip(sups, scales))
     return PrecisionReport(sup_abs_x=sups, v_constants=v)
 
@@ -56,6 +71,7 @@ def convergence_time(trace: SimTrace, threshold: float) -> float:
     """Smallest t after which |z1| and |z2| both stay below the threshold.
 
     Returns math.inf if the final record still violates the threshold.
+    Rows must be in time order (see SimTrace).
     """
     if not threshold > 0.0:
         raise ValueError(f"threshold must be positive, got {threshold!r}")
@@ -68,27 +84,31 @@ def state_settling_time(trace: SimTrace, bands: tuple[float, float, float]) -> f
     Settling time of the whole closed-loop state, including the fictitious
     z3 = eta + delta, with one band per state; convergence_time is the
     (z1, z2) pair case, with no band on z3.  Returns math.inf if the final
-    record still violates a band.
+    record still violates a band.  Rows must be in time order (see SimTrace).
     """
     b1, b2, b3 = bands
     for name, band in zip(("z1", "z2", "z3"), bands):
         if not band > 0.0:
             raise ValueError(f"{name} band must be positive, got {band!r}")
     last_bad = -1
-    for i, (z1, z2, z3) in enumerate(zip(trace.z1, trace.z2, trace.z3)):
-        if abs(z1) >= b1 or abs(z2) >= b2 or abs(z3) >= b3:
-            last_bad = i
+    with trace.view("z1") as z1s, trace.view("z2") as z2s, trace.view("z3") as z3s:
+        for i, (z1, z2, z3) in enumerate(zip(z1s, z2s, z3s)):
+            if abs(z1) >= b1 or abs(z2) >= b2 or abs(z3) >= b3:
+                last_bad = i
     if last_bad == trace.n - 1:
         return math.inf
     return trace.row(last_bad + 1)[0]
 
 
 def chatter_metrics(trace: SimTrace, window: tuple[float, float]) -> ChatterReport:
-    """Total variation of u and sign changes of its increments over the window."""
-    idx = _window_indices(trace, window)
-    u = trace.u
-    us = [u[i] for i in idx]
-    diffs = [us[i + 1] - us[i] for i in range(len(us) - 1)]
-    tv = sum(abs(d) for d in diffs)
-    flips = sum(1 for i in range(len(diffs) - 1) if diffs[i] * diffs[i + 1] < 0.0)
+    """Total variation of u and sign changes of its increments over the window.
+
+    Rows must be in time order (see SimTrace).  The increments are summed
+    from 0.0 in row order, so a one-row window has a float total of 0.0.
+    """
+    a, b = _window(trace, window)
+    with trace.view("u") as u:
+        diffs = array("d", map(sub, u[a + 1:b], u[a:b - 1]))
+    tv = sum(map(abs, diffs), 0.0)
+    flips = sum(1 for d0, d1 in pairwise(diffs) if d0 * d1 < 0.0)
     return ChatterReport(total_variation_u=tv, sign_flips_u_delta=flips)

@@ -138,7 +138,8 @@ class SimConfig(Record):
 
 TRACE_COLUMNS = ("t", "z1", "z2", "z3", "x1", "x2", "x3", "u", "u1", "eta", "delta")
 
-# One stored row: t, z1, z2, z3, u, u1, eta, delta as native float64s.
+# One stored row: these eight columns as native float64s.
+_STORED = ("t", "z1", "z2", "z3", "u", "u1", "eta", "delta")
 _ROW = struct.Struct("8d")
 
 
@@ -150,9 +151,13 @@ class SimTrace:
     """Record of one run: one row of eight float64s per time point, packed
     row after row in one array('d') (64 B per row).
 
+    Rows must be in strictly increasing time order with finite t, which
+    append does not check: run_simulation writes t = k*h, and read_trace_csv
+    rejects any other file.  The metrics find a time window by bisection.
+
     Each column read returns a fresh array('d') copy, O(n): bind a column
-    once before indexing it in a loop.  x1..x3 = z/L are derived on each
-    read, not stored.
+    once before indexing it in a loop, or read it in place with view().
+    x1..x3 = z/L are derived on each read, not stored.
     """
 
     def __init__(self, L: float):
@@ -167,6 +172,15 @@ class SimTrace:
     x1 = property(lambda self: array("d", [z / self.L for z in self.z1]))
     x2 = property(lambda self: array("d", [z / self.L for z in self.z2]))
     x3 = property(lambda self: array("d", [z / self.L for z in self.z3]))
+
+    def view(self, name: str) -> memoryview:
+        """Stored column ``name`` as a read-only, zero-copy strided view.
+
+        The view holds the trace's buffer, so append raises BufferError
+        while it, or any slice of it, is alive.  Take it in a ``with`` block,
+        which releases it on exit, and bind no slice of it to a name.
+        """
+        return memoryview(self._rows).toreadonly()[_STORED.index(name)::8]
 
     def row(self, i: int) -> tuple[float, ...]:
         """Row i as the eleven TRACE_COLUMNS values; i < 0 counts from the end."""

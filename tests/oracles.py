@@ -1,14 +1,19 @@
-"""Independent oracles for the resolvent and controller tests.
+"""Independent oracles for the resolvent, controller and metrics tests.
 
 The brute-force resolvent oracles check set membership directly from the
 defining inclusions; none of them shares code with the nested-projection
 solvers under test.  ``reference_implicit_step`` is the implicit step in
 its two-stage form, built from validated ``Interval``s and ``proj``, for
-bit-identity checks of the one-pass step.
+bit-identity checks of the one-pass step.  The ``reference_*`` trace
+metrics select the window row by row through a Python index list over
+column copies, for bit-identity checks of the in-place metrics.
 """
+
+import math
 
 import numpy as np
 
+from ctasim.metrics import ChatterReport, PrecisionReport
 from ctasim.resolvent import Interval, proj
 
 
@@ -102,3 +107,59 @@ def reference_implicit_step(k, z1, z2, zb1, zb2, eta, u1_prev, d_prev, g, h):
     eta_next = reference_stage2(k, z1, z2, zb2, eta, u1_prev, d_prev, u1, g, h)
     delta_est = reference_reconstruction(z2, zb2, eta, u1_prev, h) if k >= 1 else 0.0
     return u1 + eta_next, u1, eta_next, delta_est
+
+
+# --- trace metrics, row by row -----------------------------------------------
+
+
+def reference_window_indices(trace, window):
+    t0, t1 = window
+    ts = trace.t
+    tol = (ts[1] - ts[0]) * 1e-6 if len(ts) >= 2 else 0.0
+    idx = [i for i, t in enumerate(ts) if t0 - tol <= t <= t1 + tol]
+    if not idx:
+        raise ValueError(f"window {window} selects no trace records")
+    return idx
+
+
+def reference_precision_envelope(trace, window, h, orders):
+    if not h > 0.0:
+        raise ValueError(f"h must be positive, got {h!r}")
+    try:
+        scales = tuple(h**p for p in orders)
+    except OverflowError:
+        raise ValueError(f"h must be small enough that h**{max(orders):g} "
+                         f"does not overflow, got {h!r}") from None
+    if 0.0 in scales:
+        raise ValueError(f"h must be large enough that h**{max(orders):g} "
+                         f"does not underflow to 0, got {h!r}")
+    idx = reference_window_indices(trace, window)
+    sups = tuple(
+        max(abs(col[i]) for i in idx) / trace.L for col in (trace.z1, trace.z2, trace.z3)
+    )
+    v = tuple(s / scale for s, scale in zip(sups, scales))
+    return PrecisionReport(sup_abs_x=sups, v_constants=v)
+
+
+def reference_state_settling_time(trace, bands):
+    b1, b2, b3 = bands
+    for name, band in zip(("z1", "z2", "z3"), bands):
+        if not band > 0.0:
+            raise ValueError(f"{name} band must be positive, got {band!r}")
+    last_bad = -1
+    for i, (z1, z2, z3) in enumerate(zip(trace.z1, trace.z2, trace.z3)):
+        if abs(z1) >= b1 or abs(z2) >= b2 or abs(z3) >= b3:
+            last_bad = i
+    if last_bad == trace.n - 1:
+        return math.inf
+    return trace.row(last_bad + 1)[0]
+
+
+def reference_chatter_metrics(trace, window):
+    idx = reference_window_indices(trace, window)
+    u = trace.u
+    us = [u[i] for i in idx]
+    diffs = [us[i + 1] - us[i] for i in range(len(us) - 1)]
+    tv = sum(abs(d) for d in diffs)
+    flips = sum(1 for i in range(len(diffs) - 1) if diffs[i] * diffs[i + 1] < 0.0)
+    return ChatterReport(total_variation_u=tv, sign_flips_u_delta=flips)

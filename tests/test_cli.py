@@ -104,7 +104,11 @@ class TestTraceCsv:
         (lambda line: line.rstrip("\n") + ",0\n", "too many values to unpack"),
         (lambda line: "abc," + line.split(",", 1)[1], "could not convert string to float: 'abc'"),
         (lambda line: "\n", "could not convert string to float"),
-    ], ids=["too-few-fields", "too-many-fields", "non-numeric-cell", "blank-line"])
+        (lambda line: "0.001," + line.split(",", 1)[1],
+         "t = 0.001 is not greater than the previous row's t = 0.001"),
+        (lambda line: "nan," + line.split(",", 1)[1], "t = nan is not finite"),
+    ], ids=["too-few-fields", "too-many-fields", "non-numeric-cell", "blank-line",
+            "time-not-increasing", "time-not-finite"])
     def test_malformed_row_names_file_and_line(self, tmp_path, edit, message):
         trace, _ = run_preset("zero", {"t_final": 0.01})
         path = tmp_path / "trace.csv"

@@ -1,14 +1,23 @@
 import math
+import struct
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ctasim.cli import get_preset, run_preset, summarize
 from ctasim.metrics import (
     chatter_metrics,
     convergence_time,
     precision_envelope,
     state_settling_time,
 )
-from ctasim.plant import SimTrace
+from ctasim.plant import SimTrace, run_simulation
+from oracles import (
+    reference_chatter_metrics,
+    reference_precision_envelope,
+    reference_state_settling_time,
+)
 
 
 def make_trace(z1, z2=None, u=None, h=0.01, L=5.0, eta=None, delta=None):
@@ -162,3 +171,145 @@ class TestChatterMetrics:
         trace = make_trace([0.0] * 10)
         with pytest.raises(ValueError):
             chatter_metrics(trace, (99.0, 100.0))
+
+    def test_one_row_window_is_float(self):
+        # The window (0.0008, 0.001) holds the last row only: no increments.
+        summary = run_preset("zero", {"t_final": 0.001, "h": 0.001})[1]
+        assert summary["window"] == [0.0008, 0.001]
+        assert type(summary["tv_u"]) is float and summary["tv_u"] == 0.0
+
+
+def _bits(result):
+    """A metric result with every number as its float64 bytes, so that -0.0
+    differs from 0.0 and NaNs compare by payload."""
+    if isinstance(result, tuple):
+        return tuple(_bits(v) for v in result)
+    return struct.pack("d", result)
+
+
+def _outcome(metric, *args):
+    try:
+        return _bits(metric(*args))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def increasing_traces(draw):
+    """1..300 rows at strictly increasing finite times, on a k*h grid or not,
+    with arbitrary floats (signed zeros, NaN, infinities) in the states and u."""
+    n = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        h = draw(st.floats(1e-6, 1e3))
+        ts = [k * h for k in range(n)]
+    else:
+        ts = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=n, unique=True)))
+    values = st.lists(st.floats(), min_size=len(ts), max_size=len(ts))
+    z1, z2, z3, u = (draw(values) for _ in range(4))
+    trace = SimTrace(L=draw(st.floats(1e-3, 1e3)))
+    for row in zip(ts, z1, z2, z3, u):
+        trace.append(*row, 0.0, 0.0, 0.0)
+    return trace, ts
+
+
+@st.composite
+def window_bounds(draw, ts):
+    """A time on or near a row: exactly at it, an ulp off, at the grid
+    tolerance (and an ulp past it), between two rows, or outside the trace."""
+    tol = (ts[1] - ts[0]) * 1e-6 if len(ts) >= 2 else 0.0
+    i = draw(st.integers(0, len(ts) - 1))
+    t = ts[i]
+    return draw(st.sampled_from([
+        t,
+        math.nextafter(t, -math.inf),
+        math.nextafter(t, math.inf),
+        t - tol,
+        t + tol,
+        math.nextafter(t - tol, -math.inf),
+        math.nextafter(t + tol, math.inf),
+        (t + ts[i + 1]) / 2 if i + 1 < len(ts) else t + 1.0,
+        ts[0] - 1.0 - abs(ts[0]),
+        ts[-1] + 1.0 + abs(ts[-1]),
+    ]))
+
+
+class TestMatchesRowByRowReference:
+    """The in-place metrics equal the row-by-row forms (tests/oracles.py) bit
+    for bit, and raise the same ValueError on an empty window."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_window_metrics(self, data):
+        trace, ts = data.draw(increasing_traces())
+        window = (data.draw(window_bounds(ts)), data.draw(window_bounds(ts)))
+        h = data.draw(st.floats(1e-320, 1e300))
+        orders = data.draw(st.tuples(*[st.floats(0.5, 5.0)] * 3))
+        assert _outcome(precision_envelope, trace, window, h, orders) == \
+            _outcome(reference_precision_envelope, trace, window, h, orders)
+        assert _outcome(chatter_metrics, trace, window) == \
+            _outcome(reference_chatter_metrics, trace, window)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_settling_time(self, data):
+        trace, _ = data.draw(increasing_traces())
+        # Bands equal to a stored |z| tell < from <=.
+        on_a_value = st.sampled_from([abs(z) for c in (trace.z1, trace.z2, trace.z3) for z in c])
+        band = (st.floats(0.0, exclude_min=True) | on_a_value
+                | st.sampled_from([0.0, -1.0, math.nan]))
+        bands = data.draw(st.tuples(band, band, band))
+        assert _outcome(state_settling_time, trace, bands) == \
+            _outcome(reference_state_settling_time, trace, bands)
+        threshold = bands[0]
+        if threshold > 0.0:  # else convergence_time raises its own message
+            assert _outcome(convergence_time, trace, threshold) == _outcome(
+                reference_state_settling_time, trace, (threshold, threshold, math.inf))
+
+
+_ROW = (9.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+
+
+class TestReadsInPlace:
+    """The metrics read the packed trace through views that none of them
+    keeps: each returns, or raises, with the trace free to grow."""
+
+    @pytest.mark.parametrize("metric", [
+        lambda tr: precision_envelope(tr, (0.0, 0.5), 0.01, (1.0, 1.0, 1.0)),
+        lambda tr: chatter_metrics(tr, (0.0, 0.5)),
+        lambda tr: state_settling_time(tr, (0.1, 0.1, 0.1)),
+        lambda tr: convergence_time(tr, 0.1),
+    ], ids=["precision_envelope", "chatter_metrics", "state_settling_time",
+            "convergence_time"])
+    def test_append_after_metric_returns(self, metric):
+        trace = make_trace([math.sin(k) for k in range(80)])
+        metric(trace)
+        trace.append(*_ROW)
+        assert trace.n == 81
+
+    @pytest.mark.parametrize("window", [(5.0, 6.0), (0.5, 0.4), (math.nan, 1.0), (0.0, math.nan)],
+                             ids=["after-last", "reversed", "nan-start", "nan-end"])
+    @pytest.mark.parametrize("metric", [
+        lambda tr, w: precision_envelope(tr, w, 0.01, (1.0, 1.0, 1.0)),
+        chatter_metrics,
+    ], ids=["precision_envelope", "chatter_metrics"])
+    def test_append_after_empty_window_error(self, metric, window):
+        trace = make_trace([0.0] * 80)
+        with pytest.raises(ValueError, match="selects no trace records") as info:
+            metric(trace, window)
+        # info still holds the exception, its traceback and their frames.
+        assert info.value.__traceback__ is not None
+        trace.append(*_ROW)
+        assert trace.n == 81
+
+    def test_summarize_copies_no_column(self):
+        cfg = get_preset("paper-implicit").cfg
+        trace = run_simulation(cfg)
+        tracemalloc.start()
+        try:
+            summarize(trace, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One float64 column of the 10,001-row trace is 80 KB; the steady
+        # window's 2,000 increments of u are 16 KB.
+        assert peak <= 64 * 1024

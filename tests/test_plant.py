@@ -306,6 +306,18 @@ class TestSimTrace:
         assert trace.row(-1) == (1.0, 2.0, 3.0, 4.0, 2.0 / 3.0, 1.0, 4.0 / 3.0,
                                  5.0, 6.0, 7.0, 8.0)
 
+    def test_view_reads_the_stored_column_in_place(self):
+        trace = self._edge_trace()
+        stored = ("t", "z1", "z2", "z3", "u", "u1", "eta", "delta")
+        for name in stored:
+            with trace.view(name) as view:
+                assert view.readonly and _bits(view) == _bits(getattr(trace, name))
+                with pytest.raises(BufferError):
+                    trace.append(*range(8))
+        trace.append(*range(8))
+        with trace.view("eta") as view:
+            assert view[-1] == 6.0 and len(view) == trace.n
+
     def test_row_indexes_like_a_list(self):
         trace = run_simulation(_cfg(z1_0=8.0, disturbance=PAPER_DISTURBANCE, t_final=0.01))
         n = trace.n
