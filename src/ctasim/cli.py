@@ -1,4 +1,6 @@
-"""Experiment presets, trace/summary serialization, step-size sweeps, CLI.
+"""Experiment presets, settings, summaries, step-size sweeps, config files, CLI.
+
+The trace format and its CSV codec live in ctasim.plant.
 
 Commands:
 
@@ -29,8 +31,9 @@ from .plant import (
     SimTrace,
     SimulationDiverged,
     Sinusoid,
-    TRACE_COLUMNS,
+    read_trace_csv,  # perfbench calls cli.read_trace_csv (trace-reload, replay, tracer)
     run_simulation,
+    write_trace_csv,
 )
 
 PAPER_GAINS = Gains(kp1=160.236, kp2=60.3738, kp3=28.5, kp4=15.0, L=5.0)
@@ -45,7 +48,6 @@ PAPER_DISTURBANCE = Disturbance(
 ORDERS = {"explicit": (3.0, 2.0, 1.0), "implicit": (4.0, 3.0, 2.0)}
 
 DEFAULT_THRESHOLD = 0.01
-STEADY_WINDOW = (8.0, 10.0)
 
 
 ExperimentPreset = namedtuple("ExperimentPreset", "name cfg")
@@ -107,8 +109,7 @@ def resolve_config(cfg: SimConfig, settings: dict) -> tuple[SimConfig, float]:
 
 
 def steady_window(cfg: SimConfig) -> tuple[float, float]:
-    if cfg.t_final >= STEADY_WINDOW[1]:
-        return STEADY_WINDOW
+    """The last fifth of the run, (0.8*t_final, t_final)."""
     return (0.8 * cfg.t_final, cfg.t_final)
 
 
@@ -137,54 +138,6 @@ def run_preset(name: str, settings: dict | None = None) -> tuple[SimTrace, dict]
     summary = summarize(trace, cfg, threshold)
     summary["preset"] = name
     return trace, summary
-
-
-# --- trace serialization ---------------------------------------------------
-
-TRACE_HEADER = ",".join(TRACE_COLUMNS)
-
-
-def write_trace_csv(trace: SimTrace, path: str) -> None:
-    """17 significant digits: parsing the file reproduces the doubles exactly.
-
-    Rows are formatted one at a time, x = z/L included, and streamed to the file.
-    """
-    L = trace.L
-    row_format = ",".join(["%.17g"] * len(TRACE_COLUMNS)) + "\n"
-    with open(path, "w", newline="") as f:
-        f.write(TRACE_HEADER + "\n")
-        f.writelines(row_format % (t, z1, z2, z3, z1 / L, z2 / L, z3 / L, u, u1, eta, delta)
-                     for t, z1, z2, z3, u, u1, eta, delta in trace.rows())
-
-
-def read_trace_csv(path: str, L: float) -> SimTrace:
-    """Parse a trace CSV.  The x columns are not stored.  A malformed row (a
-    field count other than 11, a cell that is not a float, a blank line), a
-    row whose t is not finite or not greater than the previous row's (the
-    time order SimTrace requires), or a row whose x is not z/L (NaN never
-    is) raises ValueError starting with `path:lineno:`."""
-    trace = SimTrace(L=L)
-    t_prev = -math.inf
-    with open(path, "r", newline="") as f:
-        header = f.readline().strip()
-        if header != TRACE_HEADER:
-            raise ValueError(f"unexpected trace header: {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            try:
-                t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, line.split(","))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not t_prev < t < math.inf:
-                if not math.isfinite(t):
-                    raise ValueError(f"{path}:{lineno}: t = {t!r} is not finite")
-                raise ValueError(f"{path}:{lineno}: t = {t!r} is not greater than "
-                                 f"the previous row's t = {t_prev!r}")
-            t_prev = t
-            if x1 != z1 / L or x2 != z2 / L or x3 != z3 / L:
-                raise ValueError(f"{path}:{lineno}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
-                                 f"z/L = {z1 / L!r}, {z2 / L!r}, {z3 / L!r} for L = {L!r}")
-            trace.append(t, z1, z2, z3, u, u1, eta, delta)
-    return trace
 
 
 # --- step-size sweep --------------------------------------------------------

@@ -68,13 +68,6 @@ class Gains(Record):
                              f"got kp3={kp3!r}, kp4={kp4!r}")
 
 
-def fractional_power(z: float, p: float) -> float:
-    """Odd fractional power |z|^p * sgn(z), with the 0 selection at z = 0."""
-    if z == 0.0:
-        return 0.0
-    return abs(z) ** p * sign_selection(z)
-
-
 def explicit_step(
     k: int, z1: float, z2: float, zb1: float, zb2: float, eta: float,
     u1_prev: float, d_prev: float, g: Gains, h: float,
@@ -84,8 +77,9 @@ def explicit_step(
     Takes the implicit step's arguments and ignores its memory (k, zb1,
     zb2, u1_prev, d_prev); returns (u, u1, eta_next, 0.0).
     """
-    u1 = -g.kp1 * fractional_power(z1, 1.0 / 3.0) - g.kp2 * fractional_power(z2, 0.5)
-    eta_next = eta - h * g.kp3 * sign_selection(z1) - h * g.kp4 * sign_selection(z2)
+    s1, s2 = sign_selection(z1), sign_selection(z2)
+    u1 = -g.kp1 * (abs(z1) ** (1.0 / 3.0) * s1) - g.kp2 * (abs(z2) ** 0.5 * s2)
+    eta_next = eta - h * g.kp3 * s1 - h * g.kp4 * s2
     return u1 + eta, u1, eta_next, 0.0
 
 

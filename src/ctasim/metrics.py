@@ -97,7 +97,8 @@ def state_settling_time(trace: SimTrace, bands: tuple[float, float, float]) -> f
                 last_bad = i
     if last_bad == trace.n - 1:
         return math.inf
-    return trace.row(last_bad + 1)[0]
+    with trace.view("t") as ts:
+        return ts[last_bad + 1]
 
 
 def chatter_metrics(trace: SimTrace, window: tuple[float, float]) -> ChatterReport:

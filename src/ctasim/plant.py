@@ -15,6 +15,9 @@ Each trace row at time t holds the state at t, the input computed from it,
 the integrator value eta at t, delta(t), and the fictitious state
 z3 = eta + delta(t).  The final row's input is the controller output for
 the final state, evaluated without committing the controller update.
+
+This module owns the trace format: the stored row layout, x = z/L, the
+row invariants (time order, L > 0) and the CSV codec.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from __future__ import annotations
 import math
 import struct
 from array import array
+from itertools import repeat
+from operator import truediv
 
 from ._record import Record
 from .controller import Gains, explicit_step, implicit_step
@@ -137,6 +142,7 @@ class SimConfig(Record):
 
 
 TRACE_COLUMNS = ("t", "z1", "z2", "z3", "x1", "x2", "x3", "u", "u1", "eta", "delta")
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
 
 # One stored row: these eight columns as native float64s.
 _STORED = ("t", "z1", "z2", "z3", "u", "u1", "eta", "delta")
@@ -147,6 +153,13 @@ def _column(j: int) -> property:
     return property(lambda self: self._rows[j::8], doc=f"Stored column {j}, as a copy.")
 
 
+def _scaled(j: int) -> property:
+    # Reads column j in place; the view is released with the spent map.
+    return property(
+        lambda self: array("d", map(truediv, memoryview(self._rows)[j::8], repeat(self.L))),
+        doc=f"x{j} = z{j}/L, derived from stored column {j} as a new array.")
+
+
 class SimTrace:
     """Record of one run: one row of eight float64s per time point, packed
     row after row in one array('d') (64 B per row).
@@ -154,6 +167,7 @@ class SimTrace:
     Rows must be in strictly increasing time order with finite t, which
     append does not check: run_simulation writes t = k*h, and read_trace_csv
     rejects any other file.  The metrics find a time window by bisection.
+    L must be positive and finite: the metrics take max|z| / L as max|z / L|.
 
     Each column read returns a fresh array('d') copy, O(n): bind a column
     once before indexing it in a loop, or read it in place with view().
@@ -161,6 +175,8 @@ class SimTrace:
     """
 
     def __init__(self, L: float):
+        if not (L > 0.0 and math.isfinite(L)):
+            raise ValueError(f"L must be positive and finite, got {L!r}")
         self.L = L
         self._rows = array("d")
 
@@ -169,9 +185,7 @@ class SimTrace:
         return len(self._rows) // 8
 
     t, z1, z2, z3, u, u1, eta, delta = (_column(j) for j in range(8))
-    x1 = property(lambda self: array("d", [z / self.L for z in self.z1]))
-    x2 = property(lambda self: array("d", [z / self.L for z in self.z2]))
-    x3 = property(lambda self: array("d", [z / self.L for z in self.z3]))
+    x1, x2, x3 = (_scaled(j) for j in (1, 2, 3))
 
     def view(self, name: str) -> memoryview:
         """Stored column ``name`` as a read-only, zero-copy strided view.
@@ -189,16 +203,52 @@ class SimTrace:
         L = self.L
         return (t, z1, z2, z3, z1 / L, z2 / L, z3 / L, u, u1, eta, delta)
 
-    def rows(self):
-        """Iterate the stored rows as (t, z1, z2, z3, u, u1, eta, delta) tuples.
-
-        The iterator holds the array's buffer until it is exhausted, so the
-        trace takes no append meanwhile (BufferError).
-        """
-        return _ROW.iter_unpack(self._rows)
-
     def append(self, t, z1, z2, z3, u, u1, eta, delta) -> None:
         self._rows.frombytes(_ROW.pack(t, z1, z2, z3, u, u1, eta, delta))
+
+
+def write_trace_csv(trace: SimTrace, path: str) -> None:
+    """17 significant digits: parsing the file reproduces the doubles exactly.
+
+    Rows are formatted one at a time, x = z/L included, and streamed to the file.
+    """
+    L = trace.L
+    row_format = ",".join(["%.17g"] * len(TRACE_COLUMNS)) + "\n"
+    with open(path, "w", newline="") as f:
+        f.write(TRACE_HEADER + "\n")
+        f.writelines(row_format % (t, z1, z2, z3, z1 / L, z2 / L, z3 / L, u, u1, eta, delta)
+                     for t, z1, z2, z3, u, u1, eta, delta in _ROW.iter_unpack(trace._rows))
+
+
+def read_trace_csv(path: str, L: float) -> SimTrace:
+    """Parse a trace CSV.  The x columns are not stored.  A malformed row (a
+    field count other than 11, a cell that is not a float, a blank line), a
+    row whose t is not finite or not greater than the previous row's (the
+    time order SimTrace requires), or a row whose x is not z/L (NaN never
+    is) raises ValueError starting with `path:lineno:`.  An L that is not
+    positive and finite raises ValueError before the file is opened."""
+    trace = SimTrace(L=L)
+    t_prev = -math.inf
+    with open(path, "r", newline="") as f:
+        header = f.readline().strip()
+        if header != TRACE_HEADER:
+            raise ValueError(f"unexpected trace header: {header!r}")
+        for lineno, line in enumerate(f, start=2):
+            try:
+                t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, line.split(","))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not t_prev < t < math.inf:
+                if not math.isfinite(t):
+                    raise ValueError(f"{path}:{lineno}: t = {t!r} is not finite")
+                raise ValueError(f"{path}:{lineno}: t = {t!r} is not greater than "
+                                 f"the previous row's t = {t_prev!r}")
+            t_prev = t
+            if x1 != z1 / L or x2 != z2 / L or x3 != z3 / L:
+                raise ValueError(f"{path}:{lineno}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
+                                 f"z/L = {z1 / L!r}, {z2 / L!r}, {z3 / L!r} for L = {L!r}")
+            trace.append(t, z1, z2, z3, u, u1, eta, delta)
+    return trace
 
 
 def run_simulation(cfg: SimConfig) -> SimTrace:

@@ -4,9 +4,11 @@ The brute-force resolvent oracles check set membership directly from the
 defining inclusions; none of them shares code with the nested-projection
 solvers under test.  ``reference_implicit_step`` is the implicit step in
 its two-stage form, built from validated ``Interval``s and ``proj``, for
-bit-identity checks of the one-pass step.  The ``reference_*`` trace
-metrics select the window row by row through a Python index list over
-column copies, for bit-identity checks of the in-place metrics.
+bit-identity checks of the one-pass step; ``reference_explicit_step`` is
+the explicit step through an odd fractional power with its own branch at
+z = 0.  The ``reference_*`` trace metrics select the window row by row
+through a Python index list over column copies, for bit-identity checks of
+the in-place metrics.
 """
 
 import math
@@ -14,7 +16,7 @@ import math
 import numpy as np
 
 from ctasim.metrics import ChatterReport, PrecisionReport
-from ctasim.resolvent import Interval, proj
+from ctasim.resolvent import Interval, proj, sign_selection
 
 
 def _sgn_bounds(w):
@@ -51,6 +53,24 @@ def grid_solve_two_sgn(a, b, x, y, step=1e-4):
     fine = np.concatenate([np.arange(z0 - 0.3, z0 + 0.3, step), special])
     dists = two_sgn_distance(fine, a, b, x, y)
     return float(fine[np.argmin(dists)])
+
+
+# --- the explicit step ------------------------------------------------------
+
+
+def reference_fractional_power(z, p):
+    """Odd fractional power |z|^p * sgn(z), with the 0 selection at z = 0."""
+    if z == 0.0:
+        return 0.0
+    return abs(z) ** p * sign_selection(z)
+
+
+def reference_explicit_step(k, z1, z2, zb1, zb2, eta, u1_prev, d_prev, g, h):
+    """(u, u1, eta_next, 0.0) as explicit_step returns them."""
+    u1 = (-g.kp1 * reference_fractional_power(z1, 1.0 / 3.0)
+          - g.kp2 * reference_fractional_power(z2, 0.5))
+    eta_next = eta - h * g.kp3 * sign_selection(z1) - h * g.kp4 * sign_selection(z2)
+    return u1 + eta, u1, eta_next, 0.0
 
 
 # --- the implicit step, stage by stage --------------------------------------

@@ -3,19 +3,37 @@
 ``perfbench.replay.record`` wraps the names that ``ctasim.plant`` calls the
 controller step, the plant step, the disturbance and ``SimTrace.append``
 through, runs a preset, and keeps every call's arguments and result;
-``run.py --trace 1`` replays them through the unwrapped functions.  A loop
-that stops calling one of these names through its module, or a step whose
-result is not a function of its arguments, breaks the traced benchmark
-without failing any other test.
+``run.py --trace 1`` replays them through the unwrapped functions and times
+the trace-level functions it reaches through ``ctasim.cli``.  A loop that
+stops calling one of these names through its module, a step whose result is
+not a function of its arguments, or a name moved out of the module the
+benchmark reads it from breaks the traced benchmark without failing any
+other test.
 """
+
+import json
+import math
+import os
+
+import pytest
 
 from ctasim import controller
 from ctasim.cli import get_preset
-from perfbench import replay
+from perfbench import replay, workloads
+
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "BENCHMARK.json")
 
 
-def test_paper_implicit_calls_are_recorded_and_replay():
-    calls, trace = replay.record("paper-implicit")
+@pytest.fixture(scope="module")
+def recorded():
+    implicit, implicit_trace = replay.record("paper-implicit")
+    explicit, _ = replay.record("paper-explicit")
+    return implicit, implicit_trace, explicit
+
+
+def test_paper_implicit_calls_are_recorded_and_replay(recorded):
+    calls, trace, _ = recorded
     n = get_preset("paper-implicit").cfg.steps
     assert trace.n == n + 1
     assert len(calls["controller.implicit_step"]) == n + 1  # n steps + the final row
@@ -27,3 +45,20 @@ def test_paper_implicit_calls_are_recorded_and_replay():
     sample = steps[:3] + steps[3:-1:97] + steps[-1:]
     # raises ReplayMismatch unless every replayed result equals the recorded one
     assert replay.time_calls(controller.implicit_step, sample, repeats=1) > 0.0
+
+
+def test_per_layer_replay_reaches_every_name_and_matches_goldens(recorded, tmp_path):
+    """layer_us_per_call and layer_ms look up each cli, metrics, plant,
+    controller and resolvent name the traced run reads, and raise
+    ReplayMismatch unless every result equals the recorded call or the
+    paper-implicit golden (trace SHA-256 and summary)."""
+    implicit, trace, explicit = recorded
+    golden = workloads.load_goldens()["simulate"]["paper-implicit"]
+    values = replay.layer_us_per_call(implicit, trace, explicit, seed=0, repeats=1)
+    values.update(replay.layer_ms(trace, str(tmp_path / "trace.csv"), golden, repeats=1))
+    with open(BENCHMARK) as f:
+        declared = {m["name"] for m in json.load(f)["per_layer"]}
+    assert set(values) <= declared
+    assert all(math.isfinite(v) and v >= 0.0 for v in values.values())
+    assert values["controller.explicit_step.us_per_call"] > 0.0
+    assert values["cli.read_trace_csv.ms"] > 0.0

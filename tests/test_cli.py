@@ -121,6 +121,14 @@ class TestTraceCsv:
         assert str(info.value).startswith(f"{path}:4: {message}")
 
 
+    def test_scale_not_positive_rejected_before_reading(self, tmp_path):
+        trace, _ = run_preset("zero", {"t_final": 0.01})
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        with pytest.raises(ValueError, match="^L must be positive and finite, got 0.0$"):
+            read_trace_csv(str(path), 0.0)
+
+
 class TestSweep:
     def test_needs_three_points(self):
         with pytest.raises(ValueError, match="at least 3"):
@@ -226,6 +234,16 @@ class TestCommandLine:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["h"] == 0.005
+
+    @pytest.mark.parametrize("t_final, h, window", [
+        ("14", "7", [11.200000000000001, 14.0]),
+        ("11", "5.5", [8.8, 11.0]),
+        ("20", "0.5", [16.0, 20.0]),
+    ])
+    def test_steady_window_is_the_last_fifth(self, capsys, t_final, h, window):
+        rc = main(["simulate", "--preset", "zero", "--t-final", t_final, "--h", h])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["window"] == window
 
     def test_unknown_preset_is_usage_error(self, capsys):
         assert main(["simulate", "--preset", "bogus"]) == 1

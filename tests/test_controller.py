@@ -1,14 +1,15 @@
 import math
+import struct
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctasim.controller import Gains, explicit_step, fractional_power, implicit_step
+from ctasim.controller import Gains, explicit_step, implicit_step
 from ctasim import plant
 from ctasim.cli import get_preset
 from ctasim.plant import TRACE_COLUMNS, run_simulation
-from oracles import reference_implicit_step
+from oracles import reference_explicit_step, reference_implicit_step
 
 PAPER = Gains(kp1=160.236, kp2=60.3738, kp3=28.5, kp4=15.0, L=5.0)
 
@@ -40,16 +41,6 @@ class TestGains:
     def test_requires_kp3_above_kp4(self):
         with pytest.raises(ValueError):
             Gains(kp1=1.0, kp2=1.0, kp3=1.0, kp4=1.0)
-
-
-class TestFractionalPower:
-    def test_zero_maps_to_zero(self):
-        assert fractional_power(0.0, 1.0 / 3.0) == 0.0
-        assert fractional_power(0.0, 0.5) == 0.0
-
-    def test_odd(self):
-        assert fractional_power(-1.0, 1.0 / 3.0) == -1.0
-        assert fractional_power(8.0, 1.0 / 3.0) == pytest.approx(2.0)
 
 
 class TestExplicitStep:
@@ -213,6 +204,24 @@ step_indices = st.sampled_from([0, 1, 2, 3, 10, 11])
 step_sizes = st.sampled_from([1e-4, 1e-3, 0.01, 0.3, 1.0])
 gain_sets = st.sampled_from([PAPER, Gains(kp1=1.0, kp2=1.0, kp3=2.0, kp4=1.0),
                              Gains(kp1=100.0, kp2=1.0, kp3=2.0, kp4=1.0)])
+
+
+# signed zeros, NaNs of both signs, infinities, subnormals and the extremes
+edge_floats = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                               5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308])
+
+
+class TestExplicitMatchesReference:
+    """explicit_step reproduces the fractional-power form (tests/oracles.py),
+    whose 0 branch it drops, bit for bit."""
+
+    @given(st.one_of(edge_floats, st.floats()), st.one_of(edge_floats, st.floats()),
+           st.one_of(edge_floats, st.floats()), step_sizes, gain_sets)
+    @settings(max_examples=500)
+    def test_equal_bits(self, z1, z2, eta, h, g):
+        got = call(explicit_step, z1, z2, eta=eta, g=g, h=h)
+        want = call(reference_explicit_step, z1, z2, eta=eta, g=g, h=h)
+        assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
 
 
 class TestOnePassMatchesReference:

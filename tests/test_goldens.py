@@ -13,8 +13,8 @@ import os
 
 import pytest
 
-from ctasim.cli import TRACE_HEADER, run_preset, write_trace_csv
-from ctasim.plant import SimTrace
+from ctasim.cli import run_preset
+from ctasim.plant import TRACE_HEADER, SimTrace, write_trace_csv
 
 GOLDENS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "goldens.json")

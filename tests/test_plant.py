@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 import tracemalloc
 
 import pytest
@@ -326,7 +327,24 @@ class TestSimTrace:
         for i in (n, -n - 1):
             with pytest.raises(IndexError):
                 trace.row(i)
-        assert list(trace.rows()) == [trace.row(i)[:4] + trace.row(i)[7:] for i in range(n)]
+        columns = [getattr(trace, c) for c in TRACE_COLUMNS]
+        assert [trace.row(i) for i in range(n)] == list(zip(*columns))
+
+    @pytest.mark.parametrize("L", [0.0, -5.0, math.nan, math.inf])
+    def test_rejects_scale_not_positive_and_finite(self, L):
+        with pytest.raises(ValueError, match="^L must be positive and finite"):
+            SimTrace(L=L)
+
+    def test_x_read_peaks_below_twice_its_result(self):
+        trace = run_simulation(get_preset("paper-implicit").cfg)
+        tracemalloc.start()
+        try:
+            x1 = trace.x1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(x1) == trace.n
+        assert peak <= 2 * sys.getsizeof(x1)
 
     def test_paper_implicit_peak_memory_per_row(self):
         cfg = get_preset("paper-implicit").cfg
