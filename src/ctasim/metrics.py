@@ -3,18 +3,18 @@ time, and chattering measures.
 
 Every metric reads the packed trace in place through SimTrace.view, with
 no column copies, and releases each view before it returns or raises.  The
-rows must be in strictly increasing time order (see SimTrace), so that a
-time window is one contiguous run of rows, found by bisection on t.
+trace does not store the fictitious state z3: it is read as eta + delta.
+The rows must be in strictly increasing time order (see SimTrace), so that
+a time window is one contiguous run of rows, found by bisection on t.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import pairwise
-from operator import sub
+from operator import add, sub
 
 from .plant import SimTrace
 
@@ -61,8 +61,10 @@ def precision_envelope(
     a, b = _window(trace, window)
     # x = z/L.  Correctly rounded division by L > 0 is monotone, so
     # max|z_i| / L equals max|z_i / L| bit for bit.
-    with trace.view("z1") as z1, trace.view("z2") as z2, trace.view("z3") as z3:
-        sups = tuple(max(map(abs, z[a:b])) / trace.L for z in (z1, z2, z3))
+    with trace.view("z1") as z1, trace.view("z2") as z2, \
+            trace.view("eta") as eta, trace.view("delta") as delta:
+        sups = tuple(max(map(abs, z)) / trace.L
+                     for z in (z1[a:b], z2[a:b], map(add, eta[a:b], delta[a:b])))
     v = tuple(s / scale for s, scale in zip(sups, scales))
     return PrecisionReport(sup_abs_x=sups, v_constants=v)
 
@@ -91,8 +93,9 @@ def state_settling_time(trace: SimTrace, bands: tuple[float, float, float]) -> f
         if not band > 0.0:
             raise ValueError(f"{name} band must be positive, got {band!r}")
     last_bad = -1
-    with trace.view("z1") as z1s, trace.view("z2") as z2s, trace.view("z3") as z3s:
-        for i, (z1, z2, z3) in enumerate(zip(z1s, z2s, z3s)):
+    with trace.view("z1") as z1s, trace.view("z2") as z2s, \
+            trace.view("eta") as etas, trace.view("delta") as deltas:
+        for i, (z1, z2, z3) in enumerate(zip(z1s, z2s, map(add, etas, deltas))):
             if abs(z1) >= b1 or abs(z2) >= b2 or abs(z3) >= b3:
                 last_bad = i
     if last_bad == trace.n - 1:
@@ -109,7 +112,7 @@ def chatter_metrics(trace: SimTrace, window: tuple[float, float]) -> ChatterRepo
     """
     a, b = _window(trace, window)
     with trace.view("u") as u:
-        diffs = array("d", map(sub, u[a + 1:b], u[a:b - 1]))
-    tv = sum(map(abs, diffs), 0.0)
-    flips = sum(1 for d0, d1 in pairwise(diffs) if d0 * d1 < 0.0)
+        tv = sum(map(abs, map(sub, u[a + 1:b], u[a:b - 1])), 0.0)
+        flips = sum(1 for d0, d1 in pairwise(map(sub, u[a + 1:b], u[a:b - 1]))
+                    if d0 * d1 < 0.0)
     return ChatterReport(total_variation_u=tv, sign_flips_u_delta=flips)

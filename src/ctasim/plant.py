@@ -16,8 +16,9 @@ the integrator value eta at t, delta(t), and the fictitious state
 z3 = eta + delta(t).  The final row's input is the controller output for
 the final state, evaluated without committing the controller update.
 
-This module owns the trace format: the stored row layout, x = z/L, the
-row invariants (time order, L > 0) and the CSV codec.
+This module owns the trace format: the stored row layout, the derived
+columns z3 = eta + delta and x = z/L, the row invariants (time order,
+L > 0, z3 = eta + delta) and the CSV codec.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import struct
 from array import array
 from itertools import repeat
-from operator import truediv
+from operator import add, truediv
 
 from ._record import Record
 from .controller import Gains, explicit_step, implicit_step
@@ -34,7 +35,7 @@ from .controller import Gains, explicit_step, implicit_step
 DIVERGENCE_LIMIT = 1e12
 
 # The largest run in the repository is the sweep's 1e5 steps; 1e7 rows of
-# eight packed float64s take about 0.64 GB.
+# seven packed float64s take about 0.56 GB.
 MAX_STEPS = 10_000_000
 
 METHODS = ("explicit", "implicit")
@@ -144,25 +145,40 @@ class SimConfig(Record):
 TRACE_COLUMNS = ("t", "z1", "z2", "z3", "x1", "x2", "x3", "u", "u1", "eta", "delta")
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
 
-# One stored row: these eight columns as native float64s.
-_STORED = ("t", "z1", "z2", "z3", "u", "u1", "eta", "delta")
-_ROW = struct.Struct("8d")
+# One stored row: these seven columns as native float64s.
+_STORED = ("t", "z1", "z2", "u", "u1", "eta", "delta")
+_WIDTH = len(_STORED)
+_ROW = struct.Struct(f"{_WIDTH}d")
+_ETA, _DELTA = _STORED.index("eta"), _STORED.index("delta")
 
 
 def _column(j: int) -> property:
-    return property(lambda self: self._rows[j::8], doc=f"Stored column {j}, as a copy.")
+    return property(lambda self: self._rows[j::_WIDTH],
+                    doc=f"Stored column {_STORED[j]}, as a copy.")
 
 
-def _scaled(j: int) -> property:
-    # Reads column j in place; the view is released with the spent map.
+def _stored(j: int):
+    return lambda rows: memoryview(rows)[j::_WIDTH]
+
+
+def _z3(rows: array):
+    """z3 = eta + delta row by row, read in place: the float operation the
+    loop performs, so the derived column is the one it computed, bit for bit."""
+    view = memoryview(rows)
+    return map(add, view[_ETA::_WIDTH], view[_DELTA::_WIDTH])
+
+
+def _scaled(z) -> property:
+    # Reads z in place; the views are released with the spent map.
     return property(
-        lambda self: array("d", map(truediv, memoryview(self._rows)[j::8], repeat(self.L))),
-        doc=f"x{j} = z{j}/L, derived from stored column {j} as a new array.")
+        lambda self: array("d", map(truediv, z(self._rows), repeat(self.L))),
+        doc="x = z/L, derived as a new array.")
 
 
 class SimTrace:
-    """Record of one run: one row of eight float64s per time point, packed
-    row after row in one array('d') (64 B per row).
+    """Record of one run: one row of seven float64s (t, z1, z2, u, u1, eta,
+    delta) per time point, packed row after row in one array('d') (56 B per
+    row).
 
     Rows must be in strictly increasing time order with finite t, which
     append does not check: run_simulation writes t = k*h, and read_trace_csv
@@ -170,8 +186,9 @@ class SimTrace:
     L must be positive and finite: the metrics take max|z| / L as max|z / L|.
 
     Each column read returns a fresh array('d') copy, O(n): bind a column
-    once before indexing it in a loop, or read it in place with view().
-    x1..x3 = z/L are derived on each read, not stored.
+    once before indexing it in a loop, or read a stored one in place with
+    view().  z3 = eta + delta and x1..x3 = z/L are derived on each read, not
+    stored.
     """
 
     def __init__(self, L: float):
@@ -182,51 +199,60 @@ class SimTrace:
 
     @property
     def n(self) -> int:
-        return len(self._rows) // 8
+        return len(self._rows) // _WIDTH
 
-    t, z1, z2, z3, u, u1, eta, delta = (_column(j) for j in range(8))
-    x1, x2, x3 = (_scaled(j) for j in (1, 2, 3))
+    t, z1, z2, u, u1, eta, delta = (_column(j) for j in range(_WIDTH))
+    z3 = property(lambda self: array("d", _z3(self._rows)),
+                  doc="z3 = eta + delta, derived as a new array.")
+    x1, x2, x3 = (_scaled(z) for z in (_stored(1), _stored(2), _z3))
 
     def view(self, name: str) -> memoryview:
         """Stored column ``name`` as a read-only, zero-copy strided view.
 
         The view holds the trace's buffer, so append raises BufferError
         while it, or any slice of it, is alive.  Take it in a ``with`` block,
-        which releases it on exit, and bind no slice of it to a name.
+        which releases it on exit, and bind no slice of it to a name.  A
+        derived column (z3, x1..x3) has no view: ValueError.
         """
-        return memoryview(self._rows).toreadonly()[_STORED.index(name)::8]
-
-    def row(self, i: int) -> tuple[float, ...]:
-        """Row i as the eleven TRACE_COLUMNS values; i < 0 counts from the end."""
-        i = range(self.n)[i]
-        t, z1, z2, z3, u, u1, eta, delta = _ROW.unpack_from(self._rows, _ROW.size * i)
-        L = self.L
-        return (t, z1, z2, z3, z1 / L, z2 / L, z3 / L, u, u1, eta, delta)
+        try:
+            j = _STORED.index(name)
+        except ValueError:
+            raise ValueError(f"{name!r} is not a stored column; the stored columns "
+                             f"are {', '.join(_STORED)}") from None
+        return memoryview(self._rows).toreadonly()[j::_WIDTH]
 
     def append(self, t, z1, z2, z3, u, u1, eta, delta) -> None:
-        self._rows.frombytes(_ROW.pack(t, z1, z2, z3, u, u1, eta, delta))
+        """Add one row.  z3 is not stored, so it must be eta + delta (a NaN
+        z3 matches a NaN sum); any other z3 raises ValueError."""
+        derived = eta + delta
+        if z3 != derived and (z3 == z3 or derived == derived):
+            raise ValueError(f"z3 = {z3!r} is not eta + delta = {derived!r}")
+        self._rows.frombytes(_ROW.pack(t, z1, z2, u, u1, eta, delta))
 
 
 def write_trace_csv(trace: SimTrace, path: str) -> None:
     """17 significant digits: parsing the file reproduces the doubles exactly.
 
-    Rows are formatted one at a time, x = z/L included, and streamed to the file.
+    Rows are formatted one at a time as bytes, z3 = eta + delta and x = z/L
+    included, and streamed to the file.
     """
     L = trace.L
-    row_format = ",".join(["%.17g"] * len(TRACE_COLUMNS)) + "\n"
-    with open(path, "w", newline="") as f:
-        f.write(TRACE_HEADER + "\n")
+    row_format = b",".join([b"%.17g"] * len(TRACE_COLUMNS)) + b"\n"
+    with open(path, "wb") as f:
+        f.write(TRACE_HEADER.encode() + b"\n")
         f.writelines(row_format % (t, z1, z2, z3, z1 / L, z2 / L, z3 / L, u, u1, eta, delta)
-                     for t, z1, z2, z3, u, u1, eta, delta in _ROW.iter_unpack(trace._rows))
+                     for t, z1, z2, u, u1, eta, delta in _ROW.iter_unpack(trace._rows)
+                     for z3 in (eta + delta,))
 
 
 def read_trace_csv(path: str, L: float) -> SimTrace:
-    """Parse a trace CSV.  The x columns are not stored.  A malformed row (a
-    field count other than 11, a cell that is not a float, a blank line), a
-    row whose t is not finite or not greater than the previous row's (the
-    time order SimTrace requires), or a row whose x is not z/L (NaN never
-    is) raises ValueError starting with `path:lineno:`.  An L that is not
-    positive and finite raises ValueError before the file is opened."""
+    """Parse a trace CSV.  The z3 and x columns are not stored.  A malformed
+    row (a field count other than 11, a cell that is not a float, a blank
+    line), a row whose z3 is not eta + delta, a row whose t is not finite or
+    not greater than the previous row's (the time order SimTrace requires),
+    or a row whose x is not z/L (NaN never is) raises ValueError starting
+    with `path:lineno:`.  An L that is not positive and finite raises
+    ValueError before the file is opened."""
     trace = SimTrace(L=L)
     t_prev = -math.inf
     with open(path, "r", newline="") as f:
@@ -236,6 +262,7 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
         for lineno, line in enumerate(f, start=2):
             try:
                 t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, line.split(","))
+                trace.append(t, z1, z2, z3, u, u1, eta, delta)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not t_prev < t < math.inf:
@@ -247,7 +274,6 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
             if x1 != z1 / L or x2 != z2 / L or x3 != z3 / L:
                 raise ValueError(f"{path}:{lineno}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
                                  f"z/L = {z1 / L!r}, {z2 / L!r}, {z3 / L!r} for L = {L!r}")
-            trace.append(t, z1, z2, z3, u, u1, eta, delta)
     return trace
 
 

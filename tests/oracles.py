@@ -8,7 +8,7 @@ bit-identity checks of the one-pass step; ``reference_explicit_step`` is
 the explicit step through an odd fractional power with its own branch at
 z = 0.  The ``reference_*`` trace metrics select the window row by row
 through a Python index list over column copies, for bit-identity checks of
-the in-place metrics.
+the in-place metrics; ``row`` reads one trace row as the CSV writes it.
 """
 
 import math
@@ -132,6 +132,19 @@ def reference_implicit_step(k, z1, z2, zb1, zb2, eta, u1_prev, d_prev, g, h):
 # --- trace metrics, row by row -----------------------------------------------
 
 
+def row(trace, i):
+    """Row i as the eleven TRACE_COLUMNS values, from the stored columns
+    with z3 = eta + delta and x = z/L; i < 0 counts from the end."""
+    cells = []
+    for name in ("t", "z1", "z2", "u", "u1", "eta", "delta"):
+        with trace.view(name) as column:
+            cells.append(column[i])
+    t, z1, z2, u, u1, eta, delta = cells
+    z3 = eta + delta
+    L = trace.L
+    return (t, z1, z2, z3, z1 / L, z2 / L, z3 / L, u, u1, eta, delta)
+
+
 def reference_window_indices(trace, window):
     t0, t1 = window
     ts = trace.t
@@ -172,7 +185,7 @@ def reference_state_settling_time(trace, bands):
             last_bad = i
     if last_bad == trace.n - 1:
         return math.inf
-    return trace.row(last_bad + 1)[0]
+    return row(trace, last_bad + 1)[0]
 
 
 def reference_chatter_metrics(trace, window):

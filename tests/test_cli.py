@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from ctasim.cli import (
 )
 from ctasim.controller import Gains
 from ctasim.plant import Disturbance, Sinusoid
+from oracles import row
 
 
 class TestPresets:
@@ -69,7 +71,7 @@ class TestTraceCsv:
         back = read_trace_csv(str(path), L=trace.L)
         assert back.n == trace.n
         for i in range(trace.n):
-            assert back.row(i) == trace.row(i)
+            assert row(back, i) == row(trace, i)
 
     def test_header(self, tmp_path):
         trace, _ = run_preset("zero", {"t_final": 0.01})
@@ -90,6 +92,22 @@ class TestTraceCsv:
         with pytest.raises(ValueError) as info:
             read_trace_csv(str(path), L=trace.L)
         assert str(info.value).startswith(f"{path}:5: x1..x3 = ")
+
+    @pytest.mark.parametrize("direction", [math.inf, -math.inf], ids=["ulp-up", "ulp-down"])
+    def test_z3_one_ulp_off_rejected(self, tmp_path, direction):
+        trace, _ = run_preset("paper-implicit", {"t_final": 0.01})
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[4].split(",")
+        z3 = float(cells[3])
+        edited = math.nextafter(z3, direction)
+        cells[3] = repr(edited)  # z3 on line 5; its x3 is left as written
+        lines[4] = ",".join(cells)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as info:
+            read_trace_csv(str(path), L=trace.L)
+        assert str(info.value) == f"{path}:5: z3 = {edited!r} is not eta + delta = {z3!r}"
 
     def test_wrong_scale_rejected(self, tmp_path):
         trace, _ = run_preset("paper-implicit", {"t_final": 0.01})

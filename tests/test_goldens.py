@@ -15,6 +15,7 @@ import pytest
 
 from ctasim.cli import run_preset
 from ctasim.plant import TRACE_HEADER, SimTrace, write_trace_csv
+from oracles import row
 
 GOLDENS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "goldens.json")
@@ -37,14 +38,16 @@ def test_preset_trace_and_summary(preset, goldens, tmp_path):
 
 def test_writer_matches_per_value_format(tmp_path):
     """Row-at-a-time %-formatting writes the bytes of a per-value
-    f"{v:.17g}" join, edge values and the derived x = z/L columns included."""
+    f"{v:.17g}" join, edge values and the derived z3 = eta + delta and
+    x = z/L columns included."""
     edge = [-0.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf, 1e308, -1e308,
             math.nan, 0.1, 1.0 / 3.0, 35.6, 1e-17, 123456789012345678.0]
     trace = SimTrace(L=3.0)
     for i in range(len(edge)):
-        trace.append(*(edge[(i + j) % len(edge)] for j in range(8)))
+        t, z1, z2, u, u1, eta, delta = (edge[(i + j) % len(edge)] for j in range(7))
+        trace.append(t, z1, z2, eta + delta, u, u1, eta, delta)
     path = tmp_path / "edge.csv"
     write_trace_csv(trace, str(path))
     expected = TRACE_HEADER + "\n" + "".join(
-        ",".join(f"{v:.17g}" for v in trace.row(i)) + "\n" for i in range(trace.n))
+        ",".join(f"{v:.17g}" for v in row(trace, i)) + "\n" for i in range(trace.n))
     assert path.read_bytes() == expected.encode()

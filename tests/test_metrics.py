@@ -197,7 +197,9 @@ def _outcome(metric, *args):
 @st.composite
 def increasing_traces(draw):
     """1..300 rows at strictly increasing finite times, on a k*h grid or not,
-    with arbitrary floats (signed zeros, NaN, infinities) in the states and u."""
+    with arbitrary floats (signed zeros, NaN, infinities) in the states and u.
+    z3 = eta + delta is eta itself: delta = -0.0 is the one addend that
+    keeps every float, -0.0 and NaN payloads included."""
     n = draw(st.integers(1, 300))
     if draw(st.booleans()):
         h = draw(st.floats(1e-6, 1e3))
@@ -205,10 +207,10 @@ def increasing_traces(draw):
     else:
         ts = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=n, unique=True)))
     values = st.lists(st.floats(), min_size=len(ts), max_size=len(ts))
-    z1, z2, z3, u = (draw(values) for _ in range(4))
+    z1, z2, eta, u = (draw(values) for _ in range(4))
     trace = SimTrace(L=draw(st.floats(1e-3, 1e3)))
-    for row in zip(ts, z1, z2, z3, u):
-        trace.append(*row, 0.0, 0.0, 0.0)
+    for t, z1_k, z2_k, eta_k, u_k in zip(ts, z1, z2, eta, u):
+        trace.append(t, z1_k, z2_k, eta_k + -0.0, u_k, 0.0, eta_k, -0.0)
     return trace, ts
 
 
@@ -266,7 +268,8 @@ class TestMatchesRowByRowReference:
                 reference_state_settling_time, trace, (threshold, threshold, math.inf))
 
 
-_ROW = (9.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+# A row as append takes it, with z3 = eta + delta = 6.0 + 7.0.
+_ROW = (9.0, 1.0, 2.0, 13.0, 4.0, 5.0, 6.0, 7.0)
 
 
 class TestReadsInPlace:

@@ -18,7 +18,9 @@ from ctasim.plant import (
     eval_disturbance,
     plant_step,
     run_simulation,
+    write_trace_csv,
 )
+from oracles import row
 
 
 class TestDisturbance:
@@ -113,8 +115,8 @@ class TestRunSimulation:
         cfg = _cfg(z1_0=8.0, z2_0=-12.0, disturbance=PAPER_DISTURBANCE, t_final=0.5)
         a = run_simulation(cfg)
         b = run_simulation(cfg)
-        assert a.row(0) == b.row(0)
-        assert all(a.row(i) == b.row(i) for i in range(a.n))
+        assert row(a, 0) == row(b, 0)
+        assert all(row(a, i) == row(b, i) for i in range(a.n))
 
     def test_controller_never_sees_disturbance(self):
         # replaying the recorded measurements through a fresh controller
@@ -262,26 +264,33 @@ def _bits(values):
     return [struct.pack("<d", v) for v in values]
 
 
+# A row as append takes it, with z3 = eta + delta = 6.0 + 7.0.
+_ROW = (0.0, 1.0, 2.0, 13.0, 4.0, 5.0, 6.0, 7.0)
+
+
 class TestSimTrace:
-    """The trace packs each row as eight float64s; columns are read as copies."""
+    """The trace packs each row as seven float64s; columns are read as copies."""
 
     EDGE = (-0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.1, 1e308)
 
     def _edge_trace(self):
         trace = SimTrace(L=3.0)
         for i in range(len(self.EDGE)):
-            trace.append(*(self.EDGE[(i + j) % len(self.EDGE)] for j in range(8)))
+            t, z1, z2, u, u1, eta, delta = (self.EDGE[(i + j) % len(self.EDGE)]
+                                            for j in range(7))
+            trace.append(t, z1, z2, eta + delta, u, u1, eta, delta)
         return trace
 
     def test_edge_values_survive_bit_for_bit(self):
         trace = self._edge_trace()
-        stored = ("t", "z1", "z2", "z3", "u", "u1", "eta", "delta")
+        stored = ("t", "z1", "z2", "u", "u1", "eta", "delta")
         for i in range(trace.n):
-            expected = [self.EDGE[(i + j) % len(self.EDGE)] for j in range(8)]
-            row = dict(zip(TRACE_COLUMNS, trace.row(i)))
-            assert _bits(row[c] for c in stored) == _bits(expected)
-            assert _bits(row[c] for c in ("x1", "x2", "x3")) == \
-                _bits(row[c] / 3.0 for c in ("z1", "z2", "z3"))
+            expected = [self.EDGE[(i + j) % len(self.EDGE)] for j in range(7)]
+            values = dict(zip(TRACE_COLUMNS, row(trace, i)))
+            assert _bits(values[c] for c in stored) == _bits(expected)
+            assert _bits([values["z3"]]) == _bits([values["eta"] + values["delta"]])
+            assert _bits(values[c] for c in ("x1", "x2", "x3")) == \
+                _bits(values[c] / 3.0 for c in ("z1", "z2", "z3"))
         for j, name in enumerate(stored):
             assert _bits(getattr(trace, name)) == \
                 _bits(self.EDGE[(i + j) % len(self.EDGE)] for i in range(trace.n))
@@ -302,33 +311,69 @@ class TestSimTrace:
         trace = self._edge_trace()
         held = [getattr(trace, c) for c in TRACE_COLUMNS]
         n = trace.n
-        trace.append(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+        trace.append(1.0, 2.0, 3.0, 15.0, 5.0, 6.0, 7.0, 8.0)
         assert trace.n == n + 1 and all(len(c) == n for c in held)
-        assert trace.row(-1) == (1.0, 2.0, 3.0, 4.0, 2.0 / 3.0, 1.0, 4.0 / 3.0,
-                                 5.0, 6.0, 7.0, 8.0)
+        assert row(trace, -1) == (1.0, 2.0, 3.0, 15.0, 2.0 / 3.0, 1.0, 15.0 / 3.0,
+                                  5.0, 6.0, 7.0, 8.0)
 
     def test_view_reads_the_stored_column_in_place(self):
         trace = self._edge_trace()
-        stored = ("t", "z1", "z2", "z3", "u", "u1", "eta", "delta")
+        stored = ("t", "z1", "z2", "u", "u1", "eta", "delta")
         for name in stored:
             with trace.view(name) as view:
                 assert view.readonly and _bits(view) == _bits(getattr(trace, name))
                 with pytest.raises(BufferError):
-                    trace.append(*range(8))
-        trace.append(*range(8))
+                    trace.append(*_ROW)
+        trace.append(*_ROW)
         with trace.view("eta") as view:
             assert view[-1] == 6.0 and len(view) == trace.n
 
     def test_row_indexes_like_a_list(self):
         trace = run_simulation(_cfg(z1_0=8.0, disturbance=PAPER_DISTURBANCE, t_final=0.01))
         n = trace.n
-        assert trace.row(-1) == trace.row(n - 1)
-        assert trace.row(-n) == trace.row(0)
+        assert row(trace, -1) == row(trace, n - 1)
+        assert row(trace, -n) == row(trace, 0)
         for i in (n, -n - 1):
             with pytest.raises(IndexError):
-                trace.row(i)
+                row(trace, i)
         columns = [getattr(trace, c) for c in TRACE_COLUMNS]
-        assert [trace.row(i) for i in range(n)] == list(zip(*columns))
+        assert [row(trace, i) for i in range(n)] == list(zip(*columns))
+
+    def test_append_rejects_z3_other_than_eta_plus_delta(self):
+        trace = SimTrace(L=5.0)
+        for z3 in (math.nextafter(13.0, math.inf), math.nextafter(13.0, 0.0), math.nan):
+            with pytest.raises(ValueError, match=r"^z3 = .+ is not eta \+ delta = 13\.0$"):
+                trace.append(0.0, 1.0, 2.0, z3, 4.0, 5.0, 6.0, 7.0)
+        with pytest.raises(ValueError, match=r"^z3 = 0\.0 is not eta \+ delta = nan$"):
+            trace.append(0.0, 1.0, 2.0, 0.0, 4.0, 5.0, math.inf, -math.inf)
+        assert trace.n == 0
+
+    @pytest.mark.parametrize("eta, delta", [(math.nan, 1.0), (1.0, math.nan),
+                                            (math.inf, -math.inf)])
+    def test_nan_eta_or_delta_reads_back_as_nan_z3(self, eta, delta, tmp_path):
+        trace = SimTrace(L=5.0)
+        trace.append(0.0, 1.0, 2.0, math.nan, 4.0, 5.0, eta, delta)
+        assert math.isnan(trace.z3[0]) and math.isnan(trace.x3[0])
+        assert math.isnan(row(trace, 0)[3])
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        cells = path.read_text().splitlines()[1].split(",")
+        assert (cells[3], cells[6]) == ("nan", "nan")
+
+    @pytest.mark.parametrize("name", ["z3", "x1", "x3", "w"])
+    def test_view_of_a_column_not_stored_names_the_stored_ones(self, name):
+        trace = self._edge_trace()
+        with pytest.raises(ValueError, match=f"^'{name}' is not a stored column; the stored "
+                                             f"columns are t, z1, z2, u, u1, eta, delta$"):
+            trace.view(name)
+        trace.append(*_ROW)
+
+    def test_stores_56_bytes_per_row(self):
+        trace = run_simulation(_cfg(t_final=0.01))
+        for name in ("t", "z1", "z2", "u", "u1", "eta", "delta"):
+            with trace.view(name) as view:
+                assert view.strides == (56,) and len(view) == trace.n
+                assert view.obj.itemsize * len(view.obj) == 56 * trace.n
 
     @pytest.mark.parametrize("L", [0.0, -5.0, math.nan, math.inf])
     def test_rejects_scale_not_positive_and_finite(self, L):
