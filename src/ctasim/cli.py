@@ -265,7 +265,7 @@ def _set_config_value(settings: dict, key: str, value: str) -> None:
 def _parse_floats(text: str, what: str, n: int | None = None) -> list[float]:
     """Comma-separated floats, exactly ``n`` of them when ``n`` is given;
     errors name ``what``."""
-    parts = [p for p in text.split(",") if p != ""]
+    parts = text.split(",")
     if n is not None and len(parts) != n:
         raise ValueError(f"{what} expects {n} comma-separated values, got {text!r}")
     try:
@@ -331,10 +331,10 @@ def _cmd_simulate(args) -> int:
     flags = {"method": args.method, "h": args.h, "t_final": args.t_final,
              "L": args.L, "threshold": args.threshold}
     settings.update((k, v) for k, v in flags.items() if v is not None)
-    if args.gains:
+    if args.gains is not None:
         kp = _parse_floats(args.gains, "--gains", 4)
         settings.update(zip(("kp1", "kp2", "kp3", "kp4"), kp))
-    if args.init:
+    if args.init is not None:
         settings.update(zip(("z1_0", "z2_0", "eta_0"), _parse_floats(args.init, "--init", 3)))
     trace, summary = run_preset(args.preset, settings)
     if args.out:

@@ -1,11 +1,11 @@
 """Post-processing of simulation traces: precision envelopes, convergence
 time, and chattering measures.
 
-Every metric reads the packed trace in place through SimTrace.view, with
-no column copies, and releases each view before it returns or raises.  The
-trace does not store the fictitious state z3: it is read as eta + delta.
-The rows must be in strictly increasing time order (see SimTrace), so that
-a time window is one contiguous run of rows, found by bisection on t.
+Every metric reads the trace in place through SimTrace.view, with no
+column copies, and uses up or releases each view before it returns or
+raises.  The rows must be in strictly increasing time order (see SimTrace),
+so that a time window is one contiguous run of rows, found by bisection on
+t.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import pairwise
-from operator import add, sub
+from operator import sub
 
 from .plant import SimTrace
 
@@ -59,12 +59,7 @@ def precision_envelope(
         raise ValueError(f"h must be large enough that h**{max(orders):g} "
                          f"does not underflow to 0, got {h!r}")
     a, b = _window(trace, window)
-    # x = z/L.  Correctly rounded division by L > 0 is monotone, so
-    # max|z_i| / L equals max|z_i / L| bit for bit.
-    with trace.view("z1") as z1, trace.view("z2") as z2, \
-            trace.view("eta") as eta, trace.view("delta") as delta:
-        sups = tuple(max(map(abs, z)) / trace.L
-                     for z in (z1[a:b], z2[a:b], map(add, eta[a:b], delta[a:b])))
+    sups = tuple(max(map(abs, trace.view(x, a, b))) for x in ("x1", "x2", "x3"))
     v = tuple(s / scale for s, scale in zip(sups, scales))
     return PrecisionReport(sup_abs_x=sups, v_constants=v)
 
@@ -84,20 +79,18 @@ def state_settling_time(trace: SimTrace, bands: tuple[float, float, float]) -> f
     """Smallest t after which |z1| < b1, |z2| < b2 and |z3| < b3 all hold.
 
     Settling time of the whole closed-loop state, including the fictitious
-    z3 = eta + delta, with one band per state; convergence_time is the
-    (z1, z2) pair case, with no band on z3.  Returns math.inf if the final
-    record still violates a band.  Rows must be in time order (see SimTrace).
+    z3, with one band per state; convergence_time is the (z1, z2) pair
+    case, with no band on z3.  Returns math.inf if the final record still
+    violates a band.  Rows must be in time order (see SimTrace).
     """
     b1, b2, b3 = bands
     for name, band in zip(("z1", "z2", "z3"), bands):
         if not band > 0.0:
             raise ValueError(f"{name} band must be positive, got {band!r}")
     last_bad = -1
-    with trace.view("z1") as z1s, trace.view("z2") as z2s, \
-            trace.view("eta") as etas, trace.view("delta") as deltas:
-        for i, (z1, z2, z3) in enumerate(zip(z1s, z2s, map(add, etas, deltas))):
-            if abs(z1) >= b1 or abs(z2) >= b2 or abs(z3) >= b3:
-                last_bad = i
+    for i, (z1, z2, z3) in enumerate(zip(trace.view("z1"), trace.view("z2"), trace.view("z3"))):
+        if abs(z1) >= b1 or abs(z2) >= b2 or abs(z3) >= b3:
+            last_bad = i
     if last_bad == trace.n - 1:
         return math.inf
     with trace.view("t") as ts:

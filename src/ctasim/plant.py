@@ -16,9 +16,9 @@ the integrator value eta at t, delta(t), and the fictitious state
 z3 = eta + delta(t).  The final row's input is the controller output for
 the final state, evaluated without committing the controller update.
 
-This module owns the trace format: the stored row layout, the derived
-columns z3 = eta + delta and x = z/L, the row invariants (time order,
-L > 0, z3 = eta + delta) and the CSV codec.
+This module owns the trace format: SimTrace alone knows the stored row
+layout and forms the derived columns z3 = eta + delta and x = z/L; the row
+invariants (time order, L > 0) and the CSV codec sit beside it.
 """
 
 from __future__ import annotations
@@ -149,46 +149,25 @@ TRACE_HEADER = ",".join(TRACE_COLUMNS)
 _STORED = ("t", "z1", "z2", "u", "u1", "eta", "delta")
 _WIDTH = len(_STORED)
 _ROW = struct.Struct(f"{_WIDTH}d")
-_ETA, _DELTA = _STORED.index("eta"), _STORED.index("delta")
+_DERIVED = struct.Struct("4d")  # a CSV row's z3, x1, x2, x3
 
 
-def _column(j: int) -> property:
-    return property(lambda self: self._rows[j::_WIDTH],
-                    doc=f"Stored column {_STORED[j]}, as a copy.")
-
-
-def _stored(j: int):
-    return lambda rows: memoryview(rows)[j::_WIDTH]
-
-
-def _z3(rows: array):
-    """z3 = eta + delta row by row, read in place: the float operation the
-    loop performs, so the derived column is the one it computed, bit for bit."""
-    view = memoryview(rows)
-    return map(add, view[_ETA::_WIDTH], view[_DELTA::_WIDTH])
-
-
-def _scaled(z) -> property:
-    # Reads z in place; the views are released with the spent map.
-    return property(
-        lambda self: array("d", map(truediv, z(self._rows), repeat(self.L))),
-        doc="x = z/L, derived as a new array.")
+def _copy(name: str) -> property:
+    return property(lambda self: array("d", self.view(name)),
+                    doc=f"Column {name}, as a new array('d').")
 
 
 class SimTrace:
     """Record of one run: one row of seven float64s (t, z1, z2, u, u1, eta,
     delta) per time point, packed row after row in one array('d') (56 B per
-    row).
+    row).  z3 = eta + delta and x1..x3 = z/L are derived on each read.
 
     Rows must be in strictly increasing time order with finite t, which
     append does not check: run_simulation writes t = k*h, and read_trace_csv
     rejects any other file.  The metrics find a time window by bisection.
-    L must be positive and finite: the metrics take max|z| / L as max|z / L|.
-
-    Each column read returns a fresh array('d') copy, O(n): bind a column
-    once before indexing it in a loop, or read a stored one in place with
-    view().  z3 = eta + delta and x1..x3 = z/L are derived on each read, not
-    stored.
+    L must be positive and finite, so that x = z/L keeps the sign and order
+    of z.  Each column attribute returns a fresh array('d') copy, O(n): bind
+    a column once before indexing it in a loop, or read it with view().
     """
 
     def __init__(self, L: float):
@@ -201,58 +180,53 @@ class SimTrace:
     def n(self) -> int:
         return len(self._rows) // _WIDTH
 
-    t, z1, z2, u, u1, eta, delta = (_column(j) for j in range(_WIDTH))
-    z3 = property(lambda self: array("d", _z3(self._rows)),
-                  doc="z3 = eta + delta, derived as a new array.")
-    x1, x2, x3 = (_scaled(z) for z in (_stored(1), _stored(2), _z3))
+    t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(_copy, TRACE_COLUMNS)
 
-    def view(self, name: str) -> memoryview:
-        """Stored column ``name`` as a read-only, zero-copy strided view.
+    def view(self, name: str, a: int = 0, b: int | None = None):
+        """Rows a..b-1 of column ``name``, read in place.
 
-        The view holds the trace's buffer, so append raises BufferError
-        while it, or any slice of it, is alive.  Take it in a ``with`` block,
-        which releases it on exit, and bind no slice of it to a name.  A
-        derived column (z3, x1..x3) has no view: ValueError.
+        A stored column is a read-only strided memoryview; z3 = eta + delta
+        (the float operation run_simulation performs) and x = z/L are lazy
+        maps over such views.  Each holds the trace's buffer, so append
+        raises BufferError while it is alive: take a memoryview in a
+        ``with`` block, and use a map up within one expression.  An unknown
+        name raises ValueError.
         """
-        try:
+        if name in _STORED:
             j = _STORED.index(name)
-        except ValueError:
-            raise ValueError(f"{name!r} is not a stored column; the stored columns "
-                             f"are {', '.join(_STORED)}") from None
-        return memoryview(self._rows).toreadonly()[j::_WIDTH]
+            return memoryview(self._rows).toreadonly()[j::_WIDTH][a:b]
+        if name == "z3":
+            return map(add, self.view("eta", a, b), self.view("delta", a, b))
+        if name in ("x1", "x2", "x3"):
+            return map(truediv, self.view("z" + name[1], a, b), repeat(self.L))
+        raise ValueError(f"{name!r} is not a trace column; the columns are "
+                         f"{', '.join(TRACE_COLUMNS)}")
 
-    def append(self, t, z1, z2, z3, u, u1, eta, delta) -> None:
-        """Add one row.  z3 is not stored, so it must be eta + delta (a NaN
-        z3 matches a NaN sum); any other z3 raises ValueError."""
-        derived = eta + delta
-        if z3 != derived and (z3 == z3 or derived == derived):
-            raise ValueError(f"z3 = {z3!r} is not eta + delta = {derived!r}")
+    def append(self, t, z1, z2, u, u1, eta, delta) -> None:
+        """Add one row of the seven stored values."""
         self._rows.frombytes(_ROW.pack(t, z1, z2, u, u1, eta, delta))
 
 
 def write_trace_csv(trace: SimTrace, path: str) -> None:
     """17 significant digits: parsing the file reproduces the doubles exactly.
 
-    Rows are formatted one at a time as bytes, z3 = eta + delta and x = z/L
-    included, and streamed to the file.
+    Rows are zipped from the column views, z3 and x included, formatted
+    one at a time as bytes and streamed to the file.
     """
-    L = trace.L
     row_format = b",".join([b"%.17g"] * len(TRACE_COLUMNS)) + b"\n"
     with open(path, "wb") as f:
         f.write(TRACE_HEADER.encode() + b"\n")
-        f.writelines(row_format % (t, z1, z2, z3, z1 / L, z2 / L, z3 / L, u, u1, eta, delta)
-                     for t, z1, z2, u, u1, eta, delta in _ROW.iter_unpack(trace._rows)
-                     for z3 in (eta + delta,))
+        f.writelines(row_format % row for row in zip(*map(trace.view, TRACE_COLUMNS)))
 
 
 def read_trace_csv(path: str, L: float) -> SimTrace:
     """Parse a trace CSV.  The z3 and x columns are not stored.  A malformed
     row (a field count other than 11, a cell that is not a float, a blank
-    line), a row whose z3 is not eta + delta, a row whose t is not finite or
-    not greater than the previous row's (the time order SimTrace requires),
-    or a row whose x is not z/L (NaN never is) raises ValueError starting
-    with `path:lineno:`.  An L that is not positive and finite raises
-    ValueError before the file is opened."""
+    line), a row whose t is not finite or not greater than the previous
+    row's (the time order SimTrace requires), or a row whose z3 and x are
+    not eta + delta and z/L bit for bit (-0 is not 0; NaN never is) raises
+    ValueError starting with `path:lineno:`.  An L that is not positive and
+    finite raises ValueError before the file is opened."""
     trace = SimTrace(L=L)
     t_prev = -math.inf
     with open(path, "r", newline="") as f:
@@ -262,7 +236,6 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
         for lineno, line in enumerate(f, start=2):
             try:
                 t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, line.split(","))
-                trace.append(t, z1, z2, z3, u, u1, eta, delta)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not t_prev < t < math.inf:
@@ -271,9 +244,19 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
                 raise ValueError(f"{path}:{lineno}: t = {t!r} is not greater than "
                                  f"the previous row's t = {t_prev!r}")
             t_prev = t
-            if x1 != z1 / L or x2 != z2 / L or x3 != z3 / L:
+            z3_row = eta + delta
+            # != fails every NaN.  Equal floats differ in bits only at -0 and 0,
+            # so the bits are compared only when a cell is zero.
+            if (z3 != z3_row or x1 != z1 / L or x2 != z2 / L or x3 != z3_row / L
+                    or not (z3 and x1 and x2 and x3)
+                    and _DERIVED.pack(z3, x1, x2, x3)
+                    != _DERIVED.pack(z3_row, z1 / L, z2 / L, z3_row / L)):
+                if struct.pack("d", z3) != struct.pack("d", z3_row):
+                    raise ValueError(f"{path}:{lineno}: z3 = {z3!r} is not "
+                                     f"eta + delta = {z3_row!r}")
                 raise ValueError(f"{path}:{lineno}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
-                                 f"z/L = {z1 / L!r}, {z2 / L!r}, {z3 / L!r} for L = {L!r}")
+                                 f"z/L = {z1 / L!r}, {z2 / L!r}, {z3_row / L!r} for L = {L!r}")
+            trace.append(t, z1, z2, u, u1, eta, delta)
     return trace
 
 
@@ -300,7 +283,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     for k in range(n):
         t = k * h
         u, u1, eta_next, d_est = step(k, z1, z2, zb1, zb2, eta, u1, d_est, g, h)
-        trace.append(t, z1, z2, eta + delta_now, u, u1, eta, delta_now)
+        trace.append(t, z1, z2, u, u1, eta, delta_now)
         delta_now = eval_disturbance(cfg.disturbance, (k + 1) * h)
         zb1, zb2, eta = z1, z2, eta_next
         z1, z2 = plant_step(z1, z2, u, delta_now, h)
@@ -313,5 +296,5 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
                       f"(z1={z1:g}, z2={z2:g}, eta={eta:g})")
 
     u, u1, _, _ = step(n, z1, z2, zb1, zb2, eta, u1, d_est, g, h)  # evaluated, not committed
-    trace.append(n * h, z1, z2, eta + delta_now, u, u1, eta, delta_now)
+    trace.append(n * h, z1, z2, u, u1, eta, delta_now)
     return trace

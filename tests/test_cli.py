@@ -109,6 +109,22 @@ class TestTraceCsv:
             read_trace_csv(str(path), L=trace.L)
         assert str(info.value) == f"{path}:5: z3 = {edited!r} is not eta + delta = {z3!r}"
 
+    @pytest.mark.parametrize("line, message", [
+        ("0,0,0,-0,0,0,-0,0,0,0,0", "z3 = -0.0 is not eta + delta = 0.0"),
+        ("0,-0,0,0,0,0,0,0,0,0,0",
+         "x1..x3 = 0.0, 0.0, 0.0 are not z/L = -0.0, 0.0, 0.0 for L = 5.0"),
+        ("0,nan,0,0,nan,0,0,0,0,0,0",
+         "x1..x3 = nan, 0.0, 0.0 are not z/L = nan, 0.0, 0.0 for L = 5.0"),
+    ], ids=["z3-negative-zero", "x1-positive-zero", "x1-nan"])
+    def test_derived_cell_other_than_the_derived_bits_rejected(self, tmp_path, line, message):
+        # A -0 where the derived value is 0 (or the reverse) would be written
+        # back as the derived value; a NaN is never z/L.
+        path = tmp_path / "trace.csv"
+        path.write_text(f"t,z1,z2,z3,x1,x2,x3,u,u1,eta,delta\n{line}\n")
+        with pytest.raises(ValueError) as info:
+            read_trace_csv(str(path), L=5.0)
+        assert str(info.value) == f"{path}:2: {message}"
+
     def test_wrong_scale_rejected(self, tmp_path):
         trace, _ = run_preset("paper-implicit", {"t_final": 0.01})
         path = tmp_path / "trace.csv"
@@ -205,6 +221,8 @@ class TestConfigFile:
         ("delta_sin = 1", "delta_sin"),
         ("method = rk4", "method"),
         ("stepsize = 0.1", "stepsize"),
+        ("delta_sin = 0.4,,3", "delta_sin"),
+        ("delta_cos = 0.6,2,", "delta_cos"),
     ])
     def test_errors_name_file_line_and_key(self, tmp_path, line, key):
         cfg_file = tmp_path / "bad.cfg"
@@ -332,6 +350,13 @@ class TestCommandLine:
         (["simulate", "--preset", "zero", "--init", "1,x,0"], "--init: could not"),
         (["sweep", "--preset", "zero", "--h-list", "1e-3,abc,3e-3"], "--h-list: could not"),
         ([], "required: command"),
+        # An empty field, or an empty list, is an error, not a value left out.
+        (["simulate", "--preset", "zero", "--gains", "1,,2,0.5,0.1"],
+         "--gains expects 4 comma-separated values, got '1,,2,0.5,0.1'"),
+        (["simulate", "--preset", "zero", "--gains", ""], "--gains expects 4"),
+        (["simulate", "--preset", "zero", "--init", ""], "--init expects 3"),
+        (["sweep", "--preset", "zero", "--h-list", "0.01,,0.005,0.002"],
+         "--h-list: could not convert string to float: ''"),
     ])
     def test_usage_error_is_one_line_exit_1(self, capsys, argv, fragment):
         rc = main(argv)

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from ctasim.cli import run_preset
+from ctasim.cli import main, run_preset
 from ctasim.plant import TRACE_HEADER, SimTrace, write_trace_csv
 from oracles import row
 
@@ -45,9 +45,20 @@ def test_writer_matches_per_value_format(tmp_path):
     trace = SimTrace(L=3.0)
     for i in range(len(edge)):
         t, z1, z2, u, u1, eta, delta = (edge[(i + j) % len(edge)] for j in range(7))
-        trace.append(t, z1, z2, eta + delta, u, u1, eta, delta)
+        trace.append(t, z1, z2, u, u1, eta, delta)
     path = tmp_path / "edge.csv"
     write_trace_csv(trace, str(path))
     expected = TRACE_HEADER + "\n" + "".join(
         ",".join(f"{v:.17g}" for v in row(trace, i)) + "\n" for i in range(trace.n))
     assert path.read_bytes() == expected.encode()
+
+
+def test_order_sweep_json(capsys):
+    """The sweep perfbench times, with its JSON pinned bit for bit: the only
+    check on precision_envelope's bits across step sizes (criterion 6 checks
+    the fitted slopes to +-0.7)."""
+    with open(GOLDENS) as f:
+        golden = json.load(f)["sweep"]
+    assert main(["sweep", "--preset", "paper-implicit",
+                 "--h-list", "1e-3,5e-4,2e-4,1e-4"]) == 0
+    assert json.loads(capsys.readouterr().out) == golden

@@ -28,7 +28,7 @@ def make_trace(z1, z2=None, u=None, h=0.01, L=5.0, eta=None, delta=None):
     delta = delta if delta is not None else [0.0] * n
     trace = SimTrace(L=L)
     for k in range(n):
-        trace.append(k * h, z1[k], z2[k], eta[k] + delta[k], u[k], 0.0, eta[k], delta[k])
+        trace.append(k * h, z1[k], z2[k], u[k], 0.0, eta[k], delta[k])
     return trace
 
 
@@ -210,7 +210,7 @@ def increasing_traces(draw):
     z1, z2, eta, u = (draw(values) for _ in range(4))
     trace = SimTrace(L=draw(st.floats(1e-3, 1e3)))
     for t, z1_k, z2_k, eta_k, u_k in zip(ts, z1, z2, eta, u):
-        trace.append(t, z1_k, z2_k, eta_k + -0.0, u_k, 0.0, eta_k, -0.0)
+        trace.append(t, z1_k, z2_k, u_k, 0.0, eta_k, -0.0)
     return trace, ts
 
 
@@ -268,8 +268,8 @@ class TestMatchesRowByRowReference:
                 reference_state_settling_time, trace, (threshold, threshold, math.inf))
 
 
-# A row as append takes it, with z3 = eta + delta = 6.0 + 7.0.
-_ROW = (9.0, 1.0, 2.0, 13.0, 4.0, 5.0, 6.0, 7.0)
+# A row as append takes it: t, z1, z2, u, u1, eta, delta.
+_ROW = (9.0, 1.0, 2.0, 4.0, 5.0, 6.0, 7.0)
 
 
 class TestReadsInPlace:

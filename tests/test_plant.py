@@ -264,12 +264,13 @@ def _bits(values):
     return [struct.pack("<d", v) for v in values]
 
 
-# A row as append takes it, with z3 = eta + delta = 6.0 + 7.0.
-_ROW = (0.0, 1.0, 2.0, 13.0, 4.0, 5.0, 6.0, 7.0)
+# A row as append takes it: t, z1, z2, u, u1, eta, delta.
+_ROW = (0.0, 1.0, 2.0, 4.0, 5.0, 6.0, 7.0)
 
 
 class TestSimTrace:
-    """The trace packs each row as seven float64s; columns are read as copies."""
+    """The trace packs each row as seven float64s; columns are read as copies
+    or, with view(), in place."""
 
     EDGE = (-0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.1, 1e308)
 
@@ -278,7 +279,7 @@ class TestSimTrace:
         for i in range(len(self.EDGE)):
             t, z1, z2, u, u1, eta, delta = (self.EDGE[(i + j) % len(self.EDGE)]
                                             for j in range(7))
-            trace.append(t, z1, z2, eta + delta, u, u1, eta, delta)
+            trace.append(t, z1, z2, u, u1, eta, delta)
         return trace
 
     def test_edge_values_survive_bit_for_bit(self):
@@ -311,7 +312,7 @@ class TestSimTrace:
         trace = self._edge_trace()
         held = [getattr(trace, c) for c in TRACE_COLUMNS]
         n = trace.n
-        trace.append(1.0, 2.0, 3.0, 15.0, 5.0, 6.0, 7.0, 8.0)
+        trace.append(1.0, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0)
         assert trace.n == n + 1 and all(len(c) == n for c in held)
         assert row(trace, -1) == (1.0, 2.0, 3.0, 15.0, 2.0 / 3.0, 1.0, 15.0 / 3.0,
                                   5.0, 6.0, 7.0, 8.0)
@@ -339,20 +340,11 @@ class TestSimTrace:
         columns = [getattr(trace, c) for c in TRACE_COLUMNS]
         assert [row(trace, i) for i in range(n)] == list(zip(*columns))
 
-    def test_append_rejects_z3_other_than_eta_plus_delta(self):
-        trace = SimTrace(L=5.0)
-        for z3 in (math.nextafter(13.0, math.inf), math.nextafter(13.0, 0.0), math.nan):
-            with pytest.raises(ValueError, match=r"^z3 = .+ is not eta \+ delta = 13\.0$"):
-                trace.append(0.0, 1.0, 2.0, z3, 4.0, 5.0, 6.0, 7.0)
-        with pytest.raises(ValueError, match=r"^z3 = 0\.0 is not eta \+ delta = nan$"):
-            trace.append(0.0, 1.0, 2.0, 0.0, 4.0, 5.0, math.inf, -math.inf)
-        assert trace.n == 0
-
     @pytest.mark.parametrize("eta, delta", [(math.nan, 1.0), (1.0, math.nan),
                                             (math.inf, -math.inf)])
     def test_nan_eta_or_delta_reads_back_as_nan_z3(self, eta, delta, tmp_path):
         trace = SimTrace(L=5.0)
-        trace.append(0.0, 1.0, 2.0, math.nan, 4.0, 5.0, eta, delta)
+        trace.append(0.0, 1.0, 2.0, 4.0, 5.0, eta, delta)
         assert math.isnan(trace.z3[0]) and math.isnan(trace.x3[0])
         assert math.isnan(row(trace, 0)[3])
         path = tmp_path / "trace.csv"
@@ -360,11 +352,28 @@ class TestSimTrace:
         cells = path.read_text().splitlines()[1].split(",")
         assert (cells[3], cells[6]) == ("nan", "nan")
 
-    @pytest.mark.parametrize("name", ["z3", "x1", "x3", "w"])
-    def test_view_of_a_column_not_stored_names_the_stored_ones(self, name):
+    def test_view_reads_rows_a_to_b_of_every_column(self):
         trace = self._edge_trace()
-        with pytest.raises(ValueError, match=f"^'{name}' is not a stored column; the stored "
-                                             f"columns are t, z1, z2, u, u1, eta, delta$"):
+        for a, b in ((0, None), (2, 5), (3, 3), (0, trace.n)):
+            for name in TRACE_COLUMNS:
+                assert _bits(trace.view(name, a, b)) == _bits(getattr(trace, name)[a:b])
+        trace.append(*_ROW)
+
+    @pytest.mark.parametrize("name", ["z3", "x1", "x2", "x3"])
+    def test_held_derived_view_blocks_append(self, name):
+        trace = self._edge_trace()
+        held = trace.view(name)
+        with pytest.raises(BufferError):
+            trace.append(*_ROW)
+        del held
+        trace.append(*_ROW)
+        assert trace.n == len(self.EDGE) + 1
+
+    @pytest.mark.parametrize("name", ["w", "x4", "Z3"])
+    def test_view_of_an_unknown_column_names_the_columns(self, name):
+        trace = self._edge_trace()
+        with pytest.raises(ValueError, match=f"^'{name}' is not a trace column; the columns "
+                                             f"are t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta$"):
             trace.view(name)
         trace.append(*_ROW)
 
