@@ -21,9 +21,11 @@ import json
 import math
 import sys
 from collections import namedtuple
+from functools import reduce
+from operator import add
 
 from .controller import Gains
-from .metrics import chatter_metrics, convergence_time, precision_envelope
+from .metrics import WindowMax, chatter_metrics, convergence_time, precision_envelope
 from .plant import (
     Disturbance,
     METHODS,
@@ -148,14 +150,20 @@ SweepRow = namedtuple("SweepRow", "h sup_abs_x status")
 SweepResult = namedtuple("SweepResult", "method rows slopes")
 
 
+def _plain_sum(values) -> float:
+    """Left-to-right float sum from 0.0: sum() compensates rounding from
+    Python 3.12 on, which would make the slopes depend on the version."""
+    return reduce(add, values, 0.0)
+
+
 def fit_loglog_slope(hs: list[float], sups: list[float]) -> float | None:
     pts = [(math.log(h), math.log(s)) for h, s in zip(hs, sups) if s > 0.0]
     if len(pts) < 2:
         return None
-    mx = sum(p[0] for p in pts) / len(pts)
-    my = sum(p[1] for p in pts) / len(pts)
-    sxx = sum((p[0] - mx) ** 2 for p in pts)
-    sxy = sum((p[0] - mx) * (p[1] - my) for p in pts)
+    mx = _plain_sum(p[0] for p in pts) / len(pts)
+    my = _plain_sum(p[1] for p in pts) / len(pts)
+    sxx = _plain_sum((p[0] - mx) ** 2 for p in pts)
+    sxy = _plain_sum((p[0] - mx) * (p[1] - my) for p in pts)
     return sxy / sxx
 
 
@@ -163,9 +171,10 @@ def run_sweep(preset: str, h_values: tuple[float, ...],
               method: str | None = None) -> SweepResult:
     """Run one simulation per step size; fit log(sup|x_i|) against log(h).
 
-    ``method`` replaces the preset's method when given.  Divergent runs are
-    kept in the table but excluded from the fits, as are identically-zero
-    envelopes.
+    ``method`` replaces the preset's method when given.  Each run passes its
+    rows to a metrics.WindowMax sink over the steady window, so no trace is
+    stored.  Divergent runs are kept in the table but excluded from the
+    fits, as are identically-zero envelopes.
     """
     if len(h_values) < 3:
         raise ValueError("a sweep needs at least 3 step sizes")
@@ -180,12 +189,11 @@ def run_sweep(preset: str, h_values: tuple[float, ...],
     for h in h_values:
         run_cfg = cfg.replace(h=h)
         try:
-            trace = run_simulation(run_cfg)
+            sink = run_simulation(run_cfg, WindowMax(run_cfg.gains.L, steady_window(run_cfg), h))
         except SimulationDiverged:
             rows.append(SweepRow(h=h, sup_abs_x=None, status="divergent"))
             continue
-        report = precision_envelope(trace, steady_window(run_cfg), h, ORDERS[run_cfg.method])
-        rows.append(SweepRow(h=h, sup_abs_x=report.sup_abs_x, status="ok"))
+        rows.append(SweepRow(h=h, sup_abs_x=sink.sup_abs_x, status="ok"))
     slopes = []
     for i in range(3):
         hs = [r.h for r in rows if r.status == "ok"]
@@ -319,7 +327,7 @@ def _emit(payload: dict, path: str | None) -> None:
         text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as exc:  # a non-finite float has no JSON form
         raise ValueError(f"summary is not valid JSON: {exc}") from None
-    if path:
+    if path is not None:
         with open(path, "w") as f:
             f.write(text + "\n")
     print(text)
@@ -327,7 +335,7 @@ def _emit(payload: dict, path: str | None) -> None:
 
 def _cmd_simulate(args) -> int:
     # Flags are written over the file's settings: flags > file > preset.
-    settings = load_config(args.config) if args.config else {}
+    settings = load_config(args.config) if args.config is not None else {}
     flags = {"method": args.method, "h": args.h, "t_final": args.t_final,
              "L": args.L, "threshold": args.threshold}
     settings.update((k, v) for k, v in flags.items() if v is not None)
@@ -337,7 +345,7 @@ def _cmd_simulate(args) -> int:
     if args.init is not None:
         settings.update(zip(("z1_0", "z2_0", "eta_0"), _parse_floats(args.init, "--init", 3)))
     trace, summary = run_preset(args.preset, settings)
-    if args.out:
+    if args.out is not None:
         write_trace_csv(trace, args.out)
     _emit(summary, args.summary)
     return 0
@@ -346,7 +354,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     h_values = tuple(_parse_floats(args.h_list, "--h-list"))
     result = run_sweep(args.preset, h_values, args.method)
-    if args.out:
+    if args.out is not None:
         write_sweep_csv(result, args.out)
     _emit({
         "preset": args.preset,

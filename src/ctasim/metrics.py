@@ -5,7 +5,12 @@ Every metric reads the trace in place through SimTrace.view, with no
 column copies, and uses up or releases each view before it returns or
 raises.  The rows must be in strictly increasing time order (see SimTrace),
 so that a time window is one contiguous run of rows, found by bisection on
-t.
+t.  WindowMax takes precision_envelope's maxima from the rows of a run as
+they are produced, with no trace stored.
+
+Float sums are taken left to right from 0.0 (functools.reduce), not with
+sum(), which compensates rounding from Python 3.12 on: the bits of a
+metric do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from functools import reduce
 from itertools import pairwise
-from operator import sub
+from operator import add, sub
 
 from .plant import SimTrace
 
@@ -23,18 +29,28 @@ PrecisionReport = namedtuple("PrecisionReport", "sup_abs_x v_constants")
 ChatterReport = namedtuple("ChatterReport", "total_variation_u sign_flips_u_delta")
 
 
-def _window(trace: SimTrace, window: tuple[float, float]) -> tuple[int, int]:
-    """The window's rows a..b-1, with a < b; rows are in time order."""
+def _bounds(window: tuple[float, float], h: float) -> tuple[float, float]:
+    """The window widened to (lo, hi) by 1e-6 of h, the time between the
+    first two rows: row times are k*h, so boundary rows can miss the
+    nominal window by an ulp."""
     t0, t1 = window
+    tol = h * 1e-6
+    return t0 - tol, t1 + tol
+
+
+def _no_rows(window: tuple[float, float]) -> ValueError:
+    return ValueError(f"window {window} selects no trace records")
+
+
+def _window(trace: SimTrace, window: tuple[float, float]) -> tuple[int, int]:
+    """The window's rows a..b-1, the rows with lo <= t <= hi, with a < b;
+    rows are in time order."""
     with trace.view("t") as ts:
-        # Row times are k*h, so boundary rows can miss the nominal window by
-        # an ulp; use a grid-relative tolerance.
-        tol = (ts[1] - ts[0]) * 1e-6 if len(ts) >= 2 else 0.0
-        lo, hi = t0 - tol, t1 + tol
+        lo, hi = _bounds(window, ts[1] - ts[0] if len(ts) >= 2 else 0.0)
         a, b = bisect_left(ts, lo), bisect_right(ts, hi)
     # lo <= hi fails for a NaN bound, which bisection does not see.
     if not (lo <= hi and a < b):
-        raise ValueError(f"window {window} selects no trace records")
+        raise _no_rows(window)
     return a, b
 
 
@@ -62,6 +78,36 @@ def precision_envelope(
     sups = tuple(max(map(abs, trace.view(x, a, b))) for x in ("x1", "x2", "x3"))
     v = tuple(s / scale for s, scale in zip(sups, scales))
     return PrecisionReport(sup_abs_x=sups, v_constants=v)
+
+
+class WindowMax:
+    """Run sink (see plant.run_simulation) that keeps only sup|x_i| over a
+    time window: precision_envelope's sup_abs_x, bit for bit.
+
+    ``h`` is the time between the first two rows, a run's step (0.0 for a
+    single row).  The sink takes the rows _window selects, lo <= t <= hi,
+    and folds them with the float operations and tie rule of max(): max(s,
+    x) keeps s unless x > s.  Read sup_abs_x after the last row.
+    """
+
+    def __init__(self, L: float, window: tuple[float, float], h: float):
+        self.L = L
+        self.window = window
+        self._lo, self._hi = _bounds(window, h)
+        self._sup = None
+
+    def append(self, t, z1, z2, u, u1, eta, delta) -> None:
+        if self._lo <= t <= self._hi:
+            L = self.L
+            x = (abs(z1 / L), abs(z2 / L), abs((eta + delta) / L))
+            self._sup = x if self._sup is None else tuple(map(max, self._sup, x))
+
+    @property
+    def sup_abs_x(self) -> tuple[float, float, float]:
+        """max|x_i| over the window's rows; ValueError if there are none."""
+        if self._sup is None:
+            raise _no_rows(self.window)
+        return self._sup
 
 
 def convergence_time(trace: SimTrace, threshold: float) -> float:
@@ -105,7 +151,7 @@ def chatter_metrics(trace: SimTrace, window: tuple[float, float]) -> ChatterRepo
     """
     a, b = _window(trace, window)
     with trace.view("u") as u:
-        tv = sum(map(abs, map(sub, u[a + 1:b], u[a:b - 1])), 0.0)
+        tv = reduce(add, map(abs, map(sub, u[a + 1:b], u[a:b - 1])), 0.0)
         flips = sum(1 for d0, d1 in pairwise(map(sub, u[a + 1:b], u[a:b - 1]))
                     if d0 * d1 < 0.0)
     return ChatterReport(total_variation_u=tv, sign_flips_u_delta=flips)

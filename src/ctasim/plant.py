@@ -18,7 +18,8 @@ the final state, evaluated without committing the controller update.
 
 This module owns the trace format: SimTrace alone knows the stored row
 layout and forms the derived columns z3 = eta + delta and x = z/L; the row
-invariants (time order, L > 0) and the CSV codec sit beside it.
+invariants (time order, L > 0) and the CSV codec sit beside it.  A run
+passes its rows to a sink (see run_simulation), by default a SimTrace.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .controller import Gains, explicit_step, implicit_step
 
 DIVERGENCE_LIMIT = 1e12
 
-# The largest run in the repository is the sweep's 1e5 steps; 1e7 rows of
+# The largest run in the repository is the sweep's 1e5 steps, which stores
+# no trace.  A run that keeps its trace allocates it up front: 1e7 rows of
 # seven packed float64s take about 0.56 GB.
 MAX_STEPS = 10_000_000
 
@@ -149,18 +151,29 @@ TRACE_HEADER = ",".join(TRACE_COLUMNS)
 _STORED = ("t", "z1", "z2", "u", "u1", "eta", "delta")
 _WIDTH = len(_STORED)
 _ROW = struct.Struct(f"{_WIDTH}d")
+_ROW_BYTES = _ROW.size  # 56
+_pack, _pack_into = _ROW.pack, _ROW.pack_into
 _DERIVED = struct.Struct("4d")  # a CSV row's z3, x1, x2, x3
 
 
 def _copy(name: str) -> property:
-    return property(lambda self: array("d", self.view(name)),
-                    doc=f"Column {name}, as a new array('d').")
+    if name in _STORED:  # a C-level slice of the appended rows
+        j = _STORED.index(name)
+        copy = lambda self: self._rows[j:_WIDTH * self.n:_WIDTH]  # noqa: E731
+    else:
+        copy = lambda self: array("d", self.view(name))  # noqa: E731
+    return property(copy, doc=f"Column {name}, as a new array('d').")
 
 
 class SimTrace:
     """Record of one run: one row of seven float64s (t, z1, z2, u, u1, eta,
     delta) per time point, packed row after row in one array('d') (56 B per
     row).  z3 = eta + delta and x1..x3 = z/L are derived on each read.
+
+    ``SimTrace(L, rows)`` allocates ``rows`` rows up front, and append fills
+    them in place before it grows the array; run_simulation sizes its trace
+    exactly this way.  ``n`` counts the rows appended, and every read stops
+    there.
 
     Rows must be in strictly increasing time order with finite t, which
     append does not check: run_simulation writes t = k*h, and read_trace_csv
@@ -170,15 +183,18 @@ class SimTrace:
     a column once before indexing it in a loop, or read it with view().
     """
 
-    def __init__(self, L: float):
+    def __init__(self, L: float, rows: int = 0):
         if not (L > 0.0 and math.isfinite(L)):
             raise ValueError(f"L must be positive and finite, got {L!r}")
         self.L = L
-        self._rows = array("d")
+        self._rows = array("d", [0.0]) * (_WIDTH * rows)
+        # Byte offsets: the end of the appended rows, of the allocated ones.
+        self._end = 0
+        self._allocated = _ROW_BYTES * rows
 
     @property
     def n(self) -> int:
-        return len(self._rows) // _WIDTH
+        return self._end // _ROW_BYTES
 
     t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(_copy, TRACE_COLUMNS)
 
@@ -187,14 +203,15 @@ class SimTrace:
 
         A stored column is a read-only strided memoryview; z3 = eta + delta
         (the float operation run_simulation performs) and x = z/L are lazy
-        maps over such views.  Each holds the trace's buffer, so append
-        raises BufferError while it is alive: take a memoryview in a
-        ``with`` block, and use a map up within one expression.  An unknown
-        name raises ValueError.
+        maps over such views.  Each covers the rows appended so far and
+        holds the trace's buffer, so an append that grows the array raises
+        BufferError while it is alive: take a memoryview in a ``with``
+        block, and use a map up within one expression.  An unknown name
+        raises ValueError.
         """
         if name in _STORED:
             j = _STORED.index(name)
-            return memoryview(self._rows).toreadonly()[j::_WIDTH][a:b]
+            return memoryview(self._rows).toreadonly()[j:_WIDTH * self.n:_WIDTH][a:b]
         if name == "z3":
             return map(add, self.view("eta", a, b), self.view("delta", a, b))
         if name in ("x1", "x2", "x3"):
@@ -203,8 +220,14 @@ class SimTrace:
                          f"{', '.join(TRACE_COLUMNS)}")
 
     def append(self, t, z1, z2, u, u1, eta, delta) -> None:
-        """Add one row of the seven stored values."""
-        self._rows.frombytes(_ROW.pack(t, z1, z2, u, u1, eta, delta))
+        """Add one row of the seven stored values: fill the next allocated
+        row, or grow the array by one."""
+        end = self._end
+        if end < self._allocated:
+            _pack_into(self._rows, end, t, z1, z2, u, u1, eta, delta)
+        else:
+            self._rows.frombytes(_pack(t, z1, z2, u, u1, eta, delta))
+        self._end = end + _ROW_BYTES
 
 
 def write_trace_csv(trace: SimTrace, path: str) -> None:
@@ -228,6 +251,7 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
     ValueError starting with `path:lineno:`.  An L that is not positive and
     finite raises ValueError before the file is opened."""
     trace = SimTrace(L=L)
+    grow = trace._rows.frombytes  # append's grow path, without a call per row
     t_prev = -math.inf
     with open(path, "r", newline="") as f:
         header = f.readline().strip()
@@ -256,12 +280,18 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
                                      f"eta + delta = {z3_row!r}")
                 raise ValueError(f"{path}:{lineno}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
                                  f"z/L = {z1 / L!r}, {z2 / L!r}, {z3_row / L!r} for L = {L!r}")
-            trace.append(t, z1, z2, u, u1, eta, delta)
+            grow(_pack(t, z1, z2, u, u1, eta, delta))
+    trace._end = _ROW_BYTES * (len(trace._rows) // _WIDTH)
     return trace
 
 
-def run_simulation(cfg: SimConfig) -> SimTrace:
-    """Run the closed loop for cfg.steps steps; return the full trace.
+def run_simulation(cfg: SimConfig, sink=None):
+    """Run the closed loop for cfg.steps steps; pass each row to sink.append.
+
+    A row is (t, z1, z2, u, u1, eta, delta), as SimTrace.append takes it,
+    and the run returns the sink.  With no sink, it is a SimTrace allocated
+    for exactly the n + 1 rows, so the run returns the full trace; a sink
+    that keeps less (metrics.WindowMax) makes the run store no trace.
 
     Within a step: the input is computed from the current measured state and
     the controller memory, the row is recorded, then the plant advances with
@@ -277,13 +307,15 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     n = cfg.steps
     z1, z2, eta = cfg.z1_0, cfg.z2_0, cfg.eta_0
     zb1, zb2, u1, d_est = z1, z2, 0.0, 0.0
-    trace = SimTrace(L=g.L)
+    if sink is None:
+        sink = SimTrace(L=g.L, rows=n + 1)
+    append = sink.append
 
     delta_now = eval_disturbance(cfg.disturbance, 0.0)
     for k in range(n):
         t = k * h
         u, u1, eta_next, d_est = step(k, z1, z2, zb1, zb2, eta, u1, d_est, g, h)
-        trace.append(t, z1, z2, u, u1, eta, delta_now)
+        append(t, z1, z2, u, u1, eta, delta_now)
         delta_now = eval_disturbance(cfg.disturbance, (k + 1) * h)
         zb1, zb2, eta = z1, z2, eta_next
         z1, z2 = plant_step(z1, z2, u, delta_now, h)
@@ -296,5 +328,5 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
                       f"(z1={z1:g}, z2={z2:g}, eta={eta:g})")
 
     u, u1, _, _ = step(n, z1, z2, zb1, zb2, eta, u1, d_est, g, h)  # evaluated, not committed
-    trace.append(n * h, z1, z2, u, u1, eta, delta_now)
-    return trace
+    append(n * h, z1, z2, u, u1, eta, delta_now)
+    return sink

@@ -12,6 +12,8 @@ the in-place metrics; ``row`` reads one trace row as the CSV writes it.
 """
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -193,6 +195,8 @@ def reference_chatter_metrics(trace, window):
     u = trace.u
     us = [u[i] for i in idx]
     diffs = [us[i + 1] - us[i] for i in range(len(us) - 1)]
-    tv = sum(abs(d) for d in diffs)
+    # Left to right from 0.0 on every Python version (sum() compensates from
+    # 3.12), through operator.add as the metric: a NaN's payload follows it.
+    tv = reduce(add, (abs(d) for d in diffs), 0.0)
     flips = sum(1 for i in range(len(diffs) - 1) if diffs[i] * diffs[i + 1] < 0.0)
     return ChatterReport(total_variation_u=tv, sign_flips_u_delta=flips)

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctasim
-from ctasim import cli
+from ctasim import cli, plant
 from ctasim.cli import (
+    ORDERS,
     get_preset,
     load_config,
     main,
@@ -21,10 +22,12 @@ from ctasim.cli import (
     resolve_config,
     run_preset,
     run_sweep,
+    steady_window,
     write_trace_csv,
 )
 from ctasim.controller import Gains
-from ctasim.plant import Disturbance, Sinusoid
+from ctasim.metrics import precision_envelope
+from ctasim.plant import Disturbance, Sinusoid, run_simulation
 from oracles import row
 
 
@@ -177,6 +180,30 @@ class TestSweep:
         # three equal h would leave the log-log fit nothing to divide by
         with pytest.raises(ValueError, match="step sizes must be distinct"):
             run_sweep("paper-implicit", (0.5, 0.25, 0.5))
+
+    def test_rows_equal_the_stored_traces_envelopes(self):
+        h_values = (0.01, 0.005, 0.002)
+        res = run_sweep("paper-explicit", h_values)
+        cfg = get_preset("paper-explicit").cfg
+        for r, h in zip(res.rows, h_values):
+            run_cfg = cfg.replace(h=h)
+            report = precision_envelope(run_simulation(run_cfg), steady_window(run_cfg), h,
+                                        ORDERS["explicit"])
+            assert (r.h, r.status) == (h, "ok")
+            assert r.sup_abs_x == report.sup_abs_x
+
+    def test_divergent_step_keeps_its_row(self, monkeypatch):
+        real = plant.plant_step
+
+        def nan_at_half(z1, z2, u, delta, h):
+            return (math.nan, 0.0) if h == 0.5 else real(z1, z2, u, delta, h)
+
+        monkeypatch.setattr(plant, "plant_step", nan_at_half)
+        res = run_sweep("paper-implicit", (0.5, 0.25, 0.2))
+        assert [(r.h, r.status) for r in res.rows] == \
+            [(0.5, "divergent"), (0.25, "ok"), (0.2, "ok")]
+        assert res.rows[0].sup_abs_x is None
+        assert all(s is not None for s in res.slopes)  # fitted on the two ok rows
 
     def test_zero_preset_sweep_has_no_slopes(self):
         res = run_sweep("zero", (0.01, 0.005, 0.002))
@@ -357,6 +384,14 @@ class TestCommandLine:
         (["simulate", "--preset", "zero", "--init", ""], "--init expects 3"),
         (["sweep", "--preset", "zero", "--h-list", "0.01,,0.005,0.002"],
          "--h-list: could not convert string to float: ''"),
+        # An empty path is a path that cannot be opened, not a flag left out.
+        (["simulate", "--preset", "zero", "--out", ""], "No such file or directory: ''"),
+        (["simulate", "--preset", "zero", "--summary", ""], "No such file or directory: ''"),
+        (["simulate", "--preset", "zero", "--config", ""], "No such file or directory: ''"),
+        (["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2", "--out", ""],
+         "No such file or directory: ''"),
+        (["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2", "--summary", ""],
+         "No such file or directory: ''"),
     ])
     def test_usage_error_is_one_line_exit_1(self, capsys, argv, fragment):
         rc = main(argv)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctasim.cli import get_preset, run_preset, summarize
 from ctasim.metrics import (
+    WindowMax,
     chatter_metrics,
     convergence_time,
     precision_envelope,
@@ -172,6 +173,12 @@ class TestChatterMetrics:
         with pytest.raises(ValueError):
             chatter_metrics(trace, (99.0, 100.0))
 
+    def test_total_variation_is_a_left_to_right_sum(self):
+        # |increments| 2**53, 1, 1: left to right 2**53 + 1 rounds back to
+        # 2**53, twice; a compensated sum (sum() from Python 3.12) gives 2**53 + 2.
+        trace = make_trace([0.0] * 4, u=[2.0**53, 0.0, 1.0, 0.0])
+        assert chatter_metrics(trace, (0.0, 0.03)).total_variation_u == 9007199254740992.0
+
     def test_one_row_window_is_float(self):
         # The window (0.0008, 0.001) holds the last row only: no increments.
         summary = run_preset("zero", {"t_final": 0.001, "h": 0.001})[1]
@@ -250,6 +257,19 @@ class TestMatchesRowByRowReference:
             _outcome(reference_precision_envelope, trace, window, h, orders)
         assert _outcome(chatter_metrics, trace, window) == \
             _outcome(reference_chatter_metrics, trace, window)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_window_max_sink(self, data):
+        """WindowMax, fed the rows one at a time, equals precision_envelope's
+        sup_abs_x bit for bit, or raises its ValueError."""
+        trace, ts = data.draw(increasing_traces())
+        window = (data.draw(window_bounds(ts)), data.draw(window_bounds(ts)))
+        sink = WindowMax(trace.L, window, ts[1] - ts[0] if len(ts) >= 2 else 0.0)
+        for r in zip(*(getattr(trace, c) for c in ("t", "z1", "z2", "u", "u1", "eta", "delta"))):
+            sink.append(*r)
+        assert _outcome(lambda: sink.sup_abs_x) == _outcome(
+            lambda: precision_envelope(trace, window, 1.0, (1.0, 1.0, 1.0)).sup_abs_x)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

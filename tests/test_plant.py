@@ -2,6 +2,7 @@ import math
 import struct
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -383,6 +384,39 @@ class TestSimTrace:
             with trace.view(name) as view:
                 assert view.strides == (56,) and len(view) == trace.n
                 assert view.obj.itemsize * len(view.obj) == 56 * trace.n
+
+    @pytest.mark.parametrize("method", ["explicit", "implicit"])
+    def test_run_allocates_exactly_its_rows(self, method):
+        cfg = get_preset(f"paper-{method}").cfg
+        trace = run_simulation(cfg)
+        assert trace.n == cfg.steps + 1
+        assert sys.getsizeof(trace._rows) == sys.getsizeof(array("d")) + 56 * (cfg.steps + 1)
+
+    def test_reads_stop_at_the_appended_rows(self):
+        trace = SimTrace(L=3.0, rows=5)
+        grown = SimTrace(L=3.0)
+        for k in range(2):
+            trace.append(*_ROW[:1], k + 1.0, *_ROW[2:])
+            grown.append(*_ROW[:1], k + 1.0, *_ROW[2:])
+        assert trace.n == 2
+        for name in TRACE_COLUMNS:
+            column = getattr(trace, name)
+            assert len(column) == 2 and _bits(column) == _bits(getattr(grown, name))
+            assert _bits(list(trace.view(name))) == _bits(column)
+        assert [row(trace, i) for i in range(2)] == [row(grown, i) for i in range(2)]
+        with pytest.raises(IndexError):
+            row(trace, 2)
+
+    def test_fills_its_rows_then_grows(self):
+        trace = SimTrace(L=3.0, rows=2)
+        trace.append(*_ROW)
+        with trace.view("z1") as held:
+            trace.append(*_ROW[:1], 8.0, *_ROW[2:])  # fills in place
+            assert len(held) == 1 and trace.n == 2
+            with pytest.raises(BufferError):  # growing would move the buffer
+                trace.append(*_ROW)
+        trace.append(*_ROW[:1], 9.0, *_ROW[2:])
+        assert trace.n == 3 and list(trace.z1) == [1.0, 8.0, 9.0]
 
     @pytest.mark.parametrize("L", [0.0, -5.0, math.nan, math.inf])
     def test_rejects_scale_not_positive_and_finite(self, L):
