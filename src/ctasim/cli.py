@@ -21,11 +21,10 @@ import json
 import math
 import sys
 from collections import namedtuple
-from functools import reduce
-from operator import add
 
 from .controller import Gains
-from .metrics import WindowMax, chatter_metrics, convergence_time, precision_envelope
+from .metrics import (
+    WindowMax, chatter_metrics, convergence_time, fit_loglog_slope, precision_envelope)
 from .plant import (
     Disturbance,
     METHODS,
@@ -52,7 +51,7 @@ ORDERS = {"explicit": (3.0, 2.0, 1.0), "implicit": (4.0, 3.0, 2.0)}
 DEFAULT_THRESHOLD = 0.01
 
 
-ExperimentPreset = namedtuple("ExperimentPreset", "name cfg")
+ExperimentPreset = namedtuple("ExperimentPreset", "cfg")
 
 
 def _benchmark_cfg(method: str) -> SimConfig:
@@ -69,12 +68,10 @@ def _benchmark_cfg(method: str) -> SimConfig:
 
 
 PRESETS = {
-    "paper-explicit": ExperimentPreset("paper-explicit", _benchmark_cfg("explicit")),
-    "paper-implicit": ExperimentPreset("paper-implicit", _benchmark_cfg("implicit")),
+    "paper-explicit": ExperimentPreset(_benchmark_cfg("explicit")),
+    "paper-implicit": ExperimentPreset(_benchmark_cfg("implicit")),
     "zero": ExperimentPreset(
-        "zero",
-        SimConfig(h=0.001, t_final=1.0, method="implicit", gains=PAPER_GAINS),
-    ),
+        SimConfig(h=0.001, t_final=1.0, method="implicit", gains=PAPER_GAINS)),
 }
 
 
@@ -150,31 +147,16 @@ SweepRow = namedtuple("SweepRow", "h sup_abs_x status")
 SweepResult = namedtuple("SweepResult", "method rows slopes")
 
 
-def _plain_sum(values) -> float:
-    """Left-to-right float sum from 0.0: sum() compensates rounding from
-    Python 3.12 on, which would make the slopes depend on the version."""
-    return reduce(add, values, 0.0)
-
-
-def fit_loglog_slope(hs: list[float], sups: list[float]) -> float | None:
-    pts = [(math.log(h), math.log(s)) for h, s in zip(hs, sups) if s > 0.0]
-    if len(pts) < 2:
-        return None
-    mx = _plain_sum(p[0] for p in pts) / len(pts)
-    my = _plain_sum(p[1] for p in pts) / len(pts)
-    sxx = _plain_sum((p[0] - mx) ** 2 for p in pts)
-    sxy = _plain_sum((p[0] - mx) * (p[1] - my) for p in pts)
-    return sxy / sxx
-
-
 def run_sweep(preset: str, h_values: tuple[float, ...],
-              method: str | None = None) -> SweepResult:
+              settings: dict | None = None) -> SweepResult:
     """Run one simulation per step size; fit log(sup|x_i|) against log(h).
 
-    ``method`` replaces the preset's method when given.  Each run passes its
-    rows to a metrics.WindowMax sink over the steady window, so no trace is
-    stored.  Divergent runs are kept in the table but excluded from the
-    fits, as are identically-zero envelopes.
+    ``settings`` (see resolve_config) apply over the preset, as in
+    run_preset; each step size then replaces h.  Every step size is checked
+    before the first run.  Each run passes its rows to a metrics.WindowMax
+    sink over the steady window, so no trace is stored.  Divergent runs are
+    kept in the table but excluded from the fits, as are identically-zero
+    envelopes.
     """
     if len(h_values) < 3:
         raise ValueError("a sweep needs at least 3 step sizes")
@@ -182,24 +164,20 @@ def run_sweep(preset: str, h_values: tuple[float, ...],
         raise ValueError("step sizes must be positive")
     if len(set(h_values)) < len(h_values):
         raise ValueError(f"step sizes must be distinct, got {h_values}")
-    cfg = get_preset(preset).cfg
-    if method is not None:
-        cfg = cfg.replace(method=method)
+    cfg, _ = resolve_config(get_preset(preset).cfg, settings or {})
+    run_cfgs = [cfg.replace(h=h) for h in h_values]
     rows = []
-    for h in h_values:
-        run_cfg = cfg.replace(h=h)
+    for h, run_cfg in zip(h_values, run_cfgs):
         try:
             sink = run_simulation(run_cfg, WindowMax(run_cfg.gains.L, steady_window(run_cfg), h))
         except SimulationDiverged:
             rows.append(SweepRow(h=h, sup_abs_x=None, status="divergent"))
             continue
         rows.append(SweepRow(h=h, sup_abs_x=sink.sup_abs_x, status="ok"))
-    slopes = []
-    for i in range(3):
-        hs = [r.h for r in rows if r.status == "ok"]
-        sups = [r.sup_abs_x[i] for r in rows if r.status == "ok"]
-        slopes.append(fit_loglog_slope(hs, sups))
-    return SweepResult(method=cfg.method, rows=tuple(rows), slopes=tuple(slopes))
+    ok = [r for r in rows if r.status == "ok"]
+    slopes = tuple(fit_loglog_slope([r.h for r in ok], [r.sup_abs_x[i] for r in ok])
+                   for i in range(3))
+    return SweepResult(method=cfg.method, rows=tuple(rows), slopes=slopes)
 
 
 SWEEP_HEADER = "h,sup_abs_x1,sup_abs_x2,sup_abs_x3,status"
@@ -209,11 +187,8 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
     with open(path, "w", newline="") as f:
         f.write(SWEEP_HEADER + "\n")
         for r in result.rows:
-            if r.sup_abs_x is None:
-                f.write(f"{r.h:.17g},nan,nan,nan,{r.status}\n")
-            else:
-                s = ",".join(f"{v:.17g}" for v in r.sup_abs_x)
-                f.write(f"{r.h:.17g},{s},{r.status}\n")
+            values = (r.h, *(r.sup_abs_x or (math.nan,) * 3))
+            f.write(",".join(f"{v:.17g}" for v in values) + f",{r.status}\n")
 
 
 # --- config files -----------------------------------------------------------
@@ -227,23 +202,35 @@ def load_config(path: str) -> dict:
 
     Keys: method, h, t_final, kp1..kp4, L, z1_0, z2_0, eta_0, threshold,
     delta_constant, and repeatable delta_sin / delta_cos lines of the form
-    `amp,omega`.  The delta_* lines build the `disturbance` setting, which
-    replaces the preset's disturbance.  Lines starting with '#' are comments.
-    Errors start with `path:lineno:` and name the key.
+    `amp,omega`; any other key may be set once.  The delta_* lines build the
+    `disturbance` setting, which replaces the preset's disturbance.  Lines
+    starting with '#' are comments.  Errors start with `path:lineno:` and
+    name the key; a file that does not decode raises ValueError starting
+    with `path:`.
     """
     settings: dict = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected `key = value`, got {stripped!r}")
-            key, _, value = (part.strip() for part in stripped.partition("="))
-            try:
-                _set_config_value(settings, key, value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+    first_set: dict[str, int] = {}
+    try:
+        with open(path) as f:
+            for lineno, line in enumerate(f, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                if "=" not in stripped:
+                    raise ValueError(f"{path}:{lineno}: expected `key = value`, got {stripped!r}")
+                key, _, value = (part.strip() for part in stripped.partition("="))
+                if key in first_set:
+                    raise ValueError(f"{path}:{lineno}: {key}: repeated "
+                                     f"(first set on line {first_set[key]})")
+                try:
+                    _set_config_value(settings, key, value)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+                if key not in ("delta_sin", "delta_cos"):
+                    first_set[key] = lineno
+    except UnicodeDecodeError as exc:
+        # Decoding runs in chunks, so the line is unknown.
+        raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
     return settings
 
 
@@ -353,19 +340,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     h_values = tuple(_parse_floats(args.h_list, "--h-list"))
-    result = run_sweep(args.preset, h_values, args.method)
+    settings = {"method": args.method} if args.method is not None else {}
+    result = run_sweep(args.preset, h_values, settings)
     if args.out is not None:
         write_sweep_csv(result, args.out)
-    _emit({
-        "preset": args.preset,
-        "method": result.method,
-        "rows": [
-            {"h": r.h, "sup_abs_x": None if r.sup_abs_x is None else list(r.sup_abs_x),
-             "status": r.status}
-            for r in result.rows
-        ],
-        "fitted_slopes": list(result.slopes),
-    }, args.summary)
+    _emit({"preset": args.preset, "method": result.method,
+           "rows": [r._asdict() for r in result.rows],
+           "fitted_slopes": result.slopes}, args.summary)
     return 0
 
 

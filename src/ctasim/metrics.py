@@ -1,5 +1,5 @@
 """Post-processing of simulation traces: precision envelopes, convergence
-time, and chattering measures.
+time, and chattering measures; and the sweep's log-log slope fit.
 
 Every metric reads the trace in place through SimTrace.view, with no
 column copies, and uses up or releases each view before it returns or
@@ -8,9 +8,9 @@ so that a time window is one contiguous run of rows, found by bisection on
 t.  WindowMax takes precision_envelope's maxima from the rows of a run as
 they are produced, with no trace stored.
 
-Float sums are taken left to right from 0.0 (functools.reduce), not with
-sum(), which compensates rounding from Python 3.12 on: the bits of a
-metric do not depend on the Python version.
+Float sums are taken left to right from 0.0 (_plain_sum), not with sum(),
+which compensates rounding from Python 3.12 on: the bits of a metric and
+of a fitted slope do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -151,7 +151,25 @@ def chatter_metrics(trace: SimTrace, window: tuple[float, float]) -> ChatterRepo
     """
     a, b = _window(trace, window)
     with trace.view("u") as u:
-        tv = reduce(add, map(abs, map(sub, u[a + 1:b], u[a:b - 1])), 0.0)
+        tv = _plain_sum(map(abs, map(sub, u[a + 1:b], u[a:b - 1])))
         flips = sum(1 for d0, d1 in pairwise(map(sub, u[a + 1:b], u[a:b - 1]))
                     if d0 * d1 < 0.0)
     return ChatterReport(total_variation_u=tv, sign_flips_u_delta=flips)
+
+
+def _plain_sum(values) -> float:
+    """Left-to-right float sum from 0.0 (see the module docstring)."""
+    return reduce(add, values, 0.0)
+
+
+def fit_loglog_slope(hs: list[float], sups: list[float]) -> float | None:
+    """Least-squares slope of log(sup) against log(h) over the points with
+    sup > 0; None if fewer than two remain."""
+    pts = [(math.log(h), math.log(s)) for h, s in zip(hs, sups) if s > 0.0]
+    if len(pts) < 2:
+        return None
+    mx = _plain_sum(p[0] for p in pts) / len(pts)
+    my = _plain_sum(p[1] for p in pts) / len(pts)
+    sxx = _plain_sum((p[0] - mx) ** 2 for p in pts)
+    sxy = _plain_sum((p[0] - mx) * (p[1] - my) for p in pts)
+    return sxy / sxx

@@ -248,39 +248,44 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
     line), a row whose t is not finite or not greater than the previous
     row's (the time order SimTrace requires), or a row whose z3 and x are
     not eta + delta and z/L bit for bit (-0 is not 0; NaN never is) raises
-    ValueError starting with `path:lineno:`.  An L that is not positive and
-    finite raises ValueError before the file is opened."""
+    ValueError starting with `path:lineno:`, and a file that does not
+    decode raises ValueError starting with `path:`.  An L that is not
+    positive and finite raises ValueError before the file is opened."""
     trace = SimTrace(L=L)
     grow = trace._rows.frombytes  # append's grow path, without a call per row
     t_prev = -math.inf
-    with open(path, "r", newline="") as f:
-        header = f.readline().strip()
-        if header != TRACE_HEADER:
-            raise ValueError(f"unexpected trace header: {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            try:
-                t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, line.split(","))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not t_prev < t < math.inf:
-                if not math.isfinite(t):
-                    raise ValueError(f"{path}:{lineno}: t = {t!r} is not finite")
-                raise ValueError(f"{path}:{lineno}: t = {t!r} is not greater than "
-                                 f"the previous row's t = {t_prev!r}")
-            t_prev = t
-            z3_row = eta + delta
-            # != fails every NaN.  Equal floats differ in bits only at -0 and 0,
-            # so the bits are compared only when a cell is zero.
-            if (z3 != z3_row or x1 != z1 / L or x2 != z2 / L or x3 != z3_row / L
-                    or not (z3 and x1 and x2 and x3)
-                    and _DERIVED.pack(z3, x1, x2, x3)
-                    != _DERIVED.pack(z3_row, z1 / L, z2 / L, z3_row / L)):
-                if struct.pack("d", z3) != struct.pack("d", z3_row):
-                    raise ValueError(f"{path}:{lineno}: z3 = {z3!r} is not "
-                                     f"eta + delta = {z3_row!r}")
-                raise ValueError(f"{path}:{lineno}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
-                                 f"z/L = {z1 / L!r}, {z2 / L!r}, {z3_row / L!r} for L = {L!r}")
-            grow(_pack(t, z1, z2, u, u1, eta, delta))
+    try:
+        with open(path, "r", newline="") as f:
+            header = f.readline().strip()
+            if header != TRACE_HEADER:
+                raise ValueError(f"unexpected trace header: {header!r}")
+            for lineno, line in enumerate(f, start=2):
+                try:
+                    t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, line.split(","))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if not t_prev < t < math.inf:
+                    if not math.isfinite(t):
+                        raise ValueError(f"{path}:{lineno}: t = {t!r} is not finite")
+                    raise ValueError(f"{path}:{lineno}: t = {t!r} is not greater than "
+                                     f"the previous row's t = {t_prev!r}")
+                t_prev = t
+                z3_row = eta + delta
+                # != fails every NaN.  Equal floats differ in bits only at -0 and 0,
+                # so the bits are compared only when a cell is zero.
+                if (z3 != z3_row or x1 != z1 / L or x2 != z2 / L or x3 != z3_row / L
+                        or not (z3 and x1 and x2 and x3)
+                        and _DERIVED.pack(z3, x1, x2, x3)
+                        != _DERIVED.pack(z3_row, z1 / L, z2 / L, z3_row / L)):
+                    if struct.pack("d", z3) != struct.pack("d", z3_row):
+                        raise ValueError(f"{path}:{lineno}: z3 = {z3!r} is not "
+                                         f"eta + delta = {z3_row!r}")
+                    raise ValueError(f"{path}:{lineno}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
+                                     f"z/L = {z1 / L!r}, {z2 / L!r}, {z3_row / L!r} for L = {L!r}")
+                grow(_pack(t, z1, z2, u, u1, eta, delta))
+    except UnicodeDecodeError as exc:
+        # Decoding runs in chunks, so the line is unknown.
+        raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
     trace._end = _ROW_BYTES * (len(trace._rows) // _WIDTH)
     return trace
 

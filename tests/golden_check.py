@@ -1,0 +1,86 @@
+"""Check the benchmark presets and the order sweep against the goldens.
+
+Usage (any Python from 3.10 on, from anywhere): python3 tests/golden_check.py
+
+Runs `ctasim simulate` for paper-explicit and paper-implicit and the 4-point
+`paper-implicit` sweep through ctasim.cli.main in a temporary directory, and
+compares the trace CSV SHA-256s, the summaries and the sweep JSON with
+perfbench/goldens.json, which it only reads.  Prints one line per check and
+exits 1 on any mismatch.  It needs the standard library only (no pytest,
+numpy or hypothesis), so it runs on interpreters that cannot run the test
+suite; tests/test_goldens.py calls the same check functions.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if __name__ == "__main__":
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from ctasim import cli  # noqa: E402
+
+GOLDENS = os.path.join(ROOT, "perfbench", "goldens.json")
+PRESETS = ("paper-explicit", "paper-implicit")
+SWEEP_ARGV = ["sweep", "--preset", "paper-implicit", "--h-list", "1e-3,5e-4,2e-4,1e-4"]
+
+
+def load_goldens() -> dict:
+    with open(GOLDENS) as f:
+        return json.load(f)
+
+
+def _main(argv: list[str]) -> tuple[int, str]:
+    """cli.main with its stdout captured: (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    return rc, out.getvalue()
+
+
+def check_preset(preset: str, workdir: str) -> list[str]:
+    """`simulate --preset PRESET --out --summary` against its golden trace
+    SHA-256 and summary; returns the mismatches, empty if none."""
+    golden = load_goldens()["simulate"][preset]
+    csv, summary = (os.path.join(workdir, f"{preset}.{ext}") for ext in ("csv", "json"))
+    rc, _ = _main(["simulate", "--preset", preset, "--out", csv, "--summary", summary])
+    if rc != 0:
+        return [f"exit code {rc}"]
+    problems = []
+    with open(csv, "rb") as f:
+        if hashlib.sha256(f.read()).hexdigest() != golden["trace_sha256"]:
+            problems.append("trace SHA-256 differs")
+    with open(summary) as f:
+        if json.load(f) != golden["summary"]:
+            problems.append("summary differs")
+    return problems
+
+
+def check_sweep() -> list[str]:
+    """The 4-point sweep's printed JSON against its golden; returns the
+    mismatches, empty if none."""
+    rc, out = _main(SWEEP_ARGV)
+    if rc != 0:
+        return [f"exit code {rc}"]
+    return [] if json.loads(out) == load_goldens()["sweep"] else ["sweep JSON differs"]
+
+
+def main() -> int:
+    print(f"Python {platform.python_version()}")
+    with tempfile.TemporaryDirectory() as workdir:
+        results = [(preset, check_preset(preset, workdir)) for preset in PRESETS]
+    results.append(("sweep", check_sweep()))
+    for name, problems in results:
+        print(f"{'MISMATCH' if problems else 'ok'}  {name}: "
+              f"{'; '.join(problems) or 'matches the golden'}")
+    return 1 if any(problems for _, problems in results) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,12 +8,17 @@ the trace-level functions it reaches through ``ctasim.cli``.  A loop that
 stops calling one of these names through its module, a step whose result is
 not a function of its arguments, or a name moved out of the module the
 benchmark reads it from breaks the traced benchmark without failing any
-other test.
+other test.  ``perfbench/setup_probe.py`` stops each listed workload's
+command at its first ``cli.run_simulation`` call; a command that stops
+calling it, or calls it with arguments the probe's stand-in does not take,
+fails every set-up probe, and so every benchmark run.
 """
 
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,8 +26,13 @@ from ctasim import controller
 from ctasim.cli import get_preset
 from perfbench import replay, workloads
 
-BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "BENCHMARK.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
+
+
+def _listed_workloads() -> list[str]:
+    with open(BENCHMARK) as f:
+        return [w["name"] for w in json.load(f)["workloads"]]
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +72,14 @@ def test_per_layer_replay_reaches_every_name_and_matches_goldens(recorded, tmp_p
     assert all(math.isfinite(v) and v >= 0.0 for v in values.values())
     assert values["controller.explicit_step.us_per_call"] > 0.0
     assert values["cli.read_trace_csv.ms"] > 0.0
+
+
+@pytest.mark.parametrize("workload", _listed_workloads())
+def test_setup_probe_reaches_the_first_step(workload, monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends to it on import
+    from perfbench import run
+
+    proc = subprocess.run([sys.executable, run.PROBE, *run.setup_argv(workload, str(tmp_path))],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.splitlines()[-1]) > 0.0

@@ -15,6 +15,7 @@ import ctasim
 from ctasim import cli, plant
 from ctasim.cli import (
     ORDERS,
+    ExperimentPreset,
     get_preset,
     load_config,
     main,
@@ -23,6 +24,7 @@ from ctasim.cli import (
     run_preset,
     run_sweep,
     steady_window,
+    write_sweep_csv,
     write_trace_csv,
 )
 from ctasim.controller import Gains
@@ -45,6 +47,10 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             get_preset("nope")
+
+    def test_preset_holds_only_its_config(self):
+        # The name is the PRESETS key; it is not repeated in the value.
+        assert ExperimentPreset._fields == ("cfg",)
 
     def test_zero_preset_runs_flat(self):
         trace, summary = run_preset("zero")
@@ -192,7 +198,7 @@ class TestSweep:
             assert (r.h, r.status) == (h, "ok")
             assert r.sup_abs_x == report.sup_abs_x
 
-    def test_divergent_step_keeps_its_row(self, monkeypatch):
+    def test_divergent_step_keeps_its_row(self, monkeypatch, tmp_path):
         real = plant.plant_step
 
         def nan_at_half(z1, z2, u, delta, h):
@@ -204,6 +210,27 @@ class TestSweep:
             [(0.5, "divergent"), (0.25, "ok"), (0.2, "ok")]
         assert res.rows[0].sup_abs_x is None
         assert all(s is not None for s in res.slopes)  # fitted on the two ok rows
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(res, str(path))
+        assert path.read_text().splitlines()[1] == "0.5,nan,nan,nan,divergent"
+
+    def test_settings_apply_over_the_preset(self):
+        # The two paper presets differ only in their method.
+        hs = (0.01, 0.005, 0.002)
+        via_settings = run_sweep("paper-implicit", hs, {"method": "explicit"})
+        assert via_settings.method == "explicit"
+        assert repr(via_settings) == repr(run_sweep("paper-explicit", hs))
+
+    def test_unknown_setting_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown setting\(s\): stepsize$"):
+            run_sweep("zero", (0.5, 0.25, 0.2), {"stepsize": 0.1})
+
+    def test_every_step_size_checked_before_the_first_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_simulation", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="t_final must be a whole number of steps"):
+            run_sweep("zero", (0.5, 0.25, 0.3))
+        assert calls == []
 
     def test_zero_preset_sweep_has_no_slopes(self):
         res = run_sweep("zero", (0.01, 0.005, 0.002))
@@ -257,6 +284,52 @@ class TestConfigFile:
         with pytest.raises(ValueError) as info:
             load_config(str(cfg_file))
         assert str(info.value).startswith(f"{cfg_file}:2: {key}: ")
+
+    @pytest.mark.parametrize("first, again", [
+        ("h = 0.001", "h = 0.002"),
+        ("method = explicit", "method = implicit"),
+        ("delta_constant = 1", "delta_constant = 2"),
+    ])
+    def test_repeated_key_rejected(self, tmp_path, first, again):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{first}\n# comment\ndelta_sin = 1,2\n{again}\n")
+        key = first.partition(" ")[0]
+        with pytest.raises(ValueError) as info:
+            load_config(str(cfg_file))
+        assert str(info.value) == f"{cfg_file}:4: {key}: repeated (first set on line 1)"
+
+    def test_repeated_sinusoid_lines_add_terms(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("delta_sin = 0.5,3\ndelta_cos = 0.2,1\ndelta_sin = 0.1,4\n")
+        assert load_config(str(cfg_file))["disturbance"].sinusoids == (
+            Sinusoid(0.5, 3.0, "sin"), Sinusoid(0.2, 1.0, "cos"), Sinusoid(0.1, 4.0, "sin"))
+
+
+class TestNotText:
+    """A file that does not decode is named in a one-line ValueError."""
+
+    @pytest.fixture
+    def binary_file(self, tmp_path):
+        path = tmp_path / "binary.dat"
+        path.write_bytes(b"\xd0\xff = 1\n")
+        return path
+
+    def test_config_file(self, binary_file):
+        with pytest.raises(ValueError) as info:
+            load_config(str(binary_file))
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith(f"{binary_file}: not ")
+
+    def test_trace_csv(self, binary_file):
+        with pytest.raises(ValueError) as info:
+            read_trace_csv(str(binary_file), 5.0)
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith(f"{binary_file}: not ")
+
+    def test_main_prints_one_error_line(self, binary_file, capsys):
+        assert main(["simulate", "--preset", "zero", "--config", str(binary_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {binary_file}: not ") and err.count("\n") == 1
 
 
 class TestCommandLine:

@@ -3,37 +3,23 @@
 ``perfbench/goldens.json`` holds the SHA-256 of each preset's trace CSV and
 its summary JSON (recorded on this platform's libm; see
 ``perfbench/make_goldens.py``).  Any change to the bytes a preset writes
-fails here, not only in the benchmark's gate.
+fails here, not only in the benchmark's gate.  The preset and sweep checks
+are ``tests/golden_check.py``'s, which also runs alone on interpreters
+without pytest.
 """
 
-import hashlib
-import json
 import math
-import os
 
 import pytest
 
-from ctasim.cli import main, run_preset
+import golden_check
 from ctasim.plant import TRACE_HEADER, SimTrace, write_trace_csv
 from oracles import row
 
-GOLDENS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "perfbench", "goldens.json")
 
-
-@pytest.fixture(scope="module")
-def goldens():
-    with open(GOLDENS) as f:
-        return json.load(f)["simulate"]
-
-
-@pytest.mark.parametrize("preset", ["paper-explicit", "paper-implicit"])
-def test_preset_trace_and_summary(preset, goldens, tmp_path):
-    trace, summary = run_preset(preset)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == goldens[preset]["trace_sha256"]
-    assert json.loads(json.dumps(summary)) == goldens[preset]["summary"]
+@pytest.mark.parametrize("preset", golden_check.PRESETS)
+def test_preset_trace_and_summary(preset, tmp_path):
+    assert golden_check.check_preset(preset, str(tmp_path)) == []
 
 
 def test_writer_matches_per_value_format(tmp_path):
@@ -53,12 +39,8 @@ def test_writer_matches_per_value_format(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
-def test_order_sweep_json(capsys):
+def test_order_sweep_json():
     """The sweep perfbench times, with its JSON pinned bit for bit: the only
     check on precision_envelope's bits across step sizes (criterion 6 checks
     the fitted slopes to +-0.7)."""
-    with open(GOLDENS) as f:
-        golden = json.load(f)["sweep"]
-    assert main(["sweep", "--preset", "paper-implicit",
-                 "--h-list", "1e-3,5e-4,2e-4,1e-4"]) == 0
-    assert json.loads(capsys.readouterr().out) == golden
+    assert golden_check.check_sweep() == []
