@@ -1,5 +1,7 @@
 """Read-only value types with field-wise ==, hash, repr and replace()."""
 
+import math
+
 
 class Record:
     """Base of ctasim's value types.
@@ -21,6 +23,15 @@ class Record:
         # CPython's fast attribute loads on the gains and the disturbance.
         for name in self._fields:
             object.__setattr__(self, name, values[name])
+
+    def _check_finite(self, *names: str, positive: bool = False) -> None:
+        """Raise ValueError for the first of the fields ``names`` that is not
+        finite, or with ``positive`` not positive and finite."""
+        rule = "positive and finite" if positive else "finite"
+        for name in names:
+            value = getattr(self, name)
+            if not ((not positive or value > 0.0) and math.isfinite(value)):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__}.{name} is read-only; use replace()")

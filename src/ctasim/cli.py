@@ -160,8 +160,6 @@ def run_sweep(preset: str, h_values: tuple[float, ...],
     """
     if len(h_values) < 3:
         raise ValueError("a sweep needs at least 3 step sizes")
-    if any(not h > 0.0 for h in h_values):
-        raise ValueError("step sizes must be positive")
     if len(set(h_values)) < len(h_values):
         raise ValueError(f"step sizes must be distinct, got {h_values}")
     cfg, _ = resolve_config(get_preset(preset).cfg, settings or {})

@@ -44,8 +44,6 @@ reduces to the nominal identification z3 = eta.
 
 from __future__ import annotations
 
-import math
-
 from ._record import Record
 from .resolvent import nested_clamp, sign_selection
 
@@ -59,10 +57,7 @@ class Gains(Record):
 
     def __init__(self, kp1: float, kp2: float, kp3: float, kp4: float, L: float = 1.0):
         self._set(locals())
-        for name in self._fields:
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        self._check_finite(*self._fields, positive=True)
         if not kp3 > kp4:
             raise ValueError(f"kp3 must exceed kp4 for the integrator resolvent, "
                              f"got kp3={kp3!r}, kp4={kp4!r}")

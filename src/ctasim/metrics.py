@@ -164,9 +164,10 @@ def _plain_sum(values) -> float:
 
 def fit_loglog_slope(hs: list[float], sups: list[float]) -> float | None:
     """Least-squares slope of log(sup) against log(h) over the points with
-    sup > 0; None if fewer than two remain."""
+    sup > 0; None if fewer than two distinct log(h) remain (distinct step
+    sizes can share one log(h))."""
     pts = [(math.log(h), math.log(s)) for h, s in zip(hs, sups) if s > 0.0]
-    if len(pts) < 2:
+    if len({x for x, _ in pts}) < 2:
         return None
     mx = _plain_sum(p[0] for p in pts) / len(pts)
     my = _plain_sum(p[1] for p in pts) / len(pts)

@@ -49,7 +49,6 @@ class SimulationDiverged(RuntimeError):
     def __init__(self, step: int, t: float, detail: str):
         super().__init__(f"simulation diverged at step {step} (t={t:g}): {detail}")
         self.step = step
-        self.t = t
 
 
 class Sinusoid(Record):
@@ -57,10 +56,7 @@ class Sinusoid(Record):
 
     def __init__(self, amplitude: float, omega: float, kind: str = "sin"):
         self._set(locals())
-        for name in ("amplitude", "omega"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        self._check_finite("amplitude", "omega")
         if kind not in ("sin", "cos"):
             raise ValueError(f"kind must be 'sin' or 'cos', got {kind!r}")
 
@@ -70,8 +66,7 @@ class Disturbance(Record):
 
     def __init__(self, constant: float = 0.0, sinusoids: tuple[Sinusoid, ...] = ()):
         self._set(locals())
-        if not math.isfinite(constant):
-            raise ValueError(f"constant must be finite, got {constant!r}")
+        self._check_finite("constant")
 
 
 def eval_disturbance(d: Disturbance, t: float) -> float:
@@ -96,10 +91,7 @@ class SimConfig(Record):
                  z1_0: float = 0.0, z2_0: float = 0.0, eta_0: float = 0.0,
                  disturbance: Disturbance = Disturbance()):
         self._set(locals())
-        for name in ("h", "t_final"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        self._check_finite("h", "t_final", positive=True)
         # A whole number of steps, from 1 to MAX_STEPS; the ratio overflows
         # to inf for a tiny h, which fails the first test too.
         steps = self.t_final / self.h
@@ -112,10 +104,7 @@ class SimConfig(Record):
         if abs(round(steps) * self.h - self.t_final) > 1e-9 * self.t_final:
             raise ValueError(f"t_final must be a whole number of steps h={self.h!r}, "
                              f"got {self.t_final!r} ({steps:.6g} steps)")
-        for name in ("z1_0", "z2_0", "eta_0"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        self._check_finite("z1_0", "z2_0", "eta_0")
         # eval_disturbance samples up to t = steps*h; an infinite phase would
         # end in a bare "math domain error" from sin/cos.
         t_last = self.steps * self.h
@@ -243,12 +232,13 @@ def write_trace_csv(trace: SimTrace, path: str) -> None:
 
 
 def read_trace_csv(path: str, L: float) -> SimTrace:
-    """Parse a trace CSV.  The z3 and x columns are not stored.  A malformed
-    row (a field count other than 11, a cell that is not a float, a blank
-    line), a row whose t is not finite or not greater than the previous
-    row's (the time order SimTrace requires), or a row whose z3 and x are
-    not eta + delta and z/L bit for bit (-0 is not 0; NaN never is) raises
-    ValueError starting with `path:lineno:`, and a file that does not
+    """Parse a trace CSV.  The z3 and x columns are not stored.  A header
+    other than TRACE_HEADER (lineno 1), a malformed row (a field count other
+    than 11, a cell that is not a float, a blank line), a row whose t is not
+    finite or not greater than the previous row's (the time order SimTrace
+    requires), or a row whose z3 and x are not eta + delta and z/L bit for
+    bit (-0 is not 0; NaN never is) raises ValueError starting with
+    `path:lineno:`, and a file that does not
     decode raises ValueError starting with `path:`.  An L that is not
     positive and finite raises ValueError before the file is opened."""
     trace = SimTrace(L=L)
@@ -258,7 +248,7 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
         with open(path, "r", newline="") as f:
             header = f.readline().strip()
             if header != TRACE_HEADER:
-                raise ValueError(f"unexpected trace header: {header!r}")
+                raise ValueError(f"{path}:1: unexpected trace header: {header!r}")
             for lineno, line in enumerate(f, start=2):
                 try:
                     t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, line.split(","))

@@ -36,10 +36,6 @@ class Interval(Record):
         self._set(locals())
         _check_ordered(lo, hi)
 
-    def negate(self) -> "Interval":
-        """Mirror image -I = [-hi, -lo]; an involution."""
-        return Interval(-self.hi, -self.lo)
-
 
 def _check_ordered(lo: float, hi: float) -> None:
     # NaN compares false, so this also rejects NaN endpoints.

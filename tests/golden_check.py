@@ -5,7 +5,9 @@ Usage (any Python from 3.10 on, from anywhere): python3 tests/golden_check.py
 Runs `ctasim simulate` for paper-explicit and paper-implicit and the 4-point
 `paper-implicit` sweep through ctasim.cli.main in a temporary directory, and
 compares the trace CSV SHA-256s, the summaries and the sweep JSON with
-perfbench/goldens.json, which it only reads.  Prints one line per check and
+perfbench/goldens.json, which it only reads.  It also reads the
+paper-implicit trace CSV back and summarizes it (the read side of the CSV
+codec), which must give the golden summary.  Prints one line per check and
 exits 1 on any mismatch.  It needs the standard library only (no pytest,
 numpy or hypothesis), so it runs on interpreters that cannot run the test
 suite; tests/test_goldens.py calls the same check functions.
@@ -62,6 +64,21 @@ def check_preset(preset: str, workdir: str) -> list[str]:
     return problems
 
 
+def check_reload(workdir: str) -> list[str]:
+    """Read back the paper-implicit trace CSV that check_preset wrote to
+    ``workdir``, summarize it, and compare the result with the golden summary
+    less its preset key; returns the mismatches, empty if none."""
+    cfg = cli.get_preset("paper-implicit").cfg
+    try:
+        trace = cli.read_trace_csv(os.path.join(workdir, "paper-implicit.csv"), cfg.gains.L)
+    except (OSError, ValueError) as exc:
+        return [f"cannot read the trace: {exc}"]
+    golden = dict(load_goldens()["simulate"]["paper-implicit"]["summary"])
+    del golden["preset"]
+    summary = json.loads(json.dumps(cli.summarize(trace, cfg)))
+    return [] if summary == golden else ["summary differs"]
+
+
 def check_sweep() -> list[str]:
     """The 4-point sweep's printed JSON against its golden; returns the
     mismatches, empty if none."""
@@ -75,6 +92,7 @@ def main() -> int:
     print(f"Python {platform.python_version()}")
     with tempfile.TemporaryDirectory() as workdir:
         results = [(preset, check_preset(preset, workdir)) for preset in PRESETS]
+        results.append(("trace-reload", check_reload(workdir)))
     results.append(("sweep", check_sweep()))
     for name, problems in results:
         print(f"{'MISMATCH' if problems else 'ok'}  {name}: "

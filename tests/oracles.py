@@ -90,7 +90,7 @@ def reference_stage1(k, z1, z2, zb1, zb2, g, h):
     a = g.kp1 * abs(zb1) ** (1.0 / 3.0)
     b = g.kp2 * abs(zb2) ** 0.5
     bound = Interval(a - b, a + b)
-    inner = Interval(proj(bound.negate(), -z2), proj(bound, -z2))
+    inner = Interval(proj(Interval(-bound.hi, -bound.lo), -z2), proj(bound, -z2))
     v_ref = reference_velocity(z1, z2, k, h)
     return proj(inner, v_ref - z2) / h
 
@@ -118,7 +118,7 @@ def reference_stage2(k, z1, z2, zb2, eta, u1_prev, d_prev, u1, g, h):
     y1 = ztilde2 / h + z3k
     y2 = (ztilde2 - v_ref) / h + z3k
     rate = Interval(h * (g.kp3 - g.kp4), h * (g.kp3 + g.kp4))
-    inner = Interval(proj(rate.negate(), -y1), proj(rate, -y1))
+    inner = Interval(proj(Interval(-rate.hi, -rate.lo), -y1), proj(rate, -y1))
     return eta + proj(inner, -y2)
 
 

@@ -32,6 +32,9 @@ from ctasim.metrics import precision_envelope
 from ctasim.plant import Disturbance, Sinusoid, run_simulation
 from oracles import row
 
+# Three distinct step sizes whose math.log is one float, -6.907755278982137.
+SAME_LOG_H = "1e-3,0.0010000000000000002,0.0010000000000000004"
+
 
 class TestPresets:
     def test_benchmark_parameters_pinned(self):
@@ -171,6 +174,15 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="^L must be positive and finite, got 0.0$"):
             read_trace_csv(str(path), 0.0)
 
+    @pytest.mark.parametrize("text, header", [("h = 0.001\n", "h = 0.001"), ("", "")],
+                             ids=["config-file", "empty-file"])
+    def test_wrong_header_names_file_and_line(self, tmp_path, text, header):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_trace_csv(str(path), 5.0)
+        assert str(info.value) == f"{path}:1: unexpected trace header: {header!r}"
+
 
 class TestSweep:
     def test_needs_three_points(self):
@@ -179,13 +191,25 @@ class TestSweep:
 
     @pytest.mark.parametrize("h", [0.0, -0.005, float("nan")])
     def test_rejects_nonpositive_step(self, h):
-        with pytest.raises(ValueError, match="step sizes must be positive"):
+        # SimConfig checks each step size; the sweep builds every one before
+        # its first run.
+        with pytest.raises(ValueError, match="^h must be positive and finite"):
             run_sweep("zero", (0.01, h, 0.002))
 
     def test_rejects_repeated_step(self):
-        # three equal h would leave the log-log fit nothing to divide by
+        # A repeated h adds no information to the table; the slope fit
+        # itself only needs two distinct log(h) (see the test below).
         with pytest.raises(ValueError, match="step sizes must be distinct"):
             run_sweep("paper-implicit", (0.5, 0.25, 0.5))
+
+    def test_step_sizes_sharing_one_log_fit_no_slope(self, capsys):
+        # Three distinct h a few ulps apart: math.log rounds all three to one
+        # value, which leaves the least-squares fit undefined.
+        argv = ["sweep", "--preset", "paper-implicit", "--h-list", SAME_LOG_H]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [r["status"] for r in out["rows"]] == ["ok"] * 3
+        assert out["fitted_slopes"] == [None, None, None]
 
     def test_rows_equal_the_stored_traces_envelopes(self):
         h_values = (0.01, 0.005, 0.002)
@@ -303,6 +327,13 @@ class TestConfigFile:
         cfg_file.write_text("delta_sin = 0.5,3\ndelta_cos = 0.2,1\ndelta_sin = 0.1,4\n")
         assert load_config(str(cfg_file))["disturbance"].sinusoids == (
             Sinusoid(0.5, 3.0, "sin"), Sinusoid(0.2, 1.0, "cos"), Sinusoid(0.1, 4.0, "sin"))
+
+    def test_line_without_equals_rejected(self, tmp_path):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("h 0.001\n")
+        with pytest.raises(ValueError) as info:
+            load_config(str(cfg_file))
+        assert str(info.value) == f"{cfg_file}:1: expected `key = value`, got 'h 0.001'"
 
 
 class TestNotText:
@@ -590,7 +621,8 @@ class TestCommandLine:
 # --- main() under generated flag values ---------------------------------------
 
 # Finite, extreme, non-finite, empty and malformed values.  Step sizes are
-# drawn so that no example runs more than a few hundred steps: the step cap
+# drawn so that no example runs more than a few hundred steps, except the
+# sweep's SAME_LOG_H (at most 3 x 10,000 steps, about 0.1 s): the step cap
 # is tested through the config error alone (tests/test_plant.py).
 ODD_VALUES = ["0", "-0", "1e308", "-1e308", "5e-324", "1e-320", "inf", "-inf", "nan",
               "", " ", "abc", "1e", "0x10", "1,2"]
@@ -625,7 +657,8 @@ sweep_steps = st.sampled_from(["0.5", "0.25", "0.2", "0.1", "1", "2", "0.3", *OD
 sweep_argvs = st.tuples(
     st.just(["sweep", "--preset"]), presets.map(lambda p: [p]),
     _optional("--method", methods),
-    _optional("--h-list", _joined(sweep_steps, 5)), extra_flags,
+    _optional("--h-list", st.one_of(_joined(sweep_steps, 5), st.just(SAME_LOG_H))),
+    extra_flags,
 ).map(lambda parts: sum(parts, []))
 
 

@@ -3,9 +3,9 @@
 ``perfbench/goldens.json`` holds the SHA-256 of each preset's trace CSV and
 its summary JSON (recorded on this platform's libm; see
 ``perfbench/make_goldens.py``).  Any change to the bytes a preset writes
-fails here, not only in the benchmark's gate.  The preset and sweep checks
-are ``tests/golden_check.py``'s, which also runs alone on interpreters
-without pytest.
+fails here, not only in the benchmark's gate.  The preset, trace read-back
+and sweep checks are ``tests/golden_check.py``'s, which also runs alone on
+interpreters without pytest.
 """
 
 import math
@@ -20,6 +20,13 @@ from oracles import row
 @pytest.mark.parametrize("preset", golden_check.PRESETS)
 def test_preset_trace_and_summary(preset, tmp_path):
     assert golden_check.check_preset(preset, str(tmp_path)) == []
+
+
+def test_trace_reload_summary(tmp_path):
+    """The paper-implicit trace, read back from its CSV, summarizes to the
+    golden summary."""
+    assert golden_check.check_preset("paper-implicit", str(tmp_path)) == []
+    assert golden_check.check_reload(str(tmp_path)) == []
 
 
 def test_writer_matches_per_value_format(tmp_path):

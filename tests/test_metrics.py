@@ -10,6 +10,7 @@ from ctasim.metrics import (
     WindowMax,
     chatter_metrics,
     convergence_time,
+    fit_loglog_slope,
     precision_envelope,
     state_settling_time,
 )
@@ -66,6 +67,21 @@ class TestPrecisionEnvelope:
         rep = precision_envelope(trace, (100 * h, 143 * h), h, (1.0, 1.0, 1.0))
         assert rep.sup_abs_x[0] == pytest.approx(1.0 / 5.0)
         assert len(idxs) == 44
+
+    @pytest.mark.parametrize("h", [0.0, -0.001, math.nan])
+    def test_nonpositive_step_rejected(self, h):
+        trace = make_trace([0.0] * 10)
+        with pytest.raises(ValueError) as info:
+            precision_envelope(trace, (0.0, 0.09), h, (1.0, 1.0, 1.0))
+        assert str(info.value) == f"h must be positive, got {h!r}"
+
+
+class TestFitLoglogSlope:
+    def test_step_sizes_sharing_one_log_fit_no_slope(self):
+        hs = [1e-3, 0.0010000000000000002, 0.0010000000000000004]
+        assert len(set(hs)) == 3 and len({math.log(h) for h in hs}) == 1
+        assert fit_loglog_slope(hs, [1.0, 2.0, 3.0]) is None
+        assert fit_loglog_slope([*hs, 2e-3], [1.0, 2.0, 3.0, 4.0]) is not None
 
 
 class TestConvergenceTime:

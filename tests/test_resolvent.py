@@ -24,11 +24,6 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(0.0, float("nan"))
 
-    @given(finite, finite)
-    def test_negate_is_involution(self, a, b):
-        iv = Interval(min(a, b), max(a, b))
-        assert iv.negate().negate() == iv
-
 
 class TestProj:
     def test_clamp_above(self):
@@ -108,7 +103,7 @@ class TestSolveTwoSgn:
     )
     def test_inner_bounds_ordered(self, a, b, y):
         c = Interval(a - b, a + b)
-        assert proj(c.negate(), y) <= proj(c, y)
+        assert proj(Interval(-c.hi, -c.lo), y) <= proj(c, y)
 
     @given(
         st.floats(min_value=1e-3, max_value=100.0),
