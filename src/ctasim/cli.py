@@ -16,8 +16,6 @@ Exit codes: 0 success, 1 usage error, 2 divergence.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
 from collections import namedtuple
@@ -267,21 +265,30 @@ def _parse_floats(text: str, what: str, n: int | None = None) -> list[float]:
         raise ValueError(f"{what}: {exc}") from None
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ValueError, so that main reports them like every
-    other bad input: one `error:` line and exit 1 (argparse's exit 2 is the
-    divergence code)."""
-
-    def error(self, message):
-        raise ValueError(message)
+def _usage_error(message):
+    raise ValueError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+def _parser(**kwargs):
+    """An ArgumentParser whose usage errors raise ValueError, so that main
+    reports them like every other bad input: one `error:` line and exit 1
+    (argparse's exit 2 is the divergence code).
+
+    argparse loads here, not at import, so that a library caller of this
+    module never loads it."""
+    import argparse
+
+    parser = argparse.ArgumentParser(**kwargs)
+    parser.error = _usage_error
+    return parser
+
+
+def _build_parser():
+    parser = _parser(
         prog="ctasim",
         description="Twisting-controller simulator for a perturbed double integrator.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_parser)
 
     sim = sub.add_parser("simulate", help="run one experiment")
     sim.add_argument("--preset", required=True, help=", ".join(sorted(PRESETS)))
@@ -308,6 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(payload: dict, path: str | None) -> None:
     """Print ``payload`` as JSON and, given a path, write it there too."""
+    import json  # here, not at import, as argparse in _parser
+
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as exc:  # a non-finite float has no JSON form
