@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage error, 2 divergence.
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 from collections import namedtuple
@@ -31,6 +32,7 @@ from .plant import (
     SimulationDiverged,
     Sinusoid,
     read_trace_csv,  # perfbench calls cli.read_trace_csv (trace-reload, replay, tracer)
+    replacing,
     run_simulation,
     write_trace_csv,
 )
@@ -180,7 +182,7 @@ SWEEP_HEADER = "h,sup_abs_x1,sup_abs_x2,sup_abs_x3,status"
 
 
 def write_sweep_csv(result: SweepResult, path: str) -> None:
-    with open(path, "w", newline="") as f:
+    with replacing(path, "w", newline="") as f:
         f.write(SWEEP_HEADER + "\n")
         for r in result.rows:
             values = (r.h, *(r.sup_abs_x or (math.nan,) * 3))
@@ -322,7 +324,7 @@ def _emit(payload: dict, path: str | None) -> None:
     except ValueError as exc:  # a non-finite float has no JSON form
         raise ValueError(f"summary is not valid JSON: {exc}") from None
     if path is not None:
-        with open(path, "w") as f:
+        with replacing(path) as f:
             f.write(text + "\n")
     print(text)
 
@@ -360,6 +362,11 @@ def _cmd_sweep(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        # The parsers are reference cycles (each action points back at its
+        # parser), and a run allocates too few containers to set off the
+        # collector, so they would last the whole run: about 21 KB of the
+        # heap peak.  A young-generation pass frees them in about 0.05 ms.
+        gc.collect(1)
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_sweep(args)

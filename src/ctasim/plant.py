@@ -24,7 +24,9 @@ passes its rows to a sink (see run_simulation), by default a SimTrace.
 
 from __future__ import annotations
 
+import io
 import math
+import os
 import struct
 from array import array
 from itertools import repeat
@@ -160,9 +162,9 @@ class SimTrace:
     row).  z3 = eta + delta and x1..x3 = z/L are derived on each read.
 
     ``SimTrace(L, rows)`` allocates ``rows`` rows up front, and append fills
-    them in place before it grows the array; run_simulation sizes its trace
-    exactly this way.  ``n`` counts the rows appended, and every read stops
-    there.
+    them in place before it grows the array; run_simulation and
+    read_trace_csv size their traces exactly this way.  ``n`` counts the
+    rows appended, and every read stops there.
 
     Rows must be in strictly increasing time order with finite t, which
     append does not check: run_simulation writes t = k*h, and read_trace_csv
@@ -175,6 +177,8 @@ class SimTrace:
     def __init__(self, L: float, rows: int = 0):
         if not (L > 0.0 and math.isfinite(L)):
             raise ValueError(f"L must be positive and finite, got {L!r}")
+        if not (isinstance(rows, int) and rows >= 0):
+            raise ValueError(f"rows must be a non-negative integer, got {rows!r}")
         self.L = L
         self._rows = array("d", [0.0]) * (_WIDTH * rows)
         # Byte offsets: the end of the appended rows, of the allocated ones.
@@ -219,16 +223,76 @@ class SimTrace:
         self._end = end + _ROW_BYTES
 
 
+class replacing:
+    """``with replacing(path, mode) as f:`` writes ``path`` whole or not at all.
+
+    ``f`` is a new file beside ``path``, ``.NAME.PID.tmp``, which os.replace
+    moves over ``path`` once the block ends and the file closes without
+    error.  Any exception removes it, so a write that fails part way leaves
+    neither a truncated ``path`` nor a temporary.  A symlink's target is
+    replaced, not the link.  A path with no file name (empty, or ending in
+    a separator) and one that exists but is not a regular file (a device, a
+    FIFO) are opened in place: open reports the first, and the second is
+    written as it always was.
+    """
+
+    def __init__(self, path: str, mode: str = "w", newline: str | None = None):
+        self.path, self.mode, self.newline, self.tmp = path, mode, newline, None
+
+    def __enter__(self):
+        path, mode = self.path, self.mode
+        if os.path.basename(path) and (os.path.isfile(path) or not os.path.exists(path)):
+            self.path = os.path.realpath(path)
+            head, name = os.path.split(self.path)
+            self.tmp = path = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+            mode = "x" + mode[1:]  # never write into a file left by someone else
+        self.file = open(path, mode, newline=self.newline)
+        return self.file
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            self.file.close()  # a buffered write can fail here
+            if exc_type is None and self.tmp is not None:
+                os.replace(self.tmp, self.path)
+                return
+        except BaseException:
+            self._discard()
+            raise
+        self._discard()
+
+    def _discard(self) -> None:
+        if self.tmp is not None:
+            try:
+                os.remove(self.tmp)
+            except OSError:  # the error that stopped the write is the one to report
+                pass
+
+
 def write_trace_csv(trace: SimTrace, path: str) -> None:
     """17 significant digits: parsing the file reproduces the doubles exactly.
 
     Rows are zipped from the column views, z3 and x included, formatted
-    one at a time as bytes and streamed to the file.
+    one at a time as bytes and streamed to the file, which replaces
+    ``path`` only once it is complete (see replacing).
     """
     row_format = b",".join([b"%.17g"] * len(TRACE_COLUMNS)) + b"\n"
-    with open(path, "wb") as f:
+    with replacing(path, "wb") as f:
         f.write(TRACE_HEADER.encode() + b"\n")
         f.writelines(row_format % row for row in zip(*map(trace.view, TRACE_COLUMNS)))
+
+
+def _data_rows(f) -> int:
+    """The lines after the header of the binary file ``f``, counted from its
+    newlines in 64 KiB blocks, a last line with none included; 0, without
+    reading, when ``f`` cannot seek back to its start (a pipe)."""
+    if not f.seekable():
+        return 0
+    newlines, last = 0, b""
+    for block in iter(lambda: f.read(1 << 16), b""):
+        newlines += block.count(b"\n")
+        last = block[-1:]
+    f.seek(0)
+    return newlines - 1 if last == b"\n" else newlines
 
 
 def read_trace_csv(path: str, L: float) -> SimTrace:
@@ -240,12 +304,20 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
     bit (-0 is not 0; NaN never is) raises ValueError starting with
     `path:lineno:`, and a file that does not
     decode raises ValueError starting with `path:`.  An L that is not
-    positive and finite raises ValueError before the file is opened."""
-    trace = SimTrace(L=L)
-    grow = trace._rows.frombytes  # append's grow path, without a call per row
+    positive and finite raises ValueError before the file is opened.
+
+    The trace is allocated for the rows a first pass over the file's
+    newlines counts, and filled in place, so it holds no growth slack; it
+    grows only past that count (a file that grew in between, or a pipe,
+    which is read in one pass)."""
+    SimTrace(L=L)  # rejects a bad L before the file is opened
     t_prev = -math.inf
     try:
-        with open(path, "r", newline="") as f:
+        with io.TextIOWrapper(open(path, "rb"), newline="") as f:
+            # The wrapper has read nothing yet, so the count may read its
+            # buffer and seek back to the start.
+            trace = SimTrace(L=L, rows=_data_rows(f.buffer))
+            buf, allocated, end = trace._rows, trace._allocated, 0
             header = f.readline().strip()
             if header != TRACE_HEADER:
                 raise ValueError(f"{path}:1: unexpected trace header: {header!r}")
@@ -272,11 +344,16 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
                                          f"eta + delta = {z3_row!r}")
                     raise ValueError(f"{path}:{lineno}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
                                      f"z/L = {z1 / L!r}, {z2 / L!r}, {z3_row / L!r} for L = {L!r}")
-                grow(_pack(t, z1, z2, u, u1, eta, delta))
+                # append's fill and grow paths, without a method call per row
+                if end < allocated:
+                    _pack_into(buf, end, t, z1, z2, u, u1, eta, delta)
+                else:
+                    buf.frombytes(_pack(t, z1, z2, u, u1, eta, delta))
+                end += _ROW_BYTES
     except UnicodeDecodeError as exc:
         # Decoding runs in chunks, so the line is unknown.
         raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
-    trace._end = _ROW_BYTES * (len(trace._rows) // _WIDTH)
+    trace._end = end
     return trace
 
 

@@ -7,13 +7,18 @@ Runs `ctasim simulate` for paper-explicit and paper-implicit and the 4-point
 compares the trace CSV SHA-256s, the summaries and the sweep JSON with
 perfbench/goldens.json, which it only reads.  It also reads the
 paper-implicit trace CSV back and summarizes it (the read side of the CSV
-codec), which must give the golden summary.  Prints one line per check and
-exits 1 on any mismatch.  It needs the standard library only (no pytest,
-numpy or hypothesis), so it runs on interpreters that cannot run the test
-suite; tests/test_goldens.py calls the same check functions.
+codec), which must give the golden summary from a trace with no array
+growth slack, and checks that both commands start their runs with no
+argparse parser alive.  gc generations and array growth are interpreter
+internals, so those two facts are checked on every version too.  Prints
+one line per check and exits 1 on any mismatch.  It needs the standard
+library only (no pytest, numpy or hypothesis), so it runs on interpreters
+that cannot run the test suite; tests/test_goldens.py calls the same golden
+check functions, and tests/test_cli.py makes the parser check its own way.
 """
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -21,6 +26,7 @@ import os
 import platform
 import sys
 import tempfile
+from array import array
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if __name__ == "__main__":
@@ -67,7 +73,8 @@ def check_preset(preset: str, workdir: str) -> list[str]:
 def check_reload(workdir: str) -> list[str]:
     """Read back the paper-implicit trace CSV that check_preset wrote to
     ``workdir``, summarize it, and compare the result with the golden summary
-    less its preset key; returns the mismatches, empty if none."""
+    less its preset key; the trace's array must be sized exactly for its
+    rows.  Returns the mismatches, empty if none."""
     cfg = cli.get_preset("paper-implicit").cfg
     try:
         trace = cli.read_trace_csv(os.path.join(workdir, "paper-implicit.csv"), cfg.gains.L)
@@ -76,7 +83,11 @@ def check_reload(workdir: str) -> list[str]:
     golden = dict(load_goldens()["simulate"]["paper-implicit"]["summary"])
     del golden["preset"]
     summary = json.loads(json.dumps(cli.summarize(trace, cfg)))
-    return [] if summary == golden else ["summary differs"]
+    problems = [] if summary == golden else ["summary differs"]
+    slack = sys.getsizeof(trace._rows) - sys.getsizeof(array("d")) - 56 * trace.n
+    if slack:
+        problems.append(f"{slack} B of growth slack at {trace.n} rows")
+    return problems
 
 
 def check_sweep() -> list[str]:
@@ -88,6 +99,40 @@ def check_sweep() -> list[str]:
     return [] if json.loads(out) == load_goldens()["sweep"] else ["sweep JSON differs"]
 
 
+def check_parsers_freed() -> list[str]:
+    """`simulate` and `sweep` of the zero preset must enter
+    cli.run_simulation with no argparse object alive but their Namespace;
+    returns the mismatches, empty if none."""
+    def argparse_objects():
+        return [o for o in gc.get_objects() if type(o).__module__ == "argparse"]
+
+    real = cli.run_simulation
+    seen = []
+
+    def spy(*args):
+        seen.append(sorted(type(o).__name__ for o in argparse_objects()
+                           if id(o) not in before))
+        return real(*args)
+
+    problems = []
+    cli.run_simulation = spy
+    try:
+        for argv in (["simulate", "--preset", "zero", "--t-final", "0.01"],
+                     ["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2"]):
+            gc.collect()
+            before = {id(o) for o in argparse_objects()}  # a caller's own parsers
+            seen.clear()
+            rc, _ = _main(argv)
+            if rc != 0:
+                problems.append(f"{argv[0]}: exit code {rc}")
+            elif not seen or any(names != ["Namespace"] for names in seen):
+                problems.append(f"{argv[0]}: {max(map(len, seen), default=0)} argparse "
+                                f"objects alive at run start, not only its Namespace")
+    finally:
+        cli.run_simulation = real
+    return problems
+
+
 def main() -> int:
     print(f"Python {platform.python_version()}")
     with tempfile.TemporaryDirectory() as workdir:
@@ -97,7 +142,10 @@ def main() -> int:
     for name, problems in results:
         print(f"{'MISMATCH' if problems else 'ok'}  {name}: "
               f"{'; '.join(problems) or 'matches the golden'}")
-    return 1 if any(problems for _, problems in results) else 0
+    parsers = check_parsers_freed()
+    print(f"{'FAIL' if parsers else 'ok'}  parsers: "
+          f"{'; '.join(parsers) or 'none alive at run start'}")
+    return 1 if parsers or any(problems for _, problems in results) else 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
+import errno
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
+from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -166,6 +170,46 @@ class TestTraceCsv:
             read_trace_csv(str(path), L=trace.L)
         assert str(info.value).startswith(f"{path}:4: {message}")
 
+    @pytest.mark.parametrize("edit, rows", [
+        (lambda text: text.rstrip("\n"), 11),
+        (lambda text: text.replace("\n", "\r\n"), 11),
+        (lambda text: text.split("\n", 1)[0] + "\n", 0),
+    ], ids=["no-final-newline", "crlf", "header-only"])
+    def test_trace_is_allocated_for_exactly_its_rows(self, tmp_path, edit, rows):
+        trace, _ = run_preset("paper-implicit", {"t_final": 0.01})
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        path.write_bytes(edit(path.read_text()).encode())
+        back = read_trace_csv(str(path), L=trace.L)
+        assert back.n == rows
+        assert [row(back, i) for i in range(rows)] == [row(trace, i) for i in range(rows)]
+        assert sys.getsizeof(back._rows) == sys.getsizeof(array("d")) + 56 * back.n
+
+    def test_paper_implicit_trace_is_read_without_slack(self, tmp_path):
+        # Grown row by row, the array would keep 24,048 B of slack here.
+        trace, _ = run_preset("paper-implicit")
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        back = read_trace_csv(str(path), L=trace.L)
+        assert back.n == trace.n == 10_001
+        assert sys.getsizeof(back._rows) == sys.getsizeof(array("d")) + 56 * back.n
+        assert back._rows == trace._rows
+
+    def test_pipe_reads_the_rows_of_the_file(self, tmp_path):
+        # A FIFO cannot seek back after a count, so it is read in one pass.
+        trace, _ = run_preset("paper-implicit", {"t_final": 0.05})
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        fifo = tmp_path / "trace.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()),
+                                  daemon=True)
+        writer.start()
+        back = read_trace_csv(str(fifo), L=trace.L)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert back.n == trace.n
+        assert [row(back, i) for i in range(back.n)] == [row(trace, i) for i in range(trace.n)]
 
     def test_scale_not_positive_rejected_before_reading(self, tmp_path):
         trace, _ = run_preset("zero", {"t_final": 0.01})
@@ -593,6 +637,71 @@ class TestCommandLine:
         assert err == "error: omega must keep the phase omega*t finite up to t=2.0, " \
                       "got 1e+308\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "zero", "--t-final", "0.01"],
+        ["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2"],
+    ], ids=["simulate", "sweep"])
+    def test_run_starts_with_no_parser_alive(self, monkeypatch, capsys, argv):
+        # Parsers are reference cycles, and a run allocates too few
+        # containers to trigger the collector; main collects them first.
+        def argparse_objects():
+            return [o for o in gc.get_objects() if type(o).__module__ == "argparse"]
+
+        gc.collect()
+        before = {id(o) for o in argparse_objects()}  # pytest's own parser
+        alive = []
+        real = cli.run_simulation
+
+        def spy(*args):
+            alive.append(sorted(type(o).__name__ for o in argparse_objects()
+                                if id(o) not in before))
+            return real(*args)
+
+        monkeypatch.setattr(cli, "run_simulation", spy)
+        assert main(argv) == 0
+        assert alive and all(names == ["Namespace"] for names in alive)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "zero", "--t-final", "0.01", "--out"],
+        ["simulate", "--preset", "zero", "--t-final", "0.01", "--summary"],
+        ["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2", "--out"],
+        ["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2", "--summary"],
+    ], ids=["simulate-out", "simulate-summary", "sweep-out", "sweep-summary"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setattr(plant, "open", _disk_full_after(60), raising=False)
+        target = tmp_path / "output"
+        assert main([*argv, str(target)]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert list(tmp_path.iterdir()) == []
+        target.write_text("earlier output\n")
+        assert main([*argv, str(target)]) == 1
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "earlier output\n"
+
+    def test_output_through_a_symlink_replaces_its_target(self, tmp_path, capsys):
+        target = tmp_path / "summary.json"
+        target.write_text("earlier output\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(["simulate", "--preset", "zero", "--t-final", "0.01",
+                     "--summary", str(link)]) == 0
+        assert link.is_symlink() and sorted(tmp_path.iterdir()) == [link, target]
+        assert json.loads(target.read_text())["preset"] == "zero"
+
+    def test_output_to_a_fifo_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "summary.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()),
+                                  daemon=True)
+        reader.start()
+        assert main(["simulate", "--preset", "zero", "--t-final", "0.01",
+                     "--summary", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert json.loads(received[0])["preset"] == "zero"
+        assert list(tmp_path.iterdir()) == [fifo]
+
     def test_simulate_runs_through_cli_run_simulation(self, monkeypatch):
         # perfbench/setup_probe.py stops `simulate` by replacing this name.
         class Reached(Exception):
@@ -621,6 +730,34 @@ class TestCommandLine:
         assert len(lines) == 4
         payload = json.loads(capsys.readouterr().out)
         assert payload["fitted_slopes"] == [None, None, None]
+
+
+class _FullDisk:
+    """A file that takes ``room`` bytes, then writes part of the next write
+    and raises ENOSPC, as a disk that fills part way through would."""
+
+    def __init__(self, f, room):
+        self.f, self.room = f, room
+
+    def write(self, data):
+        if len(data) > self.room:
+            self.f.write(data[:self.room])
+            self.f.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= len(data)
+        return self.f.write(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def close(self):
+        self.f.close()
+
+
+def _disk_full_after(room):
+    """An ``open`` whose files fill after ``room`` bytes (see _FullDisk)."""
+    return lambda *args, **kwargs: _FullDisk(open(*args, **kwargs), room)
 
 
 # --- main() under generated flag values ---------------------------------------

@@ -24,7 +24,7 @@ def test_preset_trace_and_summary(preset, tmp_path):
 
 def test_trace_reload_summary(tmp_path):
     """The paper-implicit trace, read back from its CSV, summarizes to the
-    golden summary."""
+    golden summary, and its array holds no growth slack."""
     assert golden_check.check_preset("paper-implicit", str(tmp_path)) == []
     assert golden_check.check_reload(str(tmp_path)) == []
 

@@ -423,6 +423,11 @@ class TestSimTrace:
         with pytest.raises(ValueError, match="^L must be positive and finite"):
             SimTrace(L=L)
 
+    @pytest.mark.parametrize("rows", [-1, -3, 2.0, "3", None])
+    def test_rejects_rows_not_a_non_negative_integer(self, rows):
+        with pytest.raises(ValueError, match="^rows must be a non-negative integer, got "):
+            SimTrace(L=3.0, rows=rows)
+
     def test_x_read_peaks_below_twice_its_result(self):
         trace = run_simulation(get_preset("paper-implicit").cfg)
         tracemalloc.start()
