@@ -182,11 +182,13 @@ SWEEP_HEADER = "h,sup_abs_x1,sup_abs_x2,sup_abs_x3,status"
 
 
 def write_sweep_csv(result: SweepResult, path: str) -> None:
-    with replacing(path, "w", newline="") as f:
-        f.write(SWEEP_HEADER + "\n")
-        for r in result.rows:
-            values = (r.h, *(r.sup_abs_x or (math.nan,) * 3))
-            f.write(",".join(f"{v:.17g}" for v in values) + f",{r.status}\n")
+    """17 significant digits, as write_trace_csv; a divergent row's
+    sup|x_i| cells read nan."""
+    with replacing(path) as f:
+        f.write(SWEEP_HEADER.encode() + b"\n")
+        f.writelines(b"%.17g,%.17g,%.17g,%.17g,%s\n"
+                     % (r.h, *(r.sup_abs_x or (math.nan,) * 3), r.status.encode())
+                     for r in result.rows)
 
 
 # --- config files -----------------------------------------------------------
@@ -315,21 +317,9 @@ def _build_parser():
     return parser
 
 
-def _emit(payload: dict, path: str | None) -> None:
-    """Print ``payload`` as JSON and, given a path, write it there too."""
-    import json  # here, not at import, as argparse in _parser
-
-    try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
-    except ValueError as exc:  # a non-finite float has no JSON form
-        raise ValueError(f"summary is not valid JSON: {exc}") from None
-    if path is not None:
-        with replacing(path) as f:
-            f.write(text + "\n")
-    print(text)
-
-
-def _cmd_simulate(args) -> int:
+# Each command returns its JSON payload and the writer of its --out file,
+# for main's output stage.
+def _cmd_simulate(args) -> tuple:
     # Flags are written over the file's settings: flags > file > preset.
     settings = load_config(args.config) if args.config is not None else {}
     flags = {"method": args.method, "h": args.h, "t_final": args.t_final,
@@ -341,22 +331,16 @@ def _cmd_simulate(args) -> int:
     if args.init is not None:
         settings.update(zip(("z1_0", "z2_0", "eta_0"), _parse_floats(args.init, "--init", 3)))
     trace, summary = run_preset(args.preset, settings)
-    if args.out is not None:
-        write_trace_csv(trace, args.out)
-    _emit(summary, args.summary)
-    return 0
+    return summary, lambda path: write_trace_csv(trace, path)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple:
     h_values = tuple(_parse_floats(args.h_list, "--h-list"))
     settings = {"method": args.method} if args.method is not None else {}
     result = run_sweep(args.preset, h_values, settings)
-    if args.out is not None:
-        write_sweep_csv(result, args.out)
-    _emit({"preset": args.preset, "method": result.method,
-           "rows": [r._asdict() for r in result.rows],
-           "fitted_slopes": result.slopes}, args.summary)
-    return 0
+    return ({"preset": args.preset, "method": result.method,
+             "rows": [r._asdict() for r in result.rows], "fitted_slopes": result.slopes},
+            lambda path: write_sweep_csv(result, path))
 
 
 def main(argv=None) -> int:
@@ -367,9 +351,25 @@ def main(argv=None) -> int:
         # collector, so they would last the whole run: about 21 KB of the
         # heap peak.  A young-generation pass frees them in about 0.05 ms.
         gc.collect(1)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        return _cmd_sweep(args)
+        payload, write_out = (_cmd_simulate if args.command == "simulate" else _cmd_sweep)(args)
+        # The one output stage.  The JSON is formed before the first write,
+        # so a summary with no JSON form leaves no file behind.
+        import json  # here, not at import, as argparse in _parser
+
+        try:
+            text = json.dumps(payload, indent=2, allow_nan=False)
+        except ValueError as exc:  # a non-finite float has no JSON form
+            raise ValueError(f"summary is not valid JSON: {exc}") from None
+        # The indented encoder's closures are reference cycles too: freed
+        # here, their 2 KB are not held through the --out write.
+        gc.collect(1)
+        if args.out is not None:
+            write_out(args.out)
+        if args.summary is not None:
+            with replacing(args.summary) as f:
+                f.write(text.encode() + b"\n")
+        print(text)
+        return 0
     except (SimulationDiverged, ValueError, OSError) as exc:
         # Paths and arguments are echoed raw; escape CR/LF to keep one line.
         message = str(exc).replace("\r", "\\r").replace("\n", "\\n")

@@ -24,6 +24,7 @@ passes its rows to a sink (see run_simulation), by default a SimTrace.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import os
@@ -223,8 +224,10 @@ class SimTrace:
         self._end = end + _ROW_BYTES
 
 
-class replacing:
-    """``with replacing(path, mode) as f:`` writes ``path`` whole or not at all.
+@contextlib.contextmanager
+def replacing(path: str):
+    """``with replacing(path) as f:`` writes the binary file ``path`` whole
+    or not at all.
 
     ``f`` is a new file beside ``path``, ``.NAME.PID.tmp``, which os.replace
     moves over ``path`` once the block ends and the file closes without
@@ -233,39 +236,33 @@ class replacing:
     replaced, not the link.  A path with no file name (empty, or ending in
     a separator) and one that exists but is not a regular file (a device, a
     FIFO) are opened in place: open reports the first, and the second is
-    written as it always was.
+    written as it always was.  A file that cannot be created is reported
+    under ``path`` as given; a stale temporary in the way, under its own.
     """
-
-    def __init__(self, path: str, mode: str = "w", newline: str | None = None):
-        self.path, self.mode, self.newline, self.tmp = path, mode, newline, None
-
-    def __enter__(self):
-        path, mode = self.path, self.mode
-        if os.path.basename(path) and (os.path.isfile(path) or not os.path.exists(path)):
-            self.path = os.path.realpath(path)
-            head, name = os.path.split(self.path)
-            self.tmp = path = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-            mode = "x" + mode[1:]  # never write into a file left by someone else
-        self.file = open(path, mode, newline=self.newline)
-        return self.file
-
-    def __exit__(self, exc_type, exc, tb):
+    tmp = None
+    if os.path.basename(path) and (os.path.isfile(path) or not os.path.exists(path)):
+        real = os.path.realpath(path)
+        head, name = os.path.split(real)
+        tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        # "x": never write into a file left by someone else
+        f = open(tmp, "xb") if tmp else open(path, "wb")
+    except OSError as exc:
+        if not isinstance(exc, FileExistsError):  # a stale temporary is named as itself
+            exc.filename = path
+        raise
+    try:
         try:
-            self.file.close()  # a buffered write can fail here
-            if exc_type is None and self.tmp is not None:
-                os.replace(self.tmp, self.path)
-                return
-        except BaseException:
-            self._discard()
-            raise
-        self._discard()
-
-    def _discard(self) -> None:
-        if self.tmp is not None:
-            try:
-                os.remove(self.tmp)
-            except OSError:  # the error that stopped the write is the one to report
-                pass
+            yield f
+        finally:
+            f.close()  # a buffered write can fail here
+        if tmp:
+            os.replace(tmp, real)
+    except BaseException:
+        if tmp:
+            with contextlib.suppress(OSError):  # the error that stopped the write is reported
+                os.remove(tmp)
+        raise
 
 
 def write_trace_csv(trace: SimTrace, path: str) -> None:
@@ -276,7 +273,7 @@ def write_trace_csv(trace: SimTrace, path: str) -> None:
     ``path`` only once it is complete (see replacing).
     """
     row_format = b",".join([b"%.17g"] * len(TRACE_COLUMNS)) + b"\n"
-    with replacing(path, "wb") as f:
+    with replacing(path) as f:
         f.write(TRACE_HEADER.encode() + b"\n")
         f.writelines(row_format % row for row in zip(*map(trace.view, TRACE_COLUMNS)))
 

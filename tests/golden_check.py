@@ -5,7 +5,8 @@ Usage (any Python from 3.10 on, from anywhere): python3 tests/golden_check.py
 Runs `ctasim simulate` for paper-explicit and paper-implicit and the 4-point
 `paper-implicit` sweep through ctasim.cli.main in a temporary directory, and
 compares the trace CSV SHA-256s, the summaries and the sweep JSON with
-perfbench/goldens.json, which it only reads.  It also reads the
+perfbench/goldens.json, which it only reads, and the sweep table's SHA-256
+with SWEEP_TABLE_SHA256.  It also reads the
 paper-implicit trace CSV back and summarizes it (the read side of the CSV
 codec), which must give the golden summary from a trace with no array
 growth slack, and checks that both commands start their runs with no
@@ -37,6 +38,9 @@ from ctasim import cli  # noqa: E402
 GOLDENS = os.path.join(ROOT, "perfbench", "goldens.json")
 PRESETS = ("paper-explicit", "paper-implicit")
 SWEEP_ARGV = ["sweep", "--preset", "paper-implicit", "--h-list", "1e-3,5e-4,2e-4,1e-4"]
+# The sweep's --out table (goldens.json pins only its JSON); the same on
+# Python 3.10 to 3.13.
+SWEEP_TABLE_SHA256 = "92732410b4966ce84fb832cb07e8d7587ae3f93d82908e168709935f0a2b7d1c"
 
 
 def load_goldens() -> dict:
@@ -90,13 +94,19 @@ def check_reload(workdir: str) -> list[str]:
     return problems
 
 
-def check_sweep() -> list[str]:
-    """The 4-point sweep's printed JSON against its golden; returns the
-    mismatches, empty if none."""
-    rc, out = _main(SWEEP_ARGV)
+def check_sweep(workdir: str) -> list[str]:
+    """The 4-point sweep's printed JSON against its golden and the SHA-256 of
+    its --out table, written to ``workdir``, against SWEEP_TABLE_SHA256;
+    returns the mismatches, empty if none."""
+    table = os.path.join(workdir, "sweep.csv")
+    rc, out = _main([*SWEEP_ARGV, "--out", table])
     if rc != 0:
         return [f"exit code {rc}"]
-    return [] if json.loads(out) == load_goldens()["sweep"] else ["sweep JSON differs"]
+    problems = [] if json.loads(out) == load_goldens()["sweep"] else ["sweep JSON differs"]
+    with open(table, "rb") as f:
+        if hashlib.sha256(f.read()).hexdigest() != SWEEP_TABLE_SHA256:
+            problems.append("sweep table SHA-256 differs")
+    return problems
 
 
 def check_parsers_freed() -> list[str]:
@@ -138,7 +148,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         results = [(preset, check_preset(preset, workdir)) for preset in PRESETS]
         results.append(("trace-reload", check_reload(workdir)))
-    results.append(("sweep", check_sweep()))
+        results.append(("sweep", check_sweep(workdir)))
     for name, problems in results:
         print(f"{'MISMATCH' if problems else 'ok'}  {name}: "
               f"{'; '.join(problems) or 'matches the golden'}")

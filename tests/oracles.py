@@ -6,7 +6,8 @@ solvers under test.  ``reference_implicit_step`` is the implicit step in
 its two-stage form, built from validated ``Interval``s and ``proj``, for
 bit-identity checks of the one-pass step; ``reference_explicit_step`` is
 the explicit step through an odd fractional power with its own branch at
-z = 0.  The ``reference_*`` trace metrics select the window row by row
+z = 0; ``disturbance_second_derivative`` is delta'' differentiated by
+hand.  The ``reference_*`` trace metrics select the window row by row
 through a Python index list over column copies, for bit-identity checks of
 the in-place metrics; ``row`` reads one trace row as the CSV writes it.
 """
@@ -129,6 +130,14 @@ def reference_implicit_step(k, z1, z2, zb1, zb2, eta, u1_prev, d_prev, g, h):
     eta_next = reference_stage2(k, z1, z2, zb2, eta, u1_prev, d_prev, u1, g, h)
     delta_est = reference_reconstruction(z2, zb2, eta, u1_prev, h) if k >= 1 else 0.0
     return u1 + eta_next, u1, eta_next, delta_est
+
+
+def disturbance_second_derivative(d, t):
+    """delta''(t) of a plant.Disturbance in closed form, term by term:
+    (a*sin(w*t))'' = -a*w**2*sin(w*t), and the same for cos."""
+    return -sum(term.amplitude * term.omega ** 2
+                * (math.sin if term.kind == "sin" else math.cos)(term.omega * t)
+                for term in d.sinusoids)
 
 
 # --- trace metrics, row by row -----------------------------------------------

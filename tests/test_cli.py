@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -572,11 +573,13 @@ class TestCommandLine:
          "summary is not valid JSON"),
     ])
     def test_nonfinite_summary_is_usage_error(self, tmp_path, capsys, preset, flags, message):
-        summ = tmp_path / "summary.json"
+        # The JSON is formed before the first write, so no case writes --out.
+        summ, out = tmp_path / "summary.json", tmp_path / "trace.csv"
         rc = main(["simulate", "--preset", preset, "--t-final", "0.01",
-                   "--summary", str(summ), *flags])
+                   "--summary", str(summ), "--out", str(out), *flags])
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == "" and not summ.exists()
+        assert not out.exists()
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1
 
@@ -661,6 +664,27 @@ class TestCommandLine:
         assert main(argv) == 0
         assert alive and all(names == ["Namespace"] for names in alive)
 
+    def test_out_is_written_with_no_encoder_closure_alive(self, monkeypatch, tmp_path,
+                                                          capsys):
+        # json's indented encoder builds closures that refer to each other;
+        # main collects them before the trace is written.
+        def encoder_closures():
+            return [o for o in gc.get_objects() if type(o) is types.FunctionType
+                    and o.__qualname__.startswith("_make_iterencode.")]
+
+        gc.collect()
+        alive = []
+        real = cli.write_trace_csv
+
+        def spy(*args):
+            alive.append(len(encoder_closures()))
+            return real(*args)
+
+        monkeypatch.setattr(cli, "write_trace_csv", spy)
+        assert main(["simulate", "--preset", "zero", "--t-final", "0.01",
+                     "--out", str(tmp_path / "trace.csv")]) == 0
+        assert alive == [0]
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--preset", "zero", "--t-final", "0.01", "--out"],
         ["simulate", "--preset", "zero", "--t-final", "0.01", "--summary"],
@@ -677,6 +701,43 @@ class TestCommandLine:
         assert main([*argv, str(target)]) == 1
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_text() == "earlier output\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "zero", "--t-final", "0.01", "--out"],
+        ["simulate", "--preset", "zero", "--t-final", "0.01", "--summary"],
+        ["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2", "--out"],
+        ["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2", "--summary"],
+    ], ids=["simulate-out", "simulate-summary", "sweep-out", "sweep-summary"])
+    @pytest.mark.parametrize("directory", ["missing", "dangling-link"])
+    def test_output_that_cannot_be_created_is_named_as_given(self, tmp_path, capsys,
+                                                              argv, directory):
+        # The temporary sits beside the symlink's target; neither its name
+        # nor that target is what was asked for.
+        if directory == "dangling-link":
+            (tmp_path / directory).symlink_to(tmp_path / "gone")
+        target = f"{tmp_path}/{directory}/output"
+        assert main([*argv, target]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+    def test_stale_temporary_is_named_and_kept(self, tmp_path, capsys):
+        stale = tmp_path / f".summary.json.{os.getpid()}.tmp"
+        stale.write_text("someone else's\n")
+        assert main(["simulate", "--preset", "zero", "--t-final", "0.01",
+                     "--summary", str(tmp_path / "summary.json")]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{stale}'\n"
+        assert list(tmp_path.iterdir()) == [stale]
+        assert stale.read_text() == "someone else's\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "zero", "--t-final", "0.01"],
+        ["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2"],
+    ], ids=["simulate", "sweep"])
+    def test_summary_file_holds_the_printed_bytes(self, tmp_path, capsys, argv):
+        summ = tmp_path / "summary.json"
+        assert main([*argv, "--summary", str(summ)]) == 0
+        assert summ.read_bytes() == capsys.readouterr().out.encode()
 
     def test_output_through_a_symlink_replaces_its_target(self, tmp_path, capsys):
         target = tmp_path / "summary.json"

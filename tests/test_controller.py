@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from ctasim.controller import Gains, explicit_step, implicit_step
 from ctasim import plant
-from ctasim.cli import get_preset
+from ctasim.cli import get_preset, run_preset, steady_window
 from ctasim.plant import TRACE_COLUMNS, run_simulation
-from oracles import reference_explicit_step, reference_implicit_step
+from oracles import (
+    disturbance_second_derivative, reference_explicit_step, reference_implicit_step)
 
 PAPER = Gains(kp1=160.236, kp2=60.3738, kp3=28.5, kp4=15.0, L=5.0)
 
@@ -295,3 +296,21 @@ class TestOnePassMatchesReference:
         for c in TRACE_COLUMNS:
             assert [v.hex() for v in getattr(staged, c)] == \
                 [v.hex() for v in getattr(fused, c)], c
+
+
+class TestImplicitSteadyState:
+    def test_envelope_constants_from_the_disturbance_curvature(self):
+        # With both implicit clamps inactive in the steady window, stage II
+        # cancels delta up to the error of its linear forecast, about
+        # h**2 * delta''.  Then |z3| ~ h**2|delta''|, |z2| ~ h**3|delta''| and
+        # |z1| reaches 2*h**4|delta''|, so the envelope constants over the
+        # orders (4, 3, 2) are (2, 1, 1) * max|delta''| / L, with delta''
+        # taken over the window's rows (max |delta''| = 3.3569350...).
+        cfg = get_preset("paper-implicit").cfg
+        trace, summary = run_preset("paper-implicit")
+        lo, hi = steady_window(cfg)
+        curvature = max(abs(disturbance_second_derivative(cfg.disturbance, t))
+                        for t in trace.t if lo <= t <= hi)
+        assert curvature == pytest.approx(3.356935, rel=1e-6)
+        predicted = [c * curvature / cfg.gains.L for c in (2.0, 1.0, 1.0)]
+        assert summary["v_constants"] == pytest.approx(predicted, rel=2e-5)

@@ -4,8 +4,8 @@
 its summary JSON (recorded on this platform's libm; see
 ``perfbench/make_goldens.py``).  Any change to the bytes a preset writes
 fails here, not only in the benchmark's gate.  The preset, trace read-back
-and sweep checks are ``tests/golden_check.py``'s, which also runs alone on
-interpreters without pytest.
+and sweep (JSON and table) checks are ``tests/golden_check.py``'s, which
+also runs alone on interpreters without pytest.
 """
 
 import math
@@ -13,6 +13,7 @@ import math
 import pytest
 
 import golden_check
+from ctasim.cli import SWEEP_HEADER, SweepResult, SweepRow, write_sweep_csv
 from ctasim.plant import TRACE_HEADER, SimTrace, write_trace_csv
 from oracles import row
 
@@ -46,8 +47,24 @@ def test_writer_matches_per_value_format(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
-def test_order_sweep_json():
+def test_sweep_writer_matches_per_value_format(tmp_path):
+    """The sweep table's one %-format per row writes the bytes of a per-value
+    f"{v:.17g}" join, a divergent row's nan cells included."""
+    result = SweepResult(method="implicit", slopes=(None, None, None), rows=(
+        SweepRow(h=5e-324, sup_abs_x=(0.0, -0.0, 1e308), status="ok"),
+        SweepRow(h=1e308, sup_abs_x=None, status="divergent"),
+        SweepRow(h=0.1, sup_abs_x=(1.0 / 3.0, 5e-324, 123456789012345678.0), status="ok"),
+    ))
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(result, str(path))
+    expected = SWEEP_HEADER + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in (r.h, *(r.sup_abs_x or (math.nan,) * 3)))
+        + f",{r.status}\n" for r in result.rows)
+    assert path.read_bytes() == expected.encode()
+
+
+def test_order_sweep_json(tmp_path):
     """The sweep perfbench times, with its JSON pinned bit for bit: the only
     check on precision_envelope's bits across step sizes (criterion 6 checks
-    the fitted slopes to +-0.7)."""
-    assert golden_check.check_sweep() == []
+    the fitted slopes to +-0.7).  Its --out table is pinned by SHA-256."""
+    assert golden_check.check_sweep(str(tmp_path)) == []
