@@ -229,28 +229,35 @@ def replacing(path: str):
     """``with replacing(path) as f:`` writes the binary file ``path`` whole
     or not at all.
 
-    ``f`` is a new file beside ``path``, ``.NAME.PID.tmp``, which os.replace
-    moves over ``path`` once the block ends and the file closes without
-    error.  Any exception removes it, so a write that fails part way leaves
-    neither a truncated ``path`` nor a temporary.  A symlink's target is
-    replaced, not the link.  A path with no file name (empty, or ending in
-    a separator) and one that exists but is not a regular file (a device, a
+    ``f`` is a new file beside ``path``, ``.NAME.PID.RANDOM.tmp``, which
+    os.replace moves over ``path`` once the block ends and the file closes
+    without error.  Any exception removes it, so a write that fails part way
+    leaves neither a truncated ``path`` nor a temporary.  A file already at
+    that name, such as one a killed run left, is never written: it is left
+    as it is and another name is drawn.  A symlink's target is replaced,
+    not the link.  A path with no file name (empty, or ending in a
+    separator) and one that exists but is not a regular file (a device, a
     FIFO) are opened in place: open reports the first, and the second is
     written as it always was.  A file that cannot be created is reported
-    under ``path`` as given; a stale temporary in the way, under its own.
+    under ``path`` as given.
     """
     tmp = None
     if os.path.basename(path) and (os.path.isfile(path) or not os.path.exists(path)):
         real = os.path.realpath(path)
         head, name = os.path.split(real)
-        tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-    try:
-        # "x": never write into a file left by someone else
-        f = open(tmp, "xb") if tmp else open(path, "wb")
-    except OSError as exc:
-        if not isinstance(exc, FileExistsError):  # a stale temporary is named as itself
-            exc.filename = path
-        raise
+        for last in (False, False, True):
+            tmp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+            try:
+                f = open(tmp, "xb")
+                break
+            except FileExistsError:
+                if last:  # three names taken: report the last one
+                    raise
+            except OSError as exc:
+                exc.filename = path
+                raise
+    else:
+        f = open(path, "wb")
     try:
         try:
             yield f
@@ -278,18 +285,20 @@ def write_trace_csv(trace: SimTrace, path: str) -> None:
         f.writelines(row_format % row for row in zip(*map(trace.view, TRACE_COLUMNS)))
 
 
-def _data_rows(f) -> int:
+def _data_rows(f) -> tuple[int, bool]:
     """The lines after the header of the binary file ``f``, counted from its
-    newlines in 64 KiB blocks, a last line with none included; 0, without
-    reading, when ``f`` cannot seek back to its start (a pipe)."""
+    newlines in 64 KiB blocks, a last line with none included, and whether
+    the file is plain: all ASCII, with no carriage return.  (0, False),
+    without reading, when ``f`` cannot seek back to its start (a pipe)."""
     if not f.seekable():
-        return 0
-    newlines, last = 0, b""
+        return 0, False
+    newlines, last, plain = 0, b"", True
     for block in iter(lambda: f.read(1 << 16), b""):
         newlines += block.count(b"\n")
+        plain = plain and block.isascii() and b"\r" not in block
         last = block[-1:]
     f.seek(0)
-    return newlines - 1 if last == b"\n" else newlines
+    return newlines - 1 if last == b"\n" else newlines, plain
 
 
 def read_trace_csv(path: str, L: float) -> SimTrace:
@@ -306,23 +315,31 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
     The trace is allocated for the rows a first pass over the file's
     newlines counts, and filled in place, so it holds no growth slack; it
     grows only past that count (a file that grew in between, or a pipe,
-    which is read in one pass)."""
+    which is read in one pass).  A plain file (see _data_rows) is parsed
+    from its bytes, which split into the lines and cells its text would;
+    any other file is decoded, with newline="" line ends (LF, CRLF, CR)."""
     SimTrace(L=L)  # rejects a bad L before the file is opened
     t_prev = -math.inf
     try:
-        with io.TextIOWrapper(open(path, "rb"), newline="") as f:
-            # The wrapper has read nothing yet, so the count may read its
-            # buffer and seek back to the start.
-            trace = SimTrace(L=L, rows=_data_rows(f.buffer))
+        with open(path, "rb") as f:
+            rows, plain = _data_rows(f)
+            trace = SimTrace(L=L, rows=rows)
             buf, allocated, end = trace._rows, trace._allocated, 0
-            header = f.readline().strip()
+            lines, sep = (f, b",") if plain else (io.TextIOWrapper(f, newline=""), ",")
+            header = lines.readline()
+            # decoded first: str.strip() also removes \x1c-\x1f
+            header = (header.decode() if plain else header).strip()
             if header != TRACE_HEADER:
                 raise ValueError(f"{path}:1: unexpected trace header: {header!r}")
-            for lineno, line in enumerate(f, start=2):
+            for lineno, line in enumerate(lines, start=2):
                 try:
-                    t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, line.split(","))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                    t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, line.split(sep))
+                except ValueError:
+                    try:  # again as text, which on ASCII fails alike, for 'abc', not b'abc'
+                        t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(
+                            float, (line.decode() if plain else line).split(","))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from None
                 if not t_prev < t < math.inf:
                     if not math.isfinite(t):
                         raise ValueError(f"{path}:{lineno}: t = {t!r} is not finite")

@@ -6,13 +6,14 @@ Runs `ctasim simulate` for paper-explicit and paper-implicit and the 4-point
 `paper-implicit` sweep through ctasim.cli.main in a temporary directory, and
 compares the trace CSV SHA-256s, the summaries and the sweep JSON with
 perfbench/goldens.json, which it only reads, and the sweep table's SHA-256
-with SWEEP_TABLE_SHA256.  It also reads the
-paper-implicit trace CSV back and summarizes it (the read side of the CSV
-codec), which must give the golden summary from a trace with no array
-growth slack, and checks that both commands start their runs with no
-argparse parser alive.  gc generations and array growth are interpreter
-internals, so those two facts are checked on every version too.  Prints
-one line per check and exits 1 on any mismatch.  It needs the standard
+with SWEEP_TABLE_SHA256.  It also reads the paper-implicit trace CSV back
+and summarizes it (the read side of the CSV codec), which must give the
+golden summary from a trace with no array growth slack; reads a CRLF copy
+of it, which takes the reader's text path; compares both reads with the
+simulated trace's rows; and checks that both commands start their runs
+with no argparse parser alive.  gc generations and array growth are
+interpreter internals, so those two facts are checked on every version
+too.  Prints one line per check and exits 1 on any mismatch.  It needs the standard
 library only (no pytest, numpy or hypothesis), so it runs on interpreters
 that cannot run the test suite; tests/test_goldens.py calls the same golden
 check functions, and tests/test_cli.py makes the parser check its own way.
@@ -78,19 +79,30 @@ def check_reload(workdir: str) -> list[str]:
     """Read back the paper-implicit trace CSV that check_preset wrote to
     ``workdir``, summarize it, and compare the result with the golden summary
     less its preset key; the trace's array must be sized exactly for its
-    rows.  Returns the mismatches, empty if none."""
+    rows.  A CRLF copy of the file, which the reader decodes as text where
+    it parses the plain file as bytes, must read back as the same rows, and
+    both must hold the simulated trace's rows bit for bit.  Returns the
+    mismatches, empty if none."""
     cfg = cli.get_preset("paper-implicit").cfg
+    plain = os.path.join(workdir, "paper-implicit.csv")
+    crlf = os.path.join(workdir, "paper-implicit-crlf.csv")
     try:
-        trace = cli.read_trace_csv(os.path.join(workdir, "paper-implicit.csv"), cfg.gains.L)
+        with open(plain, "rb") as src, open(crlf, "wb") as dst:
+            dst.write(src.read().replace(b"\n", b"\r\n"))
+        traces = [cli.read_trace_csv(path, cfg.gains.L) for path in (plain, crlf)]
     except (OSError, ValueError) as exc:
         return [f"cannot read the trace: {exc}"]
     golden = dict(load_goldens()["simulate"]["paper-implicit"]["summary"])
     del golden["preset"]
-    summary = json.loads(json.dumps(cli.summarize(trace, cfg)))
+    summary = json.loads(json.dumps(cli.summarize(traces[0], cfg)))
     problems = [] if summary == golden else ["summary differs"]
-    slack = sys.getsizeof(trace._rows) - sys.getsizeof(array("d")) - 56 * trace.n
-    if slack:
-        problems.append(f"{slack} B of growth slack at {trace.n} rows")
+    simulated = cli.run_simulation(cfg)._rows.tobytes()
+    for name, trace in zip(("plain", "CRLF"), traces):
+        slack = sys.getsizeof(trace._rows) - sys.getsizeof(array("d")) - 56 * trace.n
+        if slack:
+            problems.append(f"{name}: {slack} B of growth slack at {trace.n} rows")
+        if trace._rows.tobytes() != simulated:
+            problems.append(f"{name}: rows differ from the simulated trace's")
     return problems
 
 

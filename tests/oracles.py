@@ -10,15 +10,28 @@ z = 0; ``disturbance_second_derivative`` is delta'' differentiated by
 hand.  The ``reference_*`` trace metrics select the window row by row
 through a Python index list over column copies, for bit-identity checks of
 the in-place metrics; ``row`` reads one trace row as the CSV writes it.
+``read_trace_csv_text`` is the trace reader that decodes every file, for
+equivalence checks of the reader that parses plain files as bytes.
 """
 
+import io
 import math
+import struct
 from functools import reduce
 from operator import add
 
 import numpy as np
 
 from ctasim.metrics import ChatterReport, PrecisionReport
+from ctasim.plant import (
+    _DERIVED,
+    _ROW_BYTES,
+    TRACE_HEADER,
+    SimTrace,
+    _data_rows,
+    _pack,
+    _pack_into,
+)
 from ctasim.resolvent import Interval, proj, sign_selection
 
 
@@ -209,3 +222,68 @@ def reference_chatter_metrics(trace, window):
     tv = reduce(add, (abs(d) for d in diffs), 0.0)
     flips = sum(1 for i in range(len(diffs) - 1) if diffs[i] * diffs[i + 1] < 0.0)
     return ChatterReport(total_variation_u=tv, sign_flips_u_delta=flips)
+
+
+# --- the trace CSV, decoded whole ---------------------------------------------
+
+
+def read_trace_csv_text(path: str, L: float) -> SimTrace:
+    """Parse a trace CSV.  The z3 and x columns are not stored.  A header
+    other than TRACE_HEADER (lineno 1), a malformed row (a field count other
+    than 11, a cell that is not a float, a blank line), a row whose t is not
+    finite or not greater than the previous row's (the time order SimTrace
+    requires), or a row whose z3 and x are not eta + delta and z/L bit for
+    bit (-0 is not 0; NaN never is) raises ValueError starting with
+    `path:lineno:`, and a file that does not
+    decode raises ValueError starting with `path:`.  An L that is not
+    positive and finite raises ValueError before the file is opened.
+
+    The trace is allocated for the rows a first pass over the file's
+    newlines counts, and filled in place, so it holds no growth slack; it
+    grows only past that count (a file that grew in between, or a pipe,
+    which is read in one pass)."""
+    SimTrace(L=L)  # rejects a bad L before the file is opened
+    t_prev = -math.inf
+    try:
+        with io.TextIOWrapper(open(path, "rb"), newline="") as f:
+            # The wrapper has read nothing yet, so the count may read its
+            # buffer and seek back to the start.
+            trace = SimTrace(L=L, rows=_data_rows(f.buffer)[0])
+            buf, allocated, end = trace._rows, trace._allocated, 0
+            header = f.readline().strip()
+            if header != TRACE_HEADER:
+                raise ValueError(f"{path}:1: unexpected trace header: {header!r}")
+            for lineno, line in enumerate(f, start=2):
+                try:
+                    t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, line.split(","))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if not t_prev < t < math.inf:
+                    if not math.isfinite(t):
+                        raise ValueError(f"{path}:{lineno}: t = {t!r} is not finite")
+                    raise ValueError(f"{path}:{lineno}: t = {t!r} is not greater than "
+                                     f"the previous row's t = {t_prev!r}")
+                t_prev = t
+                z3_row = eta + delta
+                # != fails every NaN.  Equal floats differ in bits only at -0 and 0,
+                # so the bits are compared only when a cell is zero.
+                if (z3 != z3_row or x1 != z1 / L or x2 != z2 / L or x3 != z3_row / L
+                        or not (z3 and x1 and x2 and x3)
+                        and _DERIVED.pack(z3, x1, x2, x3)
+                        != _DERIVED.pack(z3_row, z1 / L, z2 / L, z3_row / L)):
+                    if struct.pack("d", z3) != struct.pack("d", z3_row):
+                        raise ValueError(f"{path}:{lineno}: z3 = {z3!r} is not "
+                                         f"eta + delta = {z3_row!r}")
+                    raise ValueError(f"{path}:{lineno}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
+                                     f"z/L = {z1 / L!r}, {z2 / L!r}, {z3_row / L!r} for L = {L!r}")
+                # append's fill and grow paths, without a method call per row
+                if end < allocated:
+                    _pack_into(buf, end, t, z1, z2, u, u1, eta, delta)
+                else:
+                    buf.frombytes(_pack(t, z1, z2, u, u1, eta, delta))
+                end += _ROW_BYTES
+    except UnicodeDecodeError as exc:
+        # Decoding runs in chunks, so the line is unknown.
+        raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+    trace._end = end
+    return trace

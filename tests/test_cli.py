@@ -6,10 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
+import tracemalloc
 import types
 from array import array
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -35,7 +38,7 @@ from ctasim.cli import (
 from ctasim.controller import Gains
 from ctasim.metrics import precision_envelope
 from ctasim.plant import Disturbance, Sinusoid, run_simulation
-from oracles import row
+from oracles import read_trace_csv_text, row
 
 # Three distinct step sizes whose math.log is one float, -6.907755278982137.
 SAME_LOG_H = "1e-3,0.0010000000000000002,0.0010000000000000004"
@@ -227,6 +230,125 @@ class TestTraceCsv:
         with pytest.raises(ValueError) as info:
             read_trace_csv(str(path), 5.0)
         assert str(info.value) == f"{path}:1: unexpected trace header: {header!r}"
+
+    def test_paper_implicit_read_peaks_at_the_trace(self, tmp_path):
+        # The rest is the binary file's buffer (the block size, often 4 KiB) and the
+        # line being parsed; a decoding reader adds about 25 KB of text buffers.
+        trace, _ = run_preset("paper-implicit")
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        tracemalloc.start()
+        try:
+            back = read_trace_csv(str(path), trace.L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sys.getsizeof(back._rows) == 560_136
+        assert peak <= sys.getsizeof(back._rows) + 12_000
+
+    @pytest.mark.parametrize("edit, decoded", [
+        (lambda text: text.encode(), False),
+        (lambda text: text.replace("\n", "\r\n").encode(), True),
+        (lambda text: text.replace("\n", "\r").encode(), True),
+        (lambda text: text.encode().replace(b",", b",\xff", 1), True),
+        (lambda text: _with_cell(text, 3, 7, "\u0661").encode(), True),
+    ], ids=["plain", "crlf", "lone-cr", "undecodable-byte", "arabic-indic-digit"])
+    def test_non_plain_file_is_decoded_as_the_text_reader_does(self, tmp_path, monkeypatch,
+                                                                edit, decoded):
+        # The last file's u cell is ARABIC-INDIC DIGIT ONE, which float()
+        # reads from text as 1.0, so the row is accepted.
+        path = tmp_path / "trace.csv"
+        path.write_bytes(edit(_short_trace_text()))
+        wrapped = []
+
+        def wrapper(f, **kwargs):
+            wrapped.append(kwargs)
+            return io.TextIOWrapper(f, **kwargs)
+
+        monkeypatch.setattr(plant, "io", types.SimpleNamespace(TextIOWrapper=wrapper))
+        outcome = _read_outcome(read_trace_csv, path)
+        assert wrapped == ([{"newline": ""}] if decoded else [])
+        assert outcome == _read_outcome(read_trace_csv_text, path)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_reads_every_edit_as_the_text_reader_does(self, scratch_csv, data):
+        text = _edited_trace(data.draw)
+        scratch_csv.write_bytes(text.encode())
+        assert _read_outcome(read_trace_csv, scratch_csv) == _read_outcome(
+            read_trace_csv_text, scratch_csv), text
+
+
+@cache
+def _short_trace_text() -> str:
+    """The CSV of a paper-implicit run to t = 0.01 (11 rows, L = 5)."""
+    trace, _ = run_preset("paper-implicit", {"t_final": 0.01})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        write_trace_csv(trace, path)
+        with open(path) as f:
+            return f.read()
+
+
+def _with_cell(text: str, i: int, j: int, cell: str) -> str:
+    """``text`` with cell ``j`` of line ``i`` (0 is the header) set to ``cell``."""
+    lines = text.split("\n")
+    cells = lines[i].split(",")
+    cells[j] = cell
+    lines[i] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def _read_outcome(reader, path):
+    """(n, the trace's bytes) of ``reader``'s read of ``path`` with L = 5, or
+    the message of the ValueError it raises."""
+    try:
+        trace = reader(str(path), 5.0)
+    except ValueError as exc:
+        return str(exc)
+    return trace.n, trace._rows.tobytes()
+
+
+EDITS = ["ulp", "-0", "nan", "inf", "1_0", "abc", "", "add-field", "drop-field",
+         "blank-line", "repeat-t", "separator", "separator-around-header"]
+
+
+def _edited_trace(draw) -> str:
+    """The short trace with one to three drawn edits, each on a drawn cell."""
+    lines = _short_trace_text().split("\n")[:-1]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))  # the header too
+        edit = draw(st.sampled_from(EDITS))
+        if edit == "blank-line":
+            lines.insert(i + 1, "")
+            continue
+        sep = draw(st.sampled_from("\x1c\x1d\x1e\x1f"))  # str.strip() removes them
+        if edit == "separator-around-header":
+            lines[0] = draw(st.sampled_from([sep + lines[0], lines[0] + sep]))
+            continue
+        cells = lines[i].split(",")
+        j = draw(st.integers(0, len(cells) - 1))
+        if edit == "ulp":
+            with suppress(ValueError):  # a header cell, or one edited to a non-number
+                cells[j] = repr(math.nextafter(float(cells[j]),
+                                               draw(st.sampled_from([-math.inf, math.inf]))))
+        elif edit == "add-field":
+            cells.insert(j, draw(st.sampled_from(["0", cells[j]])))
+        elif edit == "drop-field":
+            del cells[j]
+        elif edit == "repeat-t":
+            cells[0] = lines[i - 1].split(",")[0]
+        elif edit == "separator":
+            cells[j] = draw(st.sampled_from([sep + cells[j], cells[j] + sep]))
+        else:
+            cells[j] = edit
+        lines[i] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("edited") / "trace.csv"
 
 
 class TestSweep:
@@ -721,9 +843,28 @@ class TestCommandLine:
         assert captured.out == ""
         assert captured.err == f"error: [Errno 2] No such file or directory: '{target}'\n"
 
-    def test_stale_temporary_is_named_and_kept(self, tmp_path, capsys):
-        stale = tmp_path / f".summary.json.{os.getpid()}.tmp"
+    def test_stale_temporary_is_passed_over_and_kept(self, tmp_path, capsys, monkeypatch):
+        # A run killed part way leaves its temporary, and a later run may get
+        # its PID; here the first name drawn is taken too.
+        pid = os.getpid()
+        stale = [tmp_path / f".summary.json.{pid}.tmp",
+                 tmp_path / f".summary.json.{pid}.00000000.tmp"]
+        for path in stale:
+            path.write_text("someone else's\n")
+        draws = iter([b"\x00" * 4, b"\x01" * 4])
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+        summary = tmp_path / "summary.json"
+        assert main(["simulate", "--preset", "zero", "--t-final", "0.01",
+                     "--summary", str(summary)]) == 0
+        assert next(draws, None) is None
+        assert sorted(tmp_path.iterdir()) == sorted([*stale, summary])
+        assert [path.read_text() for path in stale] == ["someone else's\n"] * 2
+        assert summary.read_bytes() == capsys.readouterr().out.encode()
+
+    def test_every_temporary_name_taken_is_named(self, tmp_path, capsys, monkeypatch):
+        stale = tmp_path / f".summary.json.{os.getpid()}.00000000.tmp"
         stale.write_text("someone else's\n")
+        monkeypatch.setattr(os, "urandom", lambda n: b"\x00" * n)
         assert main(["simulate", "--preset", "zero", "--t-final", "0.01",
                      "--summary", str(tmp_path / "summary.json")]) == 1
         assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{stale}'\n"
