@@ -8,8 +8,10 @@ require:
 
 The disturbance entering a step is sampled at the step's end time t + h
 (an implicit sample, matching the backward-Euler controller's model of the
-interval).  The controller itself is never shown delta; it only ever sees
-the measured (z1, z2) and its own state.
+interval).  A Disturbance resolves each sinusoid to its sin or cos once,
+when it is built, so a sample is a constant plus a fixed sum.  The
+controller itself is never shown delta; it only ever sees the measured
+(z1, z2) and its own state.
 
 Each trace row at time t holds the state at t, the input computed from it,
 the integrator value eta at t, delta(t), and the fictitious state
@@ -65,22 +67,26 @@ class Sinusoid(Record):
 
 
 class Disturbance(Record):
-    """Constant plus a sum of sinusoids."""
+    """Constant plus a tuple of Sinusoid terms, each resolved once, when the
+    record is built, to (amplitude, omega, math.sin or math.cos)."""
 
     def __init__(self, constant: float = 0.0, sinusoids: tuple[Sinusoid, ...] = ()):
+        sinusoids = tuple(sinusoids)
         self._set(locals())
         self._check_finite("constant")
+        for i, term in enumerate(sinusoids):
+            if not isinstance(term, Sinusoid):
+                raise ValueError(f"sinusoids[{i}] must be a Sinusoid, got {term!r}")
+        object.__setattr__(self, "_terms", tuple(
+            (s.amplitude, s.omega, math.sin if s.kind == "sin" else math.cos) for s in sinusoids))
 
 
 def eval_disturbance(d: Disturbance, t: float) -> float:
-    """Return delta(t)."""
+    """Return delta(t): the constant, then each term amplitude*wave(omega*t)
+    added in order, from the terms the Disturbance resolved when built."""
     delta = d.constant
-    for term in d.sinusoids:
-        phase = term.omega * t
-        if term.kind == "sin":
-            delta += term.amplitude * math.sin(phase)
-        else:
-            delta += term.amplitude * math.cos(phase)
+    for amplitude, omega, wave in d._terms:
+        delta += amplitude * wave(omega * t)
     return delta
 
 
@@ -382,10 +388,10 @@ def run_simulation(cfg: SimConfig, sink=None):
     Within a step: the input is computed from the current measured state and
     the controller memory, the row is recorded, then the plant advances with
     the disturbance sampled at the end of the interval.  That sample is the
-    next step's delta(t): (k + 1)*h is the same float as the next k*h, so it
-    is carried over rather than evaluated twice.  The controller memory is
-    local floats, passed to and returned by the step (see
-    controller.implicit_step).
+    next step's delta(t) and t: (k + 1)*h is the same float as the next k*h.
+    The controller memory is local floats, passed to and returned by the
+    step (see controller.implicit_step).  The step and this module's
+    eval_disturbance, plant_step and DIVERGENCE_LIMIT are bound once per run.
     """
     step = explicit_step if cfg.method == "explicit" else implicit_step
     g = cfg.gains
@@ -396,23 +402,23 @@ def run_simulation(cfg: SimConfig, sink=None):
     if sink is None:
         sink = SimTrace(L=g.L, rows=n + 1)
     append = sink.append
+    d, delta_at, advance, limit = cfg.disturbance, eval_disturbance, plant_step, DIVERGENCE_LIMIT
 
-    delta_now = eval_disturbance(cfg.disturbance, 0.0)
+    t, delta_now = 0.0, delta_at(d, 0.0)
     for k in range(n):
-        t = k * h
         u, u1, eta_next, d_est = step(k, z1, z2, zb1, zb2, eta, u1, d_est, g, h)
         append(t, z1, z2, u, u1, eta, delta_now)
-        delta_now = eval_disturbance(cfg.disturbance, (k + 1) * h)
+        t = (k + 1) * h
+        delta_now = delta_at(d, t)
         zb1, zb2, eta = z1, z2, eta_next
-        z1, z2 = plant_step(z1, z2, u, delta_now, h)
+        z1, z2 = advance(z1, z2, u, delta_now, h)
         # Written as "not within", so that NaN, which fails every
         # comparison, diverges too.
-        if not (abs(z1) <= DIVERGENCE_LIMIT and abs(z2) <= DIVERGENCE_LIMIT
-                and abs(eta) <= DIVERGENCE_LIMIT):
+        if not (abs(z1) <= limit and abs(z2) <= limit and abs(eta) <= limit):
             raise SimulationDiverged(
-                k, t, f"|state| exceeded {DIVERGENCE_LIMIT:g} "
-                      f"(z1={z1:g}, z2={z2:g}, eta={eta:g})")
+                k, k * h, f"|state| exceeded {limit:g} "
+                          f"(z1={z1:g}, z2={z2:g}, eta={eta:g})")
 
     u, u1, _, _ = step(n, z1, z2, zb1, zb2, eta, u1, d_est, g, h)  # evaluated, not committed
-    append(n * h, z1, z2, u, u1, eta, delta_now)
+    append(t, z1, z2, u, u1, eta, delta_now)  # t = n*h
     return sink

@@ -71,13 +71,15 @@ def nested_clamp(lo: float, hi: float, y: float, x: float) -> float:
     Requires hi >= |lo| so that the inner bounds come out ordered; every
     interval of the form [A - B, A + B] with A, B >= 0 qualifies.  Each proj
     is written out as a clamp, so no Interval is built, but C and the inner
-    interval are checked as Interval would check them: a disordered or NaN
-    endpoint raises ValueError.
+    interval are checked as Interval would check them, in one comparison:
+    a disordered or NaN endpoint (a NaN y in the inner one) raises
+    ValueError, which names C when both are bad.
     """
-    _check_ordered(lo, hi)
     ilo = -hi if y < -hi else (-lo if y > -lo else y)
     ihi = lo if y < lo else (hi if y > hi else y)
-    _check_ordered(ilo, ihi)
+    if not (lo <= hi and ilo <= ihi):
+        _check_ordered(lo, hi)
+        _check_ordered(ilo, ihi)
     return ilo if x < ilo else (ihi if x > ihi else x)
 
 

@@ -13,10 +13,13 @@ of it, which takes the reader's text path; compares both reads with the
 simulated trace's rows; and checks that both commands start their runs
 with no argparse parser alive.  gc generations and array growth are
 interpreter internals, so those two facts are checked on every version
-too.  Prints one line per check and exits 1 on any mismatch.  It needs the standard
-library only (no pytest, numpy or hypothesis), so it runs on interpreters
-that cannot run the test suite; tests/test_goldens.py calls the same golden
-check functions, and tests/test_cli.py makes the parser check its own way.
+too.  Last, it compares the loop's two kernels, resolvent.nested_clamp and
+plant.eval_disturbance, with inline reference formulas on a fixed random
+sample, bit for bit.  Prints one line per check and exits 1 on any
+mismatch.  It needs the standard library only (no pytest, numpy or
+hypothesis), so it runs on interpreters that cannot run the test suite;
+tests/test_goldens.py calls the same golden and kernel check functions,
+and tests/test_cli.py makes the parser check its own way.
 """
 
 import contextlib
@@ -24,8 +27,11 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import platform
+import random
+import struct
 import sys
 import tempfile
 from array import array
@@ -35,6 +41,8 @@ if __name__ == "__main__":
     sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from ctasim import cli  # noqa: E402
+from ctasim.plant import Disturbance, Sinusoid, eval_disturbance  # noqa: E402
+from ctasim.resolvent import nested_clamp  # noqa: E402
 
 GOLDENS = os.path.join(ROOT, "perfbench", "goldens.json")
 PRESETS = ("paper-explicit", "paper-implicit")
@@ -155,6 +163,78 @@ def check_parsers_freed() -> list[str]:
     return problems
 
 
+def _clamp(lo: float, hi: float, v: float) -> float:
+    return lo if v < lo else (hi if v > hi else v)
+
+
+def _reference_nested_clamp(lo: float, hi: float, y: float, x: float) -> float:
+    """proj([proj(-C, y), proj(C, y)], x) for C = [lo, hi], checking C and
+    then the inner interval as resolvent.Interval does."""
+    if not lo <= hi:
+        raise ValueError(f"malformed interval: lo={lo!r} > hi={hi!r}")
+    ilo, ihi = _clamp(-hi, -lo, y), _clamp(lo, hi, y)
+    if not ilo <= ihi:
+        raise ValueError(f"malformed interval: lo={ilo!r} > hi={ihi!r}")
+    return _clamp(ilo, ihi, x)
+
+
+def _reference_disturbance(d: Disturbance, t: float) -> float:
+    """delta(t) from each term's fields, added in order."""
+    delta = d.constant
+    for term in d.sinusoids:
+        phase = term.omega * t
+        delta += term.amplitude * (math.sin(phase) if term.kind == "sin" else math.cos(phase))
+    return delta
+
+
+def _outcome(f, *args):
+    """f(*args) as its result's bits, or the message of the ValueError it raises."""
+    try:
+        return struct.pack("d", f(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+KERNEL_SAMPLES = 2000
+
+
+def check_kernels() -> list[str]:
+    """resolvent.nested_clamp and plant.eval_disturbance against the inline
+    reference formulas above on KERNEL_SAMPLES draws each of a fixed
+    random.Random(0), bit for bit (and nested_clamp's ValueError message
+    for a bad interval); returns the first three mismatches, empty if none.
+
+    nested_clamp gets C = [A - B, A + B] with A, B >= 0, and y, x drawn
+    from signed zeros, infinities, NaN and values across the float range;
+    one draw in eight swaps lo and hi.  eval_disturbance gets 0 to 4 terms
+    of both kinds and a finite t, and the paper's disturbance."""
+    rng = random.Random(0)
+    special = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, 1e308)
+
+    def value():
+        if rng.random() < 0.25:
+            return rng.choice(special)
+        return rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-20.0, 20.0)
+
+    problems = []
+    for _ in range(KERNEL_SAMPLES):
+        a, b, y, x = abs(value()), abs(value()), value(), value()
+        lo, hi = (a + b, a - b) if rng.random() < 0.125 else (a - b, a + b)
+        got = _outcome(nested_clamp, lo, hi, y, x)
+        if got != _outcome(_reference_nested_clamp, lo, hi, y, x):
+            problems.append(f"nested_clamp{(lo, hi, y, x)!r} gives {got!r}")
+    disturbances = [cli.PAPER_DISTURBANCE]
+    for _ in range(KERNEL_SAMPLES):
+        terms = [Sinusoid(rng.uniform(-1e3, 1e3), rng.uniform(-1e2, 1e2),
+                          rng.choice(("sin", "cos"))) for _ in range(rng.randint(0, 4))]
+        disturbances.append(Disturbance(rng.uniform(-1e3, 1e3), terms))
+    for d in disturbances:
+        t = rng.uniform(-1e3, 1e3)
+        if _outcome(eval_disturbance, d, t) != _outcome(_reference_disturbance, d, t):
+            problems.append(f"eval_disturbance({d!r}, {t!r}) differs")
+    return problems[:3]
+
+
 def main() -> int:
     print(f"Python {platform.python_version()}")
     with tempfile.TemporaryDirectory() as workdir:
@@ -167,7 +247,10 @@ def main() -> int:
     parsers = check_parsers_freed()
     print(f"{'FAIL' if parsers else 'ok'}  parsers: "
           f"{'; '.join(parsers) or 'none alive at run start'}")
-    return 1 if parsers or any(problems for _, problems in results) else 0
+    kernels = check_kernels()
+    print(f"{'FAIL' if kernels else 'ok'}  kernels: "
+          f"{'; '.join(kernels) or 'nested_clamp and eval_disturbance match the references'}")
+    return 1 if parsers or kernels or any(problems for _, problems in results) else 0
 
 
 if __name__ == "__main__":

@@ -2,16 +2,19 @@
 
 The brute-force resolvent oracles check set membership directly from the
 defining inclusions; none of them shares code with the nested-projection
-solvers under test.  ``reference_implicit_step`` is the implicit step in
-its two-stage form, built from validated ``Interval``s and ``proj``, for
-bit-identity checks of the one-pass step; ``reference_explicit_step`` is
-the explicit step through an odd fractional power with its own branch at
-z = 0; ``disturbance_second_derivative`` is delta'' differentiated by
-hand.  The ``reference_*`` trace metrics select the window row by row
-through a Python index list over column copies, for bit-identity checks of
-the in-place metrics; ``row`` reads one trace row as the CSV writes it.
-``read_trace_csv_text`` is the trace reader that decodes every file, for
-equivalence checks of the reader that parses plain files as bytes.
+solvers under test.  ``reference_nested_clamp`` is the resolvent kernel as
+nested ``proj`` over validated ``Interval``s, and
+``reference_implicit_step`` is the implicit step in its two-stage form,
+built the same way, for bit-identity checks of the one-pass step;
+``reference_explicit_step`` is the explicit step through an odd fractional
+power with its own branch at z = 0; ``disturbance`` evaluates a
+disturbance from its terms' fields, and ``disturbance_second_derivative``
+is delta'' differentiated by hand.  The ``reference_*`` trace metrics
+select the window row by row through a Python index list over column
+copies, for bit-identity checks of the in-place metrics; ``row`` reads one
+trace row as the CSV writes it.  ``read_trace_csv_text`` is the trace
+reader that decodes every file, for equivalence checks of the reader that
+parses plain files as bytes.
 """
 
 import io
@@ -92,6 +95,13 @@ def reference_explicit_step(k, z1, z2, zb1, zb2, eta, u1_prev, d_prev, g, h):
 # --- the implicit step, stage by stage --------------------------------------
 
 
+def reference_nested_clamp(lo, hi, y, x):
+    """proj([proj(-C, y), proj(C, y)], x) for C = [lo, hi], through validated
+    Intervals: C is built (and checked) first, then the inner interval."""
+    c = Interval(lo, hi)
+    return proj(Interval(proj(Interval(-c.hi, -c.lo), y), proj(c, y)), x)
+
+
 def reference_velocity(z1, z2, k, h):
     """Even steps land the position one plant update ahead; odd steps stop."""
     if k % 2 == 0:
@@ -143,6 +153,20 @@ def reference_implicit_step(k, z1, z2, zb1, zb2, eta, u1_prev, d_prev, g, h):
     eta_next = reference_stage2(k, z1, z2, zb2, eta, u1_prev, d_prev, u1, g, h)
     delta_est = reference_reconstruction(z2, zb2, eta, u1_prev, h) if k >= 1 else 0.0
     return u1 + eta_next, u1, eta_next, delta_est
+
+
+def disturbance(d, t):
+    """delta(t) of a plant.Disturbance read term by term from its Sinusoid
+    fields: the constant, then amplitude*sin(omega*t) or amplitude*cos(omega*t)
+    as each term's kind says, added in order."""
+    delta = d.constant
+    for term in d.sinusoids:
+        phase = term.omega * t
+        if term.kind == "sin":
+            delta += term.amplitude * math.sin(phase)
+        else:
+            delta += term.amplitude * math.cos(phase)
+    return delta
 
 
 def disturbance_second_derivative(d, t):

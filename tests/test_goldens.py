@@ -4,8 +4,9 @@
 its summary JSON (recorded on this platform's libm; see
 ``perfbench/make_goldens.py``).  Any change to the bytes a preset writes
 fails here, not only in the benchmark's gate.  The preset, trace read-back
-and sweep (JSON and table) checks are ``tests/golden_check.py``'s, which
-also runs alone on interpreters without pytest.
+and sweep (JSON and table) checks, and the kernel check, are
+``tests/golden_check.py``'s, which also runs alone on interpreters without
+pytest.
 """
 
 import math
@@ -61,6 +62,12 @@ def test_sweep_writer_matches_per_value_format(tmp_path):
         ",".join(f"{v:.17g}" for v in (r.h, *(r.sup_abs_x or (math.nan,) * 3)))
         + f",{r.status}\n" for r in result.rows)
     assert path.read_bytes() == expected.encode()
+
+
+def test_kernels_match_inline_references():
+    """nested_clamp and eval_disturbance against golden_check's stdlib
+    reference formulas, the check that interpreters without pytest run."""
+    assert golden_check.check_kernels() == []
 
 
 def test_order_sweep_json(tmp_path):

@@ -5,6 +5,8 @@ import tracemalloc
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctasim.cli import PAPER_DISTURBANCE, PAPER_GAINS, get_preset
 from ctasim.controller import Gains, implicit_step
@@ -21,7 +23,11 @@ from ctasim.plant import (
     run_simulation,
     write_trace_csv,
 )
-from oracles import row
+from oracles import disturbance, row
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+sinusoids = st.builds(Sinusoid, finite, st.floats(min_value=-1e3, max_value=1e3),
+                      st.sampled_from(("sin", "cos")))
 
 
 class TestDisturbance:
@@ -54,6 +60,44 @@ class TestDisturbance:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             Sinusoid(1.0, 1.0, "tan")
+
+    @given(finite, st.lists(sinusoids, max_size=4), st.floats(min_value=-1e4, max_value=1e4))
+    @settings(max_examples=200)
+    def test_matches_term_by_term_oracle(self, constant, terms, t):
+        d = Disturbance(constant, tuple(terms))
+        assert _bits([eval_disturbance(d, t)]) == _bits([disturbance(d, t)])
+
+    def test_replace_evaluates_the_new_terms(self):
+        d = Disturbance(1.0, (Sinusoid(0.5, 2.0),))
+        terms = (Sinusoid(0.25, 3.0, "cos"), Sinusoid(2.0, 0.5))
+        by_terms, by_constant = d.replace(sinusoids=terms), d.replace(constant=-4.0)
+        assert eval_disturbance(by_terms, 0.0) == 1.25
+        assert eval_disturbance(by_constant, 0.0) == -4.0
+        for new in (d, by_terms, by_constant):
+            for t in (0.0, 0.3, 1.7, -2.5):
+                assert _bits([eval_disturbance(new, t)]) == _bits([disturbance(new, t)])
+
+    def test_any_sequence_of_sinusoids_is_stored_as_a_tuple(self):
+        terms = [Sinusoid(0.5, 2.0), Sinusoid(0.1, 3.0, "cos")]
+        listed, tupled = Disturbance(1.0, terms), Disturbance(1.0, tuple(terms))
+        assert type(listed.sinusoids) is tuple and listed.sinusoids == tuple(terms)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert hash(Disturbance(1.0, [Sinusoid(0.5, 2.0)])) == hash(
+            Disturbance(1.0, (Sinusoid(0.5, 2.0),)))
+        # the resolved terms are not a field
+        assert Disturbance._fields == ("constant", "sinusoids")
+        assert repr(Disturbance(1.0, [Sinusoid(0.5, 2.0)])) == (
+            "Disturbance(constant=1.0, sinusoids=(Sinusoid(amplitude=0.5, omega=2.0, "
+            "kind='sin'),))")
+
+    @pytest.mark.parametrize("terms, message", [
+        (((0.5, 2.0),), "sinusoids[0] must be a Sinusoid, got (0.5, 2.0)"),
+        ([Sinusoid(0.5, 2.0), "cos"], "sinusoids[1] must be a Sinusoid, got 'cos'"),
+    ])
+    def test_rejects_a_term_that_is_not_a_sinusoid(self, terms, message):
+        with pytest.raises(ValueError) as exc:
+            Disturbance(1.0, terms)
+        assert str(exc.value) == message
 
 
 class TestPlantStep:
@@ -99,6 +143,12 @@ class TestRunSimulation:
         assert trace.n == 251
         for k, t in enumerate(trace.t):
             assert t == k * 0.001
+        # every row of both benchmark presets, the final one included
+        for preset in ("paper-explicit", "paper-implicit"):
+            cfg = get_preset(preset).cfg
+            trace = run_simulation(cfg)
+            assert trace.n == cfg.steps + 1 == 10_001
+            assert _bits(trace.t) == _bits(k * cfg.h for k in range(trace.n))
 
     def test_trace_arithmetic(self):
         trace = run_simulation(

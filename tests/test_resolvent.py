@@ -1,14 +1,18 @@
+import math
+import struct
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctasim.resolvent import (
     Interval,
+    nested_clamp,
     proj,
     sign_selection,
     solve_two_sgn,
 )
-from oracles import grid_solve_two_sgn, two_sgn_distance
+from oracles import grid_solve_two_sgn, reference_nested_clamp, two_sgn_distance
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -39,6 +43,50 @@ class TestProj:
     def test_idempotent(self, a, b, x):
         iv = Interval(min(a, b), max(a, b))
         assert proj(iv, proj(iv, x)) == proj(iv, x)
+
+
+def _outcome(f, *args):
+    """f(*args) as its result's bits, or the message of the ValueError it raises."""
+    try:
+        return struct.pack("d", f(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+magnitude = st.floats(min_value=0.0, allow_nan=False)  # infinity included
+
+
+class TestNestedClamp:
+    """nested_clamp is proj([proj(-C, y), proj(C, y)], x), C = [lo, hi],
+    with Interval's checks: the same bits (so -0.0 is not 0.0), or the same
+    ValueError, C's first."""
+
+    @given(magnitude, magnitude, st.floats(), st.floats())
+    @example(a=0.0, b=0.0, y=-0.0, x=0.0)  # the inner interval is [0.0, -0.0]
+    @example(a=0.0, b=0.0, y=0.0, x=-0.0)
+    @example(a=1.0, b=2.0, y=math.inf, x=-math.inf)
+    @example(a=math.inf, b=1.0, y=-1e308, x=1e308)  # C = [inf, inf]
+    @example(a=math.inf, b=math.inf, y=0.0, x=0.0)  # C = [nan, inf]
+    @example(a=1.0, b=0.5, y=math.nan, x=0.0)  # the inner interval is [nan, nan]
+    @settings(max_examples=300)
+    def test_matches_nested_proj_bit_for_bit(self, a, b, y, x):
+        lo, hi = a - b, a + b
+        assert _outcome(nested_clamp, lo, hi, y, x) == _outcome(reference_nested_clamp,
+                                                               lo, hi, y, x)
+
+    @pytest.mark.parametrize("lo, hi, y, message", [
+        (1.0, 0.5, 0.0, "lo=1.0 > hi=0.5"),  # C disordered
+        (math.nan, 1.0, 0.0, "lo=nan > hi=1.0"),
+        (0.0, math.nan, 0.0, "lo=0.0 > hi=nan"),
+        (0.5, 1.0, math.nan, "lo=nan > hi=nan"),  # the inner interval
+        (-2.0, 1.0, 1.5, "lo=1.5 > hi=1.0"),  # hi < |lo|: the inner one is disordered
+        (1.0, 0.5, math.nan, "lo=1.0 > hi=0.5"),  # both bad: C is reported
+    ])
+    def test_bad_interval_message(self, lo, hi, y, message):
+        with pytest.raises(ValueError) as exc:
+            nested_clamp(lo, hi, y, 0.0)
+        assert str(exc.value) == f"malformed interval: {message}"
+        assert _outcome(reference_nested_clamp, lo, hi, y, 0.0) == str(exc.value)
 
 
 class TestSgnSet:
