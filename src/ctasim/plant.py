@@ -71,7 +71,12 @@ class Disturbance(Record):
     record is built, to (amplitude, omega, math.sin or math.cos)."""
 
     def __init__(self, constant: float = 0.0, sinusoids: tuple[Sinusoid, ...] = ()):
-        sinusoids = tuple(sinusoids)
+        try:
+            terms = iter(sinusoids)
+        except TypeError:
+            raise ValueError(f"sinusoids must be an iterable of Sinusoids, "
+                             f"got {sinusoids!r}") from None
+        sinusoids = tuple(terms)
         self._set(locals())
         self._check_finite("constant")
         for i, term in enumerate(sinusoids):

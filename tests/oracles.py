@@ -1,20 +1,21 @@
-"""Independent oracles for the resolvent, controller and metrics tests.
+"""Independent oracles, one per kernel, step, metric and reader, for the
+tests and for ``tests/golden_check.py``, which imports this module where
+numpy is missing: only the three grid oracles import it.
 
-The brute-force resolvent oracles check set membership directly from the
-defining inclusions; none of them shares code with the nested-projection
-solvers under test.  ``reference_nested_clamp`` is the resolvent kernel as
-nested ``proj`` over validated ``Interval``s, and
-``reference_implicit_step`` is the implicit step in its two-stage form,
-built the same way, for bit-identity checks of the one-pass step;
-``reference_explicit_step`` is the explicit step through an odd fractional
-power with its own branch at z = 0; ``disturbance`` evaluates a
-disturbance from its terms' fields, and ``disturbance_second_derivative``
-is delta'' differentiated by hand.  The ``reference_*`` trace metrics
-select the window row by row through a Python index list over column
-copies, for bit-identity checks of the in-place metrics; ``row`` reads one
-trace row as the CSV writes it.  ``read_trace_csv_text`` is the trace
-reader that decodes every file, for equivalence checks of the reader that
-parses plain files as bytes.
+The grid oracles check the resolvent's set membership directly from the
+defining inclusions, sharing no code with the solvers under test.
+``reference_nested_clamp`` is the resolvent kernel as inline clamps, with
+its own ``malformed interval`` message; ``reference_implicit_step`` is the
+implicit step in its two-stage form over validated ``Interval``s, for
+bit-identity checks of the one-pass step; ``reference_explicit_step`` is
+the explicit step through an odd fractional power with its own branch at
+z = 0.  ``disturbance`` evaluates a disturbance from its terms' fields, and
+``disturbance_second_derivative`` is delta'' differentiated by hand;
+``outcome`` is a call's result bits or ValueError message.  The
+``reference_*`` trace metrics select the window row by row over column
+copies; ``row`` reads one trace row as the CSV writes it.
+``read_trace_csv_text`` decodes every file and appends row by row, for
+equivalence checks of the reader that parses plain files as bytes.
 """
 
 import io
@@ -23,23 +24,22 @@ import struct
 from functools import reduce
 from operator import add
 
-import numpy as np
-
 from ctasim.metrics import ChatterReport, PrecisionReport
-from ctasim.plant import (
-    _DERIVED,
-    _ROW_BYTES,
-    TRACE_HEADER,
-    SimTrace,
-    _data_rows,
-    _pack,
-    _pack_into,
-)
+from ctasim.plant import TRACE_HEADER, SimTrace
 from ctasim.resolvent import Interval, proj, sign_selection
+
+
+def outcome(f, *args):
+    """f(*args) as its result's bits, or the message of the ValueError it raises."""
+    try:
+        return struct.pack("d", f(*args))
+    except ValueError as exc:
+        return str(exc)
 
 
 def _sgn_bounds(w):
     """Vectorized bounds of the set-valued signum: [-1,1] exactly at 0."""
+    import numpy as np
     lo = np.where(w > 0.0, 1.0, -1.0)
     hi = np.where(w < 0.0, -1.0, 1.0)
     return lo, hi
@@ -47,6 +47,7 @@ def _sgn_bounds(w):
 
 def two_sgn_distance(z, a, b, x, y):
     """Distance from z to the set a*sgn(x - z) + b*sgn(y - z)."""
+    import numpy as np
     z = np.asarray(z, dtype=float)
     lo1, hi1 = _sgn_bounds(x - z)
     lo2, hi2 = _sgn_bounds(y - z)
@@ -64,6 +65,7 @@ def grid_solve_two_sgn(a, b, x, y, step=1e-4):
     isolated solutions can only sit at those points.  Returns the candidate
     with the smallest inclusion distance.
     """
+    import numpy as np
     span = a + b + 1.0
     special = np.array([x, y, a + b, a - b, b - a, -a - b])
     special = special[np.abs(special) <= span]
@@ -95,7 +97,23 @@ def reference_explicit_step(k, z1, z2, zb1, zb2, eta, u1_prev, d_prev, g, h):
 # --- the implicit step, stage by stage --------------------------------------
 
 
+def _clamp(lo, hi, v):
+    return lo if v < lo else (hi if v > hi else v)
+
+
 def reference_nested_clamp(lo, hi, y, x):
+    """proj([proj(-C, y), proj(C, y)], x) for C = [lo, hi] as inline
+    clamps, checking C and then the inner interval as resolvent.Interval
+    does, but with this module's own message."""
+    if not lo <= hi:
+        raise ValueError(f"malformed interval: lo={lo!r} > hi={hi!r}")
+    ilo, ihi = _clamp(-hi, -lo, y), _clamp(lo, hi, y)
+    if not ilo <= ihi:
+        raise ValueError(f"malformed interval: lo={ilo!r} > hi={ihi!r}")
+    return _clamp(ilo, ihi, x)
+
+
+def _nested_proj(lo, hi, y, x):
     """proj([proj(-C, y), proj(C, y)], x) for C = [lo, hi], through validated
     Intervals: C is built (and checked) first, then the inner interval."""
     c = Interval(lo, hi)
@@ -113,10 +131,7 @@ def reference_stage1(k, z1, z2, zb1, zb2, g, h):
     """u1 from h*u1 = proj([proj(-A, -z2), proj(A, -z2)], v_ref - z2)."""
     a = g.kp1 * abs(zb1) ** (1.0 / 3.0)
     b = g.kp2 * abs(zb2) ** 0.5
-    bound = Interval(a - b, a + b)
-    inner = Interval(proj(Interval(-bound.hi, -bound.lo), -z2), proj(bound, -z2))
-    v_ref = reference_velocity(z1, z2, k, h)
-    return proj(inner, v_ref - z2) / h
+    return _nested_proj(a - b, a + b, -z2, reference_velocity(z1, z2, k, h) - z2) / h
 
 
 def reference_reconstruction(z2, zb2, eta, u1_prev, h):
@@ -141,9 +156,7 @@ def reference_stage2(k, z1, z2, zb2, eta, u1_prev, d_prev, u1, g, h):
     v_ref = reference_velocity(z1, z2, k, h)
     y1 = ztilde2 / h + z3k
     y2 = (ztilde2 - v_ref) / h + z3k
-    rate = Interval(h * (g.kp3 - g.kp4), h * (g.kp3 + g.kp4))
-    inner = Interval(proj(Interval(-rate.hi, -rate.lo), -y1), proj(rate, -y1))
-    return eta + proj(inner, -y2)
+    return eta + _nested_proj(h * (g.kp3 - g.kp4), h * (g.kp3 + g.kp4), -y1, -y2)
 
 
 def reference_implicit_step(k, z1, z2, zb1, zb2, eta, u1_prev, d_prev, g, h):
@@ -258,22 +271,16 @@ def read_trace_csv_text(path: str, L: float) -> SimTrace:
     finite or not greater than the previous row's (the time order SimTrace
     requires), or a row whose z3 and x are not eta + delta and z/L bit for
     bit (-0 is not 0; NaN never is) raises ValueError starting with
-    `path:lineno:`, and a file that does not
-    decode raises ValueError starting with `path:`.  An L that is not
-    positive and finite raises ValueError before the file is opened.
+    `path:lineno:`, and a file that does not decode raises ValueError
+    starting with `path:`.  An L that is not positive and finite raises
+    ValueError before the file is opened.
 
-    The trace is allocated for the rows a first pass over the file's
-    newlines counts, and filled in place, so it holds no growth slack; it
-    grows only past that count (a file that grew in between, or a pipe,
-    which is read in one pass)."""
-    SimTrace(L=L)  # rejects a bad L before the file is opened
+    Every file is decoded, with newline="" line ends (LF, CRLF, CR), and
+    each row goes through SimTrace.append."""
+    trace = SimTrace(L=L)  # rejects a bad L before the file is opened
     t_prev = -math.inf
     try:
         with io.TextIOWrapper(open(path, "rb"), newline="") as f:
-            # The wrapper has read nothing yet, so the count may read its
-            # buffer and seek back to the start.
-            trace = SimTrace(L=L, rows=_data_rows(f.buffer)[0])
-            buf, allocated, end = trace._rows, trace._allocated, 0
             header = f.readline().strip()
             if header != TRACE_HEADER:
                 raise ValueError(f"{path}:1: unexpected trace header: {header!r}")
@@ -289,25 +296,17 @@ def read_trace_csv_text(path: str, L: float) -> SimTrace:
                                      f"the previous row's t = {t_prev!r}")
                 t_prev = t
                 z3_row = eta + delta
-                # != fails every NaN.  Equal floats differ in bits only at -0 and 0,
-                # so the bits are compared only when a cell is zero.
-                if (z3 != z3_row or x1 != z1 / L or x2 != z2 / L or x3 != z3_row / L
-                        or not (z3 and x1 and x2 and x3)
-                        and _DERIVED.pack(z3, x1, x2, x3)
-                        != _DERIVED.pack(z3_row, z1 / L, z2 / L, z3_row / L)):
+                cells, derived = (z3, x1, x2, x3), (z3_row, z1 / L, z2 / L, z3_row / L)
+                # != fails every NaN; the bits tell -0 from 0.
+                if (any(c != d for c, d in zip(cells, derived))
+                        or struct.pack("4d", *cells) != struct.pack("4d", *derived)):
                     if struct.pack("d", z3) != struct.pack("d", z3_row):
                         raise ValueError(f"{path}:{lineno}: z3 = {z3!r} is not "
                                          f"eta + delta = {z3_row!r}")
                     raise ValueError(f"{path}:{lineno}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
                                      f"z/L = {z1 / L!r}, {z2 / L!r}, {z3_row / L!r} for L = {L!r}")
-                # append's fill and grow paths, without a method call per row
-                if end < allocated:
-                    _pack_into(buf, end, t, z1, z2, u, u1, eta, delta)
-                else:
-                    buf.frombytes(_pack(t, z1, z2, u, u1, eta, delta))
-                end += _ROW_BYTES
+                trace.append(t, z1, z2, u, u1, eta, delta)
     except UnicodeDecodeError as exc:
         # Decoding runs in chunks, so the line is unknown.
         raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
-    trace._end = end
     return trace

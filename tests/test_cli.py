@@ -762,30 +762,6 @@ class TestCommandLine:
         assert err == "error: omega must keep the phase omega*t finite up to t=2.0, " \
                       "got 1e+308\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--preset", "zero", "--t-final", "0.01"],
-        ["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2"],
-    ], ids=["simulate", "sweep"])
-    def test_run_starts_with_no_parser_alive(self, monkeypatch, capsys, argv):
-        # Parsers are reference cycles, and a run allocates too few
-        # containers to trigger the collector; main collects them first.
-        def argparse_objects():
-            return [o for o in gc.get_objects() if type(o).__module__ == "argparse"]
-
-        gc.collect()
-        before = {id(o) for o in argparse_objects()}  # pytest's own parser
-        alive = []
-        real = cli.run_simulation
-
-        def spy(*args):
-            alive.append(sorted(type(o).__name__ for o in argparse_objects()
-                                if id(o) not in before))
-            return real(*args)
-
-        monkeypatch.setattr(cli, "run_simulation", spy)
-        assert main(argv) == 0
-        assert alive and all(names == ["Namespace"] for names in alive)
-
     def test_out_is_written_with_no_encoder_closure_alive(self, monkeypatch, tmp_path,
                                                           capsys):
         # json's indented encoder builds closures that refer to each other;

@@ -314,3 +314,35 @@ class TestImplicitSteadyState:
         assert curvature == pytest.approx(3.356935, rel=1e-6)
         predicted = [c * curvature / cfg.gains.L for c in (2.0, 1.0, 1.0)]
         assert summary["v_constants"] == pytest.approx(predicted, rel=2e-5)
+
+    # Worst |ratio / expected - 1| / h over the rows below, measured at all
+    # three h: z3 13.8; z2 13.8 (even k), 54.6-55.2 (odd k); z1 27.7 (even
+    # k), 34.1-34.5 (odd k).
+    RATIO_BOUNDS = {"z3": 15.0, "z2 even": 15.0, "z2 odd": 60.0,
+                    "z1 even": 30.0, "z1 odd": 37.0}
+
+    @pytest.mark.parametrize("h, rows", [(1e-3, 1333), (5e-4, 2663), (2e-4, 6656)])
+    def test_row_ratios_to_the_disturbance_curvature(self, h, rows):
+        # Row by row, the same law: over the steady-window rows (t = k*h)
+        # with |delta''| > 1, z3 ~ h**2 delta'', z2 ~ +-h**3 delta'' (+ on
+        # even k, - on odd k) and z1 ~ (1 or 2) * h**4 delta'' (1 on even k,
+        # 2 on odd k), each within a relative error proportional to h.
+        cfg = get_preset("paper-implicit").cfg
+        trace, _ = run_preset("paper-implicit", {"h": h})
+        lo, hi = steady_window(cfg)
+        worst = dict.fromkeys(self.RATIO_BOUNDS, 0.0)
+        selected = 0
+        for k, (t, z1, z2, z3) in enumerate(zip(trace.t, trace.z1, trace.z2, trace.z3)):
+            d2 = disturbance_second_derivative(cfg.disturbance, t)
+            if not (lo <= t <= hi and abs(d2) > 1.0):
+                continue
+            selected += 1
+            odd = k % 2 == 1
+            parity = "odd" if odd else "even"
+            for name, ratio, expected in (
+                    ("z3", z3 / (h**2 * d2), 1.0),
+                    (f"z2 {parity}", z2 / (h**3 * d2), -1.0 if odd else 1.0),
+                    (f"z1 {parity}", z1 / (h**4 * d2), 2.0 if odd else 1.0)):
+                worst[name] = max(worst[name], abs(ratio / expected - 1.0) / h)
+        assert selected == rows
+        assert {name: w for name, w in worst.items() if not w <= self.RATIO_BOUNDS[name]} == {}

@@ -3,13 +3,17 @@
 ``perfbench/goldens.json`` holds the SHA-256 of each preset's trace CSV and
 its summary JSON (recorded on this platform's libm; see
 ``perfbench/make_goldens.py``).  Any change to the bytes a preset writes
-fails here, not only in the benchmark's gate.  The preset, trace read-back
-and sweep (JSON and table) checks, and the kernel check, are
-``tests/golden_check.py``'s, which also runs alone on interpreters without
-pytest.
+fails here, not only in the benchmark's gate.  The preset, trace read-back,
+sweep, parser and kernel checks are ``tests/golden_check.py``'s, which runs
+perfbench's gate and ``tests/oracles.py``'s references; the last test runs
+that script as the interpreters without pytest run it.  The writer tests
+compare the trace and sweep CSVs with a per-value format.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -65,9 +69,17 @@ def test_sweep_writer_matches_per_value_format(tmp_path):
 
 
 def test_kernels_match_inline_references():
-    """nested_clamp and eval_disturbance against golden_check's stdlib
-    reference formulas, the check that interpreters without pytest run."""
+    """nested_clamp and eval_disturbance against the stdlib references in
+    tests/oracles.py, the check that interpreters without pytest run."""
     assert golden_check.check_kernels() == []
+
+
+@pytest.mark.parametrize("argv", golden_check.PARSER_ARGVS.values(),
+                         ids=golden_check.PARSER_ARGVS.keys())
+def test_run_starts_with_no_parser_alive(argv):
+    """Parsers are reference cycles, and a run allocates too few containers
+    to trigger the collector; main collects them first."""
+    assert golden_check.check_parsers_freed(argv) == []
 
 
 def test_order_sweep_json(tmp_path):
@@ -75,3 +87,24 @@ def test_order_sweep_json(tmp_path):
     check on precision_envelope's bits across step sizes (criterion 6 checks
     the fitted slopes to +-0.7).  Its --out table is pinned by SHA-256."""
     assert golden_check.check_sweep(str(tmp_path)) == []
+
+
+def test_script_runs_on_the_standard_library_alone(tmp_path):
+    """golden_check as __main__, from outside the repository and with
+    numpy, hypothesis and pytest unimportable, as `python3
+    tests/golden_check.py` runs on interpreters without them: exit 0 and
+    one ok line per check."""
+    script = os.path.abspath(golden_check.__file__)
+    code = ("import runpy, sys\n"
+            "sys.modules.update(numpy=None, hypothesis=None, pytest=None)\n"
+            f"sys.path[0] = {os.path.dirname(script)!r}  # a script's own directory\n"
+            f"runpy.run_path({script!r}, run_name='__main__')\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("Python ")
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "ok  paper-explicit", "ok  paper-implicit", "ok  trace-reload", "ok  sweep",
+        "ok  parsers", "ok  kernels"]

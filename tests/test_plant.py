@@ -93,6 +93,10 @@ class TestDisturbance:
     @pytest.mark.parametrize("terms, message", [
         (((0.5, 2.0),), "sinusoids[0] must be a Sinusoid, got (0.5, 2.0)"),
         ([Sinusoid(0.5, 2.0), "cos"], "sinusoids[1] must be a Sinusoid, got 'cos'"),
+        (Sinusoid(0.5, 2.0), "sinusoids must be an iterable of Sinusoids, "
+                             "got Sinusoid(amplitude=0.5, omega=2.0, kind='sin')"),
+        (None, "sinusoids must be an iterable of Sinusoids, got None"),
+        (3.0, "sinusoids must be an iterable of Sinusoids, got 3.0"),
     ])
     def test_rejects_a_term_that_is_not_a_sinusoid(self, terms, message):
         with pytest.raises(ValueError) as exc:

@@ -1,5 +1,4 @@
 import math
-import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +11,7 @@ from ctasim.resolvent import (
     sign_selection,
     solve_two_sgn,
 )
-from oracles import grid_solve_two_sgn, reference_nested_clamp, two_sgn_distance
+from oracles import grid_solve_two_sgn, outcome, reference_nested_clamp, two_sgn_distance
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -45,14 +44,6 @@ class TestProj:
         assert proj(iv, proj(iv, x)) == proj(iv, x)
 
 
-def _outcome(f, *args):
-    """f(*args) as its result's bits, or the message of the ValueError it raises."""
-    try:
-        return struct.pack("d", f(*args))
-    except ValueError as exc:
-        return str(exc)
-
-
 magnitude = st.floats(min_value=0.0, allow_nan=False)  # infinity included
 
 
@@ -71,8 +62,8 @@ class TestNestedClamp:
     @settings(max_examples=300)
     def test_matches_nested_proj_bit_for_bit(self, a, b, y, x):
         lo, hi = a - b, a + b
-        assert _outcome(nested_clamp, lo, hi, y, x) == _outcome(reference_nested_clamp,
-                                                               lo, hi, y, x)
+        assert outcome(nested_clamp, lo, hi, y, x) == outcome(reference_nested_clamp,
+                                                             lo, hi, y, x)
 
     @pytest.mark.parametrize("lo, hi, y, message", [
         (1.0, 0.5, 0.0, "lo=1.0 > hi=0.5"),  # C disordered
@@ -86,7 +77,7 @@ class TestNestedClamp:
         with pytest.raises(ValueError) as exc:
             nested_clamp(lo, hi, y, 0.0)
         assert str(exc.value) == f"malformed interval: {message}"
-        assert _outcome(reference_nested_clamp, lo, hi, y, 0.0) == str(exc.value)
+        assert outcome(reference_nested_clamp, lo, hi, y, 0.0) == str(exc.value)
 
 
 class TestSgnSet:
