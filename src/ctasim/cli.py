@@ -204,15 +204,17 @@ def load_config(path: str) -> dict:
     delta_constant, and repeatable delta_sin / delta_cos lines of the form
     `amp,omega`; any other key may be set once.  The delta_* lines build the
     `disturbance` setting, which replaces the preset's disturbance.  Lines
-    starting with '#' are comments.  Errors start with `path:lineno:` and
-    name the key; a file that does not decode raises ValueError starting
-    with `path:`.
+    starting with '#' are comments, and a leading byte-order mark is
+    dropped.  Errors start with `path:lineno:` and name the key; a file that
+    does not decode raises ValueError starting with `path:`.
     """
     settings: dict = {}
     first_set: dict[str, int] = {}
     try:
         with open(path) as f:
             for lineno, line in enumerate(f, start=1):
+                if lineno == 1:  # drop a byte-order mark, as utf-8-sig decoding does
+                    line = line.removeprefix("\ufeff")
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
                     continue

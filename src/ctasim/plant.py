@@ -160,12 +160,8 @@ _DERIVED = struct.Struct("4d")  # a CSV row's z3, x1, x2, x3
 
 
 def _copy(name: str) -> property:
-    if name in _STORED:  # a C-level slice of the appended rows
-        j = _STORED.index(name)
-        copy = lambda self: self._rows[j:_WIDTH * self.n:_WIDTH]  # noqa: E731
-    else:
-        copy = lambda self: array("d", self.view(name))  # noqa: E731
-    return property(copy, doc=f"Column {name}, as a new array('d').")
+    return property(lambda self: array("d", self.view(name)),
+                    doc=f"Column {name}, as a new array('d').")
 
 
 class SimTrace:
@@ -364,11 +360,13 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
                         or not (z3 and x1 and x2 and x3)
                         and _DERIVED.pack(z3, x1, x2, x3)
                         != _DERIVED.pack(z3_row, z1 / L, z2 / L, z3_row / L)):
-                    if struct.pack("d", z3) != struct.pack("d", z3_row):
-                        raise ValueError(f"{path}:{lineno}: z3 = {z3!r} is not "
-                                         f"eta + delta = {z3_row!r}")
+                    nan = " (a NaN cell never matches)"  # not even where both print as nan
+                    if math.isnan(z3) or struct.pack("d", z3) != struct.pack("d", z3_row):
+                        raise ValueError(f"{path}:{lineno}: z3 = {z3!r} is not eta + delta = "
+                                         f"{z3_row!r}{nan if math.isnan(z3) else ''}")
                     raise ValueError(f"{path}:{lineno}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
-                                     f"z/L = {z1 / L!r}, {z2 / L!r}, {z3_row / L!r} for L = {L!r}")
+                                     f"z/L = {z1 / L!r}, {z2 / L!r}, {z3_row / L!r} for L = {L!r}"
+                                     f"{nan if any(map(math.isnan, (x1, x2, x3))) else ''}")
                 # append's fill and grow paths, without a method call per row
                 if end < allocated:
                     _pack_into(buf, end, t, z1, z2, u, u1, eta, delta)

@@ -300,11 +300,13 @@ def read_trace_csv_text(path: str, L: float) -> SimTrace:
                 # != fails every NaN; the bits tell -0 from 0.
                 if (any(c != d for c, d in zip(cells, derived))
                         or struct.pack("4d", *cells) != struct.pack("4d", *derived)):
-                    if struct.pack("d", z3) != struct.pack("d", z3_row):
-                        raise ValueError(f"{path}:{lineno}: z3 = {z3!r} is not "
-                                         f"eta + delta = {z3_row!r}")
-                    raise ValueError(f"{path}:{lineno}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
-                                     f"z/L = {z1 / L!r}, {z2 / L!r}, {z3_row / L!r} for L = {L!r}")
+                    z3_named = math.isnan(z3) or struct.pack("d", z3) != struct.pack("d", z3_row)
+                    message = (f"z3 = {z3!r} is not eta + delta = {z3_row!r}" if z3_named else
+                               f"x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
+                               f"z/L = {z1 / L!r}, {z2 / L!r}, {z3_row / L!r} for L = {L!r}")
+                    if any(map(math.isnan, [z3] if z3_named else [x1, x2, x3])):
+                        message += " (a NaN cell never matches)"
+                    raise ValueError(f"{path}:{lineno}: {message}")
                 trace.append(t, z1, z2, u, u1, eta, delta)
     except UnicodeDecodeError as exc:
         # Decoding runs in chunks, so the line is unknown.

@@ -43,6 +43,8 @@ from oracles import read_trace_csv_text, row
 # Three distinct step sizes whose math.log is one float, -6.907755278982137.
 SAME_LOG_H = "1e-3,0.0010000000000000002,0.0010000000000000004"
 
+H = "t,z1,z2,z3,x1,x2,x3,u,u1,eta,delta\n"  # a trace CSV's header line
+
 
 class TestPresets:
     def test_benchmark_parameters_pinned(self):
@@ -97,82 +99,49 @@ class TestTraceCsv:
         trace, _ = run_preset("zero", {"t_final": 0.01})
         path = tmp_path / "t.csv"
         write_trace_csv(trace, str(path))
-        first = path.read_text().splitlines()[0]
-        assert first == "t,z1,z2,z3,x1,x2,x3,u,u1,eta,delta"
+        assert path.read_text().startswith(H)
 
-    def test_edited_x_cell_rejected(self, tmp_path):
-        trace, _ = run_preset("paper-implicit", {"t_final": 0.01})
+    # One row per rule: the file (the header line H, then one or two rows), the L
+    # it is read with, and the exact message, with {} standing for the file.
+    @pytest.mark.parametrize("text, L, message", [
+        ("h = 0.001\n", 5.0, "{}:1: unexpected trace header: 'h = 0.001'"),
+        ("", 5.0, "{}:1: unexpected trace header: ''"),
+        # a -0 for 0, or the reverse, would be written back as the derived value
+        (H + "0,0,0,-0,0,0,-0,0,0,0,0\n", 5.0, "{}:2: z3 = -0.0 is not eta + delta = 0.0"),
+        # eta + delta = 0.1 + 0.2 = 0.30000000000000004; z3 one ulp up, then one down
+        (H + "0,0,0,0.3000000000000001,0,0,0.06000000000000001,0,0,0.1,0.2\n", 5.0,
+         "{}:2: z3 = 0.3000000000000001 is not eta + delta = 0.30000000000000004"),
+        (H + "0,0,0,0.3,0,0,0.06000000000000001,0,0,0.1,0.2\n", 5.0,
+         "{}:2: z3 = 0.3 is not eta + delta = 0.30000000000000004"),
+        (H + "0,0,0,nan,0,0,nan,0,0,nan,0\n", 5.0,
+         "{}:2: z3 = nan is not eta + delta = nan (a NaN cell never matches)"),
+        (H + "0,-0,0,0,0,0,0,0,0,0,0\n", 5.0,
+         "{}:2: x1..x3 = 0.0, 0.0, 0.0 are not z/L = -0.0, 0.0, 0.0 for L = 5.0"),
+        (H + "0,nan,0,0,nan,0,0,0,0,0,0\n", 5.0, "{}:2: x1..x3 = nan, 0.0, 0.0 are not "
+         "z/L = nan, 0.0, 0.0 for L = 5.0 (a NaN cell never matches)"),
+        (H + "0,1,2,0,0.2,0.8,0,0,0,0,0\n", 5.0,
+         "{}:2: x1..x3 = 0.2, 0.8, 0.0 are not z/L = 0.2, 0.4, 0.0 for L = 5.0"),
+        (H + "0,1,2,0,0.2,0.4,0,0,0,0,0\n", 2.5,
+         "{}:2: x1..x3 = 0.2, 0.4, 0.0 are not z/L = 0.4, 0.8, 0.0 for L = 2.5"),
+        (H + "0,0,0,0,0,0,0,0,0,0\n", 5.0,
+         "{}:2: not enough values to unpack (expected 11, got 10)"),
+        (H + "0,0,0,0,0,0,0,0,0,0,0,0\n", 5.0, "{}:2: too many values to unpack (expected 11)"),
+        (H + "abc,0,0,0,0,0,0,0,0,0,0\n", 5.0, "{}:2: could not convert string to float: 'abc'"),
+        (H + "0,0,0,0,0,0,0,0,0,0,0\n\n", 5.0, "{}:3: could not convert string to float: '\\n'"),
+        (H + "0,0,0,0,0,0,0,0,0,0,0\n" * 2, 5.0,
+         "{}:3: t = 0.0 is not greater than the previous row's t = 0.0"),
+        (H + "nan,0,0,0,0,0,0,0,0,0,0\n", 5.0, "{}:2: t = nan is not finite"),
+        (H + "0,0,0,0,0,0,0,0,0,0,0\n", 0.0, "L must be positive and finite, got 0.0"),
+    ], ids=["header-config-file", "header-empty-file", "z3-negative-zero", "z3-ulp-up",
+            "z3-ulp-down", "z3-nan", "x1-positive-zero", "x1-nan", "x2-edited", "other-L",
+            "too-few-fields", "too-many-fields", "non-numeric-cell", "blank-line",
+            "time-not-increasing", "time-not-finite", "L-zero"])
+    def test_rejected_with_its_message(self, tmp_path, text, L, message):
         path = tmp_path / "trace.csv"
-        write_trace_csv(trace, str(path))
-        lines = path.read_text().splitlines(keepends=True)
-        cells = lines[4].split(",")
-        cells[5] = repr(float(cells[5]) * 2.0)  # x2 on line 5, the row at t = 0.003
-        lines[4] = ",".join(cells)
-        path.write_text("".join(lines))
+        path.write_text(text)
         with pytest.raises(ValueError) as info:
-            read_trace_csv(str(path), L=trace.L)
-        assert str(info.value).startswith(f"{path}:5: x1..x3 = ")
-
-    @pytest.mark.parametrize("direction", [math.inf, -math.inf], ids=["ulp-up", "ulp-down"])
-    def test_z3_one_ulp_off_rejected(self, tmp_path, direction):
-        trace, _ = run_preset("paper-implicit", {"t_final": 0.01})
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, str(path))
-        lines = path.read_text().splitlines(keepends=True)
-        cells = lines[4].split(",")
-        z3 = float(cells[3])
-        edited = math.nextafter(z3, direction)
-        cells[3] = repr(edited)  # z3 on line 5; its x3 is left as written
-        lines[4] = ",".join(cells)
-        path.write_text("".join(lines))
-        with pytest.raises(ValueError) as info:
-            read_trace_csv(str(path), L=trace.L)
-        assert str(info.value) == f"{path}:5: z3 = {edited!r} is not eta + delta = {z3!r}"
-
-    @pytest.mark.parametrize("line, message", [
-        ("0,0,0,-0,0,0,-0,0,0,0,0", "z3 = -0.0 is not eta + delta = 0.0"),
-        ("0,-0,0,0,0,0,0,0,0,0,0",
-         "x1..x3 = 0.0, 0.0, 0.0 are not z/L = -0.0, 0.0, 0.0 for L = 5.0"),
-        ("0,nan,0,0,nan,0,0,0,0,0,0",
-         "x1..x3 = nan, 0.0, 0.0 are not z/L = nan, 0.0, 0.0 for L = 5.0"),
-    ], ids=["z3-negative-zero", "x1-positive-zero", "x1-nan"])
-    def test_derived_cell_other_than_the_derived_bits_rejected(self, tmp_path, line, message):
-        # A -0 where the derived value is 0 (or the reverse) would be written
-        # back as the derived value; a NaN is never z/L.
-        path = tmp_path / "trace.csv"
-        path.write_text(f"t,z1,z2,z3,x1,x2,x3,u,u1,eta,delta\n{line}\n")
-        with pytest.raises(ValueError) as info:
-            read_trace_csv(str(path), L=5.0)
-        assert str(info.value) == f"{path}:2: {message}"
-
-    def test_wrong_scale_rejected(self, tmp_path):
-        trace, _ = run_preset("paper-implicit", {"t_final": 0.01})
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, str(path))
-        with pytest.raises(ValueError) as info:
-            read_trace_csv(str(path), L=2.0 * trace.L)
-        assert str(info.value).startswith(f"{path}:2: x1..x3 = ")
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda line: line.rsplit(",", 1)[0] + "\n", "not enough values to unpack"),
-        (lambda line: line.rstrip("\n") + ",0\n", "too many values to unpack"),
-        (lambda line: "abc," + line.split(",", 1)[1], "could not convert string to float: 'abc'"),
-        (lambda line: "\n", "could not convert string to float"),
-        (lambda line: "0.001," + line.split(",", 1)[1],
-         "t = 0.001 is not greater than the previous row's t = 0.001"),
-        (lambda line: "nan," + line.split(",", 1)[1], "t = nan is not finite"),
-    ], ids=["too-few-fields", "too-many-fields", "non-numeric-cell", "blank-line",
-            "time-not-increasing", "time-not-finite"])
-    def test_malformed_row_names_file_and_line(self, tmp_path, edit, message):
-        trace, _ = run_preset("zero", {"t_final": 0.01})
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, str(path))
-        lines = path.read_text().splitlines(keepends=True)
-        lines[3] = edit(lines[3])
-        path.write_text("".join(lines))
-        with pytest.raises(ValueError) as info:
-            read_trace_csv(str(path), L=trace.L)
-        assert str(info.value).startswith(f"{path}:4: {message}")
+            read_trace_csv(str(path), L)
+        assert str(info.value) == message.format(path)
 
     @pytest.mark.parametrize("edit, rows", [
         (lambda text: text.rstrip("\n"), 11),
@@ -189,16 +158,6 @@ class TestTraceCsv:
         assert [row(back, i) for i in range(rows)] == [row(trace, i) for i in range(rows)]
         assert sys.getsizeof(back._rows) == sys.getsizeof(array("d")) + 56 * back.n
 
-    def test_paper_implicit_trace_is_read_without_slack(self, tmp_path):
-        # Grown row by row, the array would keep 24,048 B of slack here.
-        trace, _ = run_preset("paper-implicit")
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, str(path))
-        back = read_trace_csv(str(path), L=trace.L)
-        assert back.n == trace.n == 10_001
-        assert sys.getsizeof(back._rows) == sys.getsizeof(array("d")) + 56 * back.n
-        assert back._rows == trace._rows
-
     def test_pipe_reads_the_rows_of_the_file(self, tmp_path):
         # A FIFO cannot seek back after a count, so it is read in one pass.
         trace, _ = run_preset("paper-implicit", {"t_final": 0.05})
@@ -214,22 +173,6 @@ class TestTraceCsv:
         assert not writer.is_alive()
         assert back.n == trace.n
         assert [row(back, i) for i in range(back.n)] == [row(trace, i) for i in range(trace.n)]
-
-    def test_scale_not_positive_rejected_before_reading(self, tmp_path):
-        trace, _ = run_preset("zero", {"t_final": 0.01})
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, str(path))
-        with pytest.raises(ValueError, match="^L must be positive and finite, got 0.0$"):
-            read_trace_csv(str(path), 0.0)
-
-    @pytest.mark.parametrize("text, header", [("h = 0.001\n", "h = 0.001"), ("", "")],
-                             ids=["config-file", "empty-file"])
-    def test_wrong_header_names_file_and_line(self, tmp_path, text, header):
-        path = tmp_path / "trace.csv"
-        path.write_text(text)
-        with pytest.raises(ValueError) as info:
-            read_trace_csv(str(path), 5.0)
-        assert str(info.value) == f"{path}:1: unexpected trace header: {header!r}"
 
     def test_paper_implicit_read_peaks_at_the_trace(self, tmp_path):
         # The rest is the binary file's buffer (the block size, often 4 KiB) and the
@@ -258,7 +201,7 @@ class TestTraceCsv:
         # The last file's u cell is ARABIC-INDIC DIGIT ONE, which float()
         # reads from text as 1.0, so the row is accepted.
         path = tmp_path / "trace.csv"
-        path.write_bytes(edit(_short_trace_text()))
+        path.write_bytes(edit(_short_trace_text("paper-implicit")))
         wrapped = []
 
         def wrapper(f, **kwargs):
@@ -280,9 +223,9 @@ class TestTraceCsv:
 
 
 @cache
-def _short_trace_text() -> str:
-    """The CSV of a paper-implicit run to t = 0.01 (11 rows, L = 5)."""
-    trace, _ = run_preset("paper-implicit", {"t_final": 0.01})
+def _short_trace_text(preset: str) -> str:
+    """The CSV of a run of ``preset`` to t = 0.01 (11 rows, L = 5)."""
+    trace, _ = run_preset(preset, {"t_final": 0.01})
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.csv")
         write_trace_csv(trace, path)
@@ -314,8 +257,11 @@ EDITS = ["ulp", "-0", "nan", "inf", "1_0", "abc", "", "add-field", "drop-field",
 
 
 def _edited_trace(draw) -> str:
-    """The short trace with one to three drawn edits, each on a drawn cell."""
-    lines = _short_trace_text().split("\n")[:-1]
+    """A short trace with one to three drawn edits, each on a drawn cell.
+    Every derived cell of the zero preset's trace is 0, which a -0 edit
+    makes wrong; paper-implicit's rarely offers such a cell."""
+    preset = draw(st.sampled_from(["paper-implicit", "zero"]))
+    lines = _short_trace_text(preset).split("\n")[:-1]
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))  # the header too
         edit = draw(st.sampled_from(EDITS))
@@ -494,6 +440,14 @@ class TestConfigFile:
         cfg_file.write_text("delta_sin = 0.5,3\ndelta_cos = 0.2,1\ndelta_sin = 0.1,4\n")
         assert load_config(str(cfg_file))["disturbance"].sinusoids == (
             Sinusoid(0.5, 3.0, "sin"), Sinusoid(0.2, 1.0, "cos"), Sinusoid(0.1, 4.0, "sin"))
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # str.strip() keeps U+FEFF, so it would start the first key.
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("h = 0.002\n", encoding="utf-8-sig")
+        assert main(["simulate", "--preset", "zero", "--t-final", "0.01",
+                     "--config", str(cfg_file)]) == 0
+        assert json.loads(capsys.readouterr().out)["h"] == 0.002
 
     def test_line_without_equals_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"

@@ -1,5 +1,6 @@
 import math
 import struct
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -298,22 +299,53 @@ class TestOnePassMatchesReference:
                 [v.hex() for v in getattr(fused, c)], c
 
 
+GAIN_SCALES = (1, 10, 100)
+
+
+@cache
+def _scaled_run(method: str, scale: int):
+    """run_preset of the paper preset of ``method`` with kp1..kp4 times
+    ``scale``: (trace, summary)."""
+    preset = f"paper-{method}"
+    g = get_preset(preset).cfg.gains
+    return run_preset(preset, {k: scale * getattr(g, k) for k in ("kp1", "kp2", "kp3", "kp4")})
+
+
 class TestImplicitSteadyState:
-    def test_envelope_constants_from_the_disturbance_curvature(self):
+    @pytest.mark.parametrize("scale", GAIN_SCALES)
+    def test_envelope_constants_from_the_disturbance_curvature(self, scale):
         # With both implicit clamps inactive in the steady window, stage II
         # cancels delta up to the error of its linear forecast, about
         # h**2 * delta''.  Then |z3| ~ h**2|delta''|, |z2| ~ h**3|delta''| and
         # |z1| reaches 2*h**4|delta''|, so the envelope constants over the
         # orders (4, 3, 2) are (2, 1, 1) * max|delta''| / L, with delta''
-        # taken over the window's rows (max |delta''| = 3.3569350...).
+        # taken over the window's rows (max |delta''| = 3.3569350...).  The
+        # gains drop out: at gains x1, x10 and x100 the constants are within
+        # 3.04e-6, 1.60e-5 and 8.9e-7 of the prediction, sup|x| is within
+        # 2.1e-9 of x1's, and TV(u) is 1.16 over 14 sign flips.
         cfg = get_preset("paper-implicit").cfg
-        trace, summary = run_preset("paper-implicit")
+        trace, summary = _scaled_run("implicit", scale)
         lo, hi = steady_window(cfg)
         curvature = max(abs(disturbance_second_derivative(cfg.disturbance, t))
                         for t in trace.t if lo <= t <= hi)
         assert curvature == pytest.approx(3.356935, rel=1e-6)
         predicted = [c * curvature / cfg.gains.L for c in (2.0, 1.0, 1.0)]
         assert summary["v_constants"] == pytest.approx(predicted, rel=2e-5)
+        _, unscaled = _scaled_run("implicit", 1)
+        assert summary["sup_abs_x"] == pytest.approx(unscaled["sup_abs_x"], rel=1e-8)
+        assert summary["tv_u"] == pytest.approx(unscaled["tv_u"], rel=1e-8)
+        assert summary["sign_flips"] == unscaled["sign_flips"] == 14
+
+    def test_startup_peak_and_explicit_chatter_grow_with_the_gains(self):
+        # Where "totally suppresses" ends: at gains x1, x10 and x100 the
+        # implicit start-up peak |u| (t <= 0.1) grows, though more slowly
+        # than the gains (x9.5, then x2.7), and the explicit TV(u) grows
+        # faster (x52, then x170).
+        peaks = [max(abs(u) for t, u in zip(trace.t, trace.u) if t <= 0.1)
+                 for trace, _ in (_scaled_run("implicit", s) for s in GAIN_SCALES)]
+        tvs = [_scaled_run("explicit", s)[1]["tv_u"] for s in GAIN_SCALES]
+        assert peaks == pytest.approx([3.07e5, 2.93e6, 7.99e6], rel=5e-3)
+        assert tvs == pytest.approx([6.26e3, 3.24e5, 5.49e7], rel=5e-3)
 
     # Worst |ratio / expected - 1| / h over the rows below, measured at all
     # three h: z3 13.8; z2 13.8 (even k), 54.6-55.2 (odd k); z1 27.7 (even
