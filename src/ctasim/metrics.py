@@ -4,9 +4,10 @@ time, and chattering measures; and the sweep's log-log slope fit.
 Every metric reads the trace in place through SimTrace.view, with no
 column copies, and uses up or releases each view before it returns or
 raises.  The rows must be in strictly increasing time order (see SimTrace),
-so that a time window is one contiguous run of rows, found by bisection on
-t.  WindowMax takes precision_envelope's maxima from the rows of a run as
-they are produced, with no trace stored.
+so that a time window is one contiguous run of rows, which
+SimTrace.rows_between finds by bisection on t.  WindowMax takes
+precision_envelope's maxima from the rows of a run as they are produced,
+with no trace stored.
 
 Float sums are taken left to right from 0.0 (_plain_sum), not with sum(),
 which compensates rounding from Python 3.12 on: the bits of a metric and
@@ -16,7 +17,6 @@ of a fitted slope do not depend on the Python version.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import reduce
 from itertools import pairwise
@@ -45,9 +45,9 @@ def _no_rows(window: tuple[float, float]) -> ValueError:
 def _window(trace: SimTrace, window: tuple[float, float]) -> tuple[int, int]:
     """The window's rows a..b-1, the rows with lo <= t <= hi, with a < b;
     rows are in time order."""
-    with trace.view("t") as ts:
-        lo, hi = _bounds(window, ts[1] - ts[0] if len(ts) >= 2 else 0.0)
-        a, b = bisect_left(ts, lo), bisect_right(ts, hi)
+    ts = [*trace.view("t", 0, 2)]
+    lo, hi = _bounds(window, ts[1] - ts[0] if len(ts) == 2 else 0.0)
+    a, b = trace.rows_between(lo, hi)
     # lo <= hi fails for a NaN bound, which bisection does not see.
     if not (lo <= hi and a < b):
         raise _no_rows(window)
@@ -139,8 +139,8 @@ def state_settling_time(trace: SimTrace, bands: tuple[float, float, float]) -> f
             last_bad = i
     if last_bad == trace.n - 1:
         return math.inf
-    with trace.view("t") as ts:
-        return ts[last_bad + 1]
+    t, = trace.view("t", last_bad + 1, last_bad + 2)
+    return t
 
 
 def chatter_metrics(trace: SimTrace, window: tuple[float, float]) -> ChatterReport:

@@ -19,9 +19,10 @@ z3 = eta + delta(t).  The final row's input is the controller output for
 the final state, evaluated without committing the controller update.
 
 This module owns the trace format: SimTrace alone knows the stored row
-layout and forms the derived columns z3 = eta + delta and x = z/L; the row
-invariants (time order, L > 0) and the CSV codec sit beside it.  A run
-passes its rows to a sink (see run_simulation), by default a SimTrace.
+layout and forms the derived columns z3 = eta + delta, x = z/L and, for
+rows on a fixed step, t = k*h; the row invariants (time order, L > 0) and
+the CSV codec sit beside it.  A run passes its rows to a sink (see
+run_simulation), by default a SimTrace.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import math
 import os
 import struct
 from array import array
+from bisect import bisect_left, bisect_right
 from itertools import repeat
 from operator import add, truediv
 
@@ -42,7 +44,7 @@ DIVERGENCE_LIMIT = 1e12
 
 # The largest run in the repository is the sweep's 1e5 steps, which stores
 # no trace.  A run that keeps its trace allocates it up front: 1e7 rows of
-# seven packed float64s take about 0.56 GB.
+# six packed float64s take about 0.48 GB.
 MAX_STEPS = 10_000_000
 
 METHODS = ("explicit", "implicit")
@@ -119,6 +121,8 @@ class SimConfig(Record):
             raise ValueError(f"t_final must be a whole number of steps h={self.h!r}, "
                              f"got {self.t_final!r} ({steps:.6g} steps)")
         self._check_finite("z1_0", "z2_0", "eta_0")
+        if not isinstance(self.disturbance, Disturbance):
+            raise ValueError(f"disturbance must be a Disturbance, got {self.disturbance!r}")
         # eval_disturbance samples up to t = steps*h; an infinite phase would
         # end in a bare "math domain error" from sin/cos.
         t_last = self.steps * self.h
@@ -131,6 +135,8 @@ class SimConfig(Record):
         # The controller's largest magnitudes, within the divergence limit,
         # must stay finite: the stage-I bound, the stage-II rate and x = z/L.
         g = self.gains
+        if not isinstance(g, Gains):
+            raise ValueError(f"gains must be a Gains, got {g!r}")
         if not math.isfinite(g.kp1 * DIVERGENCE_LIMIT ** (1.0 / 3.0)
                              + g.kp2 * DIVERGENCE_LIMIT ** 0.5):
             raise ValueError(f"gains kp1={g.kp1!r}, kp2={g.kp2!r} overflow the stage-I bound "
@@ -150,11 +156,11 @@ class SimConfig(Record):
 TRACE_COLUMNS = ("t", "z1", "z2", "z3", "x1", "x2", "x3", "u", "u1", "eta", "delta")
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
 
-# One stored row: these seven columns as native float64s.
-_STORED = ("t", "z1", "z2", "u", "u1", "eta", "delta")
+# One stored row: these six columns as native float64s.
+_STORED = ("z1", "z2", "u", "u1", "eta", "delta")
 _WIDTH = len(_STORED)
 _ROW = struct.Struct(f"{_WIDTH}d")
-_ROW_BYTES = _ROW.size  # 56
+_ROW_BYTES = _ROW.size  # 48
 _pack, _pack_into = _ROW.pack, _ROW.pack_into
 _DERIVED = struct.Struct("4d")  # a CSV row's z3, x1, x2, x3
 
@@ -165,9 +171,16 @@ def _copy(name: str) -> property:
 
 
 class SimTrace:
-    """Record of one run: one row of seven float64s (t, z1, z2, u, u1, eta,
-    delta) per time point, packed row after row in one array('d') (56 B per
+    """Record of one run: one row of six float64s (z1, z2, u, u1, eta,
+    delta) per time point, packed row after row in one array('d') (48 B per
     row).  z3 = eta + delta and x1..x3 = z/L are derived on each read.
+
+    t is derived too while the rows are on a fixed-step grid: row 0 at +0.0,
+    row 1 at a finite t > 0, which sets the step h, and each later row k at
+    t == k*h, as run_simulation writes them.  The first row off that grid
+    gives the trace a time column of its own, an array('d') that holds k*h
+    for the rows before it and is sized for the allocated rows, so every t
+    reads back bit for bit either way.
 
     ``SimTrace(L, rows)`` allocates ``rows`` rows up front, and append fills
     them in place before it grows the array; run_simulation and
@@ -176,7 +189,7 @@ class SimTrace:
 
     Rows must be in strictly increasing time order with finite t, which
     append does not check: run_simulation writes t = k*h, and read_trace_csv
-    rejects any other file.  The metrics find a time window by bisection.
+    rejects any other file.  rows_between finds a time window by bisection.
     L must be positive and finite, so that x = z/L keeps the sign and order
     of z.  Each column attribute returns a fresh array('d') copy, O(n): bind
     a column once before indexing it in a loop, or read it with view().
@@ -192,6 +205,10 @@ class SimTrace:
         # Byte offsets: the end of the appended rows, of the allocated ones.
         self._end = 0
         self._allocated = _ROW_BYTES * rows
+        # The grid step, NaN until row 1 sets it and once the trace has its
+        # own time column, so that t == k*h fails for each row _time records.
+        self._h = math.nan
+        self._t = None
 
     @property
     def n(self) -> int:
@@ -204,15 +221,19 @@ class SimTrace:
 
         A stored column is a read-only strided memoryview; z3 = eta + delta
         (the float operation run_simulation performs) and x = z/L are lazy
-        maps over such views.  Each covers the rows appended so far and
-        holds the trace's buffer, so an append that grows the array raises
-        BufferError while it is alive: take a memoryview in a ``with``
-        block, and use a map up within one expression.  An unknown name
-        raises ValueError.
+        maps over such views, and t is a lazy map over the row numbers k,
+        giving k*h, or a memoryview of the trace's time column.  Each
+        memoryview covers the rows appended so far and holds the trace's
+        buffer, so an append that grows the array raises BufferError while
+        it is alive: take a memoryview in a ``with`` block, and use a map up
+        within one expression.  An unknown name raises ValueError.
         """
         if name in _STORED:
             j = _STORED.index(name)
             return memoryview(self._rows).toreadonly()[j:_WIDTH * self.n:_WIDTH][a:b]
+        if name == "t":
+            ts, key = self._time_axis()
+            return ts[a:b] if key is None else map(key, ts[a:b])
         if name == "z3":
             return map(add, self.view("eta", a, b), self.view("delta", a, b))
         if name in ("x1", "x2", "x3"):
@@ -220,14 +241,54 @@ class SimTrace:
         raise ValueError(f"{name!r} is not a trace column; the columns are "
                          f"{', '.join(TRACE_COLUMNS)}")
 
-    def append(self, t, z1, z2, u, u1, eta, delta) -> None:
-        """Add one row of the seven stored values: fill the next allocated
-        row, or grow the array by one."""
-        end = self._end
-        if end < self._allocated:
-            _pack_into(self._rows, end, t, z1, z2, u, u1, eta, delta)
+    def rows_between(self, lo: float, hi: float) -> tuple[int, int]:
+        """(a, b) such that rows a..b-1 are the rows with lo <= t <= hi,
+        found by bisection, which needs the rows in time order."""
+        ts, key = self._time_axis()
+        return bisect_left(ts, lo, key=key), bisect_right(ts, hi, key=key)
+
+    def _time_axis(self):
+        """(ts, key): row k's t is key(ts[k]), or ts[k] where key is None.
+        On the grid ts is range(n) and key multiplies by h (0.0 before row
+        1, so that row 0 reads +0.0); else ts is the time column."""
+        n = self.n
+        if self._t is None:
+            return range(n), (self._h if n >= 2 else 0.0).__rmul__
+        return memoryview(self._t).toreadonly()[:n], None
+
+    def _time(self, k: int, t: float) -> float:
+        """Record row k's t where t == k*h fails: the slow path of append and
+        of read_trace_csv's fill.  Returns the h that the next row's t is
+        checked against, NaN once the trace has a time column."""
+        times = self._t
+        if times is None:
+            if k == 0 and t == 0.0 and math.copysign(1.0, t) > 0.0:
+                return self._h
+            if k == 1 and 0.0 < t < math.inf:
+                self._h = t
+                return t
+            # Off the grid: rows 0..k-1 keep their k*h in a new column.
+            h = self._h if k >= 2 else 0.0
+            times = self._t = array("d", [0.0]) * max(k, self._allocated // _ROW_BYTES)
+            times[:k] = array("d", map(h.__rmul__, range(k)))
+            self._h = math.nan
+        # Row k may be written again if growing the row array failed.
+        if k < len(times):
+            times[k] = t
         else:
-            self._rows.frombytes(_pack(t, z1, z2, u, u1, eta, delta))
+            times.append(t)
+        return math.nan
+
+    def append(self, t, z1, z2, u, u1, eta, delta) -> None:
+        """Add one row: record t unless it is on the grid, then fill the
+        next allocated row, or grow the array by one."""
+        end = self._end
+        if t != end // _ROW_BYTES * self._h:
+            self._time(end // _ROW_BYTES, t)
+        if end < self._allocated:
+            _pack_into(self._rows, end, z1, z2, u, u1, eta, delta)
+        else:
+            self._rows.frombytes(_pack(z1, z2, u, u1, eta, delta))
         self._end = end + _ROW_BYTES
 
 
@@ -309,7 +370,8 @@ def _data_rows(f) -> tuple[int, bool]:
 
 
 def read_trace_csv(path: str, L: float) -> SimTrace:
-    """Parse a trace CSV.  The z3 and x columns are not stored.  A header
+    """Parse a trace CSV.  The z3 and x columns are not stored, nor is t
+    while the rows are on a grid (see SimTrace).  A header
     other than TRACE_HEADER (lineno 1), a malformed row (a field count other
     than 11, a cell that is not a float, a blank line), a row whose t is not
     finite or not greater than the previous row's (the time order SimTrace
@@ -331,14 +393,14 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
         with open(path, "rb") as f:
             rows, plain = _data_rows(f)
             trace = SimTrace(L=L, rows=rows)
-            buf, allocated, end = trace._rows, trace._allocated, 0
+            buf, allocated, end, h = trace._rows, trace._allocated, 0, trace._h
             lines, sep = (f, b",") if plain else (io.TextIOWrapper(f, newline=""), ",")
             header = lines.readline()
             # decoded first: str.strip() also removes \x1c-\x1f
             header = (header.decode() if plain else header).strip()
             if header != TRACE_HEADER:
                 raise ValueError(f"{path}:1: unexpected trace header: {header!r}")
-            for lineno, line in enumerate(lines, start=2):
+            for k, line in enumerate(lines):  # row k is on line k + 2
                 try:
                     t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, line.split(sep))
                 except ValueError:
@@ -346,11 +408,11 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
                         t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(
                             float, (line.decode() if plain else line).split(","))
                     except ValueError as exc:
-                        raise ValueError(f"{path}:{lineno}: {exc}") from None
+                        raise ValueError(f"{path}:{k + 2}: {exc}") from None
                 if not t_prev < t < math.inf:
                     if not math.isfinite(t):
-                        raise ValueError(f"{path}:{lineno}: t = {t!r} is not finite")
-                    raise ValueError(f"{path}:{lineno}: t = {t!r} is not greater than "
+                        raise ValueError(f"{path}:{k + 2}: t = {t!r} is not finite")
+                    raise ValueError(f"{path}:{k + 2}: t = {t!r} is not greater than "
                                      f"the previous row's t = {t_prev!r}")
                 t_prev = t
                 z3_row = eta + delta
@@ -362,16 +424,18 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
                         != _DERIVED.pack(z3_row, z1 / L, z2 / L, z3_row / L)):
                     nan = " (a NaN cell never matches)"  # not even where both print as nan
                     if math.isnan(z3) or struct.pack("d", z3) != struct.pack("d", z3_row):
-                        raise ValueError(f"{path}:{lineno}: z3 = {z3!r} is not eta + delta = "
+                        raise ValueError(f"{path}:{k + 2}: z3 = {z3!r} is not eta + delta = "
                                          f"{z3_row!r}{nan if math.isnan(z3) else ''}")
-                    raise ValueError(f"{path}:{lineno}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
+                    raise ValueError(f"{path}:{k + 2}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
                                      f"z/L = {z1 / L!r}, {z2 / L!r}, {z3_row / L!r} for L = {L!r}"
                                      f"{nan if any(map(math.isnan, (x1, x2, x3))) else ''}")
-                # append's fill and grow paths, without a method call per row
+                # append's paths, without a method call per row on the grid
+                if t != k * h:
+                    h = trace._time(k, t)
                 if end < allocated:
-                    _pack_into(buf, end, t, z1, z2, u, u1, eta, delta)
+                    _pack_into(buf, end, z1, z2, u, u1, eta, delta)
                 else:
-                    buf.frombytes(_pack(t, z1, z2, u, u1, eta, delta))
+                    buf.frombytes(_pack(z1, z2, u, u1, eta, delta))
                 end += _ROW_BYTES
     except UnicodeDecodeError as exc:
         # Decoding runs in chunks, so the line is unknown.

@@ -194,10 +194,11 @@ def disturbance_second_derivative(d, t):
 
 
 def row(trace, i):
-    """Row i as the eleven TRACE_COLUMNS values, from the stored columns
-    with z3 = eta + delta and x = z/L; i < 0 counts from the end."""
-    cells = []
-    for name in ("t", "z1", "z2", "u", "u1", "eta", "delta"):
+    """Row i as the eleven TRACE_COLUMNS values, from t's column copy and
+    the stored columns, with z3 = eta + delta and x = z/L; i < 0 counts
+    from the end."""
+    cells = [trace.t[i]]
+    for name in ("z1", "z2", "u", "u1", "eta", "delta"):
         with trace.view(name) as column:
             cells.append(column[i])
     t, z1, z2, u, u1, eta, delta = cells

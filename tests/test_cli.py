@@ -156,7 +156,8 @@ class TestTraceCsv:
         back = read_trace_csv(str(path), L=trace.L)
         assert back.n == rows
         assert [row(back, i) for i in range(rows)] == [row(trace, i) for i in range(rows)]
-        assert sys.getsizeof(back._rows) == sys.getsizeof(array("d")) + 56 * back.n
+        assert sys.getsizeof(back._rows) == sys.getsizeof(array("d")) + 48 * back.n
+        assert back._t is None
 
     def test_pipe_reads_the_rows_of_the_file(self, tmp_path):
         # A FIFO cannot seek back after a count, so it is read in one pass.
@@ -186,7 +187,7 @@ class TestTraceCsv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sys.getsizeof(back._rows) == 560_136
+        assert sys.getsizeof(back._rows) == 480_128 and back._t is None
         assert peak <= sys.getsizeof(back._rows) + 12_000
 
     @pytest.mark.parametrize("edit, decoded", [
@@ -243,23 +244,27 @@ def _with_cell(text: str, i: int, j: int, cell: str) -> str:
 
 
 def _read_outcome(reader, path):
-    """(n, the trace's bytes) of ``reader``'s read of ``path`` with L = 5, or
-    the message of the ValueError it raises."""
+    """(n, the bytes of the trace's rows and of its t column) of ``reader``'s
+    read of ``path`` with L = 5, or the message of the ValueError it raises."""
     try:
         trace = reader(str(path), 5.0)
     except ValueError as exc:
         return str(exc)
-    return trace.n, trace._rows.tobytes()
+    return trace.n, trace._rows.tobytes(), trace.t.tobytes()
 
 
 EDITS = ["ulp", "-0", "nan", "inf", "1_0", "abc", "", "add-field", "drop-field",
-         "blank-line", "repeat-t", "separator", "separator-around-header"]
+         "blank-line", "repeat-t", "separator", "separator-around-header",
+         "nan-z3-and-eta", "t-ulp"]
 
 
 def _edited_trace(draw) -> str:
     """A short trace with one to three drawn edits, each on a drawn cell.
     Every derived cell of the zero preset's trace is 0, which a -0 edit
-    makes wrong; paper-implicit's rarely offers such a cell."""
+    makes wrong; paper-implicit's rarely offers such a cell.  The
+    nan-z3-and-eta edit makes z3 and eta + delta the same NaN, which must
+    still be named as z3, and t-ulp moves a row's t one ulp off the grid,
+    so that the row and all after it are read into a time column."""
     preset = draw(st.sampled_from(["paper-implicit", "zero"]))
     lines = _short_trace_text(preset).split("\n")[:-1]
     for _ in range(draw(st.integers(1, 3))):
@@ -274,6 +279,8 @@ def _edited_trace(draw) -> str:
             continue
         cells = lines[i].split(",")
         j = draw(st.integers(0, len(cells) - 1))
+        if edit == "t-ulp":
+            edit, j = "ulp", 0
         if edit == "ulp":
             with suppress(ValueError):  # a header cell, or one edited to a non-number
                 cells[j] = repr(math.nextafter(float(cells[j]),
@@ -284,6 +291,8 @@ def _edited_trace(draw) -> str:
             del cells[j]
         elif edit == "repeat-t":
             cells[0] = lines[i - 1].split(",")[0]
+        elif edit == "nan-z3-and-eta":
+            cells[3::6] = ["nan"] * len(cells[3::6])  # z3, and eta where there is one
         elif edit == "separator":
             cells[j] = draw(st.sampled_from([sep + cells[j], cells[j] + sep]))
         else:

@@ -219,14 +219,21 @@ def _outcome(metric, *args):
 
 @st.composite
 def increasing_traces(draw):
-    """1..300 rows at strictly increasing finite times, on a k*h grid or not,
-    with arbitrary floats (signed zeros, NaN, infinities) in the states and u.
+    """1..300 rows at strictly increasing finite times: on a k*h grid, on one
+    that the rows leave at a drawn row, each later by an ulp from there on
+    (a trace that leaves its grid part way switches to a time column), or
+    on none, with arbitrary floats (signed zeros, NaN, infinities) in the
+    states and u.
     z3 = eta + delta is eta itself: delta = -0.0 is the one addend that
     keeps every float, -0.0 and NaN payloads included."""
     n = draw(st.integers(1, 300))
-    if draw(st.booleans()):
+    times = draw(st.sampled_from(["grid", "grid-then-off", "any"]))
+    if times != "any":
         h = draw(st.floats(1e-6, 1e3))
         ts = [k * h for k in range(n)]
+        if times == "grid-then-off":
+            j = draw(st.integers(0, n - 1))
+            ts[j:] = [math.nextafter(t, math.inf) for t in ts[j:]]
     else:
         ts = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=n, unique=True)))
     values = st.lists(st.floats(), min_size=len(ts), max_size=len(ts))

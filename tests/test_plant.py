@@ -20,10 +20,11 @@ from ctasim.plant import (
     TRACE_COLUMNS,
     eval_disturbance,
     plant_step,
+    read_trace_csv,
     run_simulation,
     write_trace_csv,
 )
-from oracles import disturbance, row
+from oracles import disturbance, read_trace_csv_text, row
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 sinusoids = st.builds(Sinusoid, finite, st.floats(min_value=-1e3, max_value=1e3),
@@ -260,6 +261,18 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             _cfg(**{field: value})
 
+    @pytest.mark.parametrize("change, message", [
+        ({"gains": None}, "gains must be a Gains, got None"),
+        ({"gains": (160.236, 60.3738, 28.5, 15.0)},
+         "gains must be a Gains, got (160.236, 60.3738, 28.5, 15.0)"),
+        ({"disturbance": None}, "disturbance must be a Disturbance, got None"),
+        ({"disturbance": (35.0, ())}, "disturbance must be a Disturbance, got (35.0, ())"),
+    ], ids=["gains-none", "gains-tuple", "disturbance-none", "disturbance-tuple"])
+    def test_record_field_of_another_type_rejected_by_name(self, change, message):
+        with pytest.raises(ValueError) as exc:
+            _cfg(**change)
+        assert str(exc.value) == message
+
     def test_overflowing_phase_rejected_by_omega(self):
         # sin(1e308 * 2.0) would be a bare "math domain error" at run time.
         dist = Disturbance(sinusoids=(Sinusoid(1.0, 1e308, "sin"),))
@@ -324,8 +337,8 @@ _ROW = (0.0, 1.0, 2.0, 4.0, 5.0, 6.0, 7.0)
 
 
 class TestSimTrace:
-    """The trace packs each row as seven float64s; columns are read as copies
-    or, with view(), in place."""
+    """The trace packs each row as six float64s, t derived on a grid; columns
+    are read as copies or, with view(), in place."""
 
     EDGE = (-0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.1, 1e308)
 
@@ -373,7 +386,7 @@ class TestSimTrace:
                                   5.0, 6.0, 7.0, 8.0)
 
     def test_view_reads_the_stored_column_in_place(self):
-        trace = self._edge_trace()
+        trace = self._edge_trace()  # off the grid from row 0 on: t is a column
         stored = ("t", "z1", "z2", "u", "u1", "eta", "delta")
         for name in stored:
             with trace.view(name) as view:
@@ -432,19 +445,22 @@ class TestSimTrace:
             trace.view(name)
         trace.append(*_ROW)
 
-    def test_stores_56_bytes_per_row(self):
+    def test_stores_48_bytes_per_row(self):
         trace = run_simulation(_cfg(t_final=0.01))
-        for name in ("t", "z1", "z2", "u", "u1", "eta", "delta"):
+        for name in ("z1", "z2", "u", "u1", "eta", "delta"):
             with trace.view(name) as view:
-                assert view.strides == (56,) and len(view) == trace.n
-                assert view.obj.itemsize * len(view.obj) == 56 * trace.n
+                assert view.strides == (48,) and len(view) == trace.n
+                assert view.obj.itemsize * len(view.obj) == 48 * trace.n
+        # t = k*h is derived: a lazy map, and no time column
+        assert trace._t is None and not isinstance(trace.view("t"), memoryview)
 
     @pytest.mark.parametrize("method", ["explicit", "implicit"])
     def test_run_allocates_exactly_its_rows(self, method):
         cfg = get_preset(f"paper-{method}").cfg
         trace = run_simulation(cfg)
         assert trace.n == cfg.steps + 1
-        assert sys.getsizeof(trace._rows) == sys.getsizeof(array("d")) + 56 * (cfg.steps + 1)
+        assert sys.getsizeof(trace._rows) == sys.getsizeof(array("d")) + 48 * (cfg.steps + 1)
+        assert trace._t is None
 
     def test_reads_stop_at_the_appended_rows(self):
         trace = SimTrace(L=3.0, rows=5)
@@ -503,3 +519,109 @@ class TestSimTrace:
             tracemalloc.stop()
         assert trace.n == cfg.steps + 1
         assert peak / trace.n <= 100.0
+
+def _off(t: float, up: bool = True) -> float:
+    """t one ulp up (or down)."""
+    return math.nextafter(t, math.inf if up else -math.inf)
+
+
+def _on_grid(ts) -> bool:
+    """The grid rule: row 0 at +0.0, row 1 at a finite h > 0, row k at k*h."""
+    if ts[:1] and _bits(ts[:1]) != _bits([0.0]):
+        return False
+    h = ts[1] if len(ts) > 1 else 1.0
+    return 0.0 < h < math.inf and all(t == k * h for k, t in enumerate(ts))
+
+
+_GRID = [k * 0.001 for k in range(8)]
+
+
+class TestTimeAxis:
+    """A trace derives t = k*h while its rows are on a grid and stores a time
+    column from the first row off it; t reads back bit for bit either way,
+    through view(), the column copy and a CSV round trip."""
+
+    @staticmethod
+    def _trace(ts, rows):
+        trace = SimTrace(L=5.0, rows=rows)
+        for k, t in enumerate(ts):
+            trace.append(t, k + 1.0, -2.0 * k, 0.5 * k, 1.0, 3.0 * k, -0.25)
+        return trace
+
+    def _check(self, ts, on_grid, tmp_path):
+        for rows in {0, len(ts) // 2, len(ts), len(ts) + 3}:
+            trace = self._trace(ts, rows)
+            assert trace.n == len(ts) and (trace._t is None) == on_grid
+            assert _bits(trace.view("t")) == _bits(trace.t) == _bits(ts)
+            for a, b in ((1, None), (2, 5), (-3, -1), (4, 4)):
+                assert _bits(trace.view("t", a, b)) == _bits(ts[a:b])
+        if all(map(math.isfinite, ts)) and all(map(float.__lt__, ts, ts[1:])):
+            path = tmp_path / "trace.csv"
+            write_trace_csv(trace, str(path))
+            for reader in (read_trace_csv, read_trace_csv_text):
+                back = reader(str(path), trace.L)
+                assert (back._t is None) == on_grid
+                assert _bits(back.t) == _bits(ts)
+                assert back._rows[:6 * back.n] == trace._rows[:6 * trace.n]
+
+    @pytest.mark.parametrize("ts, on_grid", [
+        ([], True),
+        ([0.0], True),
+        (_GRID, True),
+        ([k * 1e300 for k in range(4)], True),  # 2e300*2 overflows: t = inf is k*h
+        ([-0.0] + _GRID[1:], False),
+        ([0.5, 0.75, 1.0], False),
+        ([_off(0.0)] + _GRID[1:], False),
+        ([0.0, math.inf, 1.0], False),
+        ([0.0, math.nan, 1.0], False),
+        ([0.0, -0.001, 0.001], False),
+        ([0.0, 0.0, 0.001], False),
+        (_GRID[:2] + [_off(_GRID[2])] + _GRID[3:], False),
+        (_GRID[:2] + [_off(_GRID[2], up=False)] + _GRID[3:], False),
+        (_GRID[:5] + [_off(_GRID[5])] + _GRID[6:], False),
+        (_GRID[:-1] + [_off(_GRID[-1])], False),
+        (_GRID[:5] + [math.nan, _GRID[6]], False),
+    ], ids=["empty", "row-0", "grid", "grid-to-inf", "t0-negative-zero", "t0-positive",
+            "t0-one-ulp", "t1-inf", "t1-nan", "t1-negative", "t1-zero", "row-2-ulp-up",
+            "row-2-ulp-down", "mid-trace", "last-row", "nan-mid-trace"])
+    def test_every_t_reads_back(self, ts, on_grid, tmp_path):
+        assert _on_grid(ts) == on_grid
+        self._check(ts, on_grid, tmp_path)
+
+    @given(h=st.floats(1e-9, 1e6), n=st.integers(2, 40), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_t_reads_back_wherever_the_rows_leave_the_grid(self, tmp_path_factory,
+                                                                  h, n, data):
+        ts = [k * h for k in range(n)]
+        j = data.draw(st.integers(0, n))  # n: no row leaves the grid
+        if j < n:
+            ts[j] = data.draw(st.sampled_from([_off(ts[j]), _off(ts[j], up=False)])
+                              | st.floats())
+        self._check(ts, _on_grid(ts), tmp_path_factory.mktemp("axis"))
+
+    def test_file_with_one_t_an_ulp_off_reads_its_t(self, tmp_path):
+        trace = run_simulation(_cfg(t_final=0.01, z1_0=8.0, disturbance=PAPER_DISTURBANCE))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        lines = path.read_text().split("\n")
+        cells = lines[7].split(",")  # row 6
+        cells[0] = repr(_off(float(cells[0])))
+        lines[7] = ",".join(cells)
+        path.write_text("\n".join(lines))
+        back = read_trace_csv(str(path), trace.L)
+        expected = [k * 0.001 for k in range(trace.n)]
+        expected[6] = _off(expected[6])
+        assert back._t is not None and _bits(back.t) == _bits(expected)
+        assert back._rows.tobytes() == trace._rows.tobytes()
+
+    def test_failed_append_leaves_the_times_as_they_were(self):
+        # A held view blocks the row array's growth after t is recorded:
+        # the row is not added, and appending it again records t once.
+        for ts in (_GRID[:1] + [math.inf], _GRID[:3] + [_off(_GRID[3])], _GRID[:4]):
+            trace = self._trace(ts[:-1], 0)
+            with trace.view("z1"):
+                with pytest.raises(BufferError):
+                    trace.append(ts[-1], 9.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+            assert _bits(trace.t) == _bits(ts[:-1])
+            trace.append(ts[-1], 9.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+            assert _bits(trace.t) == _bits(ts) and list(trace.z1)[-1] == 9.0
