@@ -3,9 +3,9 @@ time, and chattering measures; and the sweep's log-log slope fit.
 
 Every metric reads the trace in place through SimTrace.view, with no
 column copies, and uses up or releases each view before it returns or
-raises.  The rows must be in strictly increasing time order (see SimTrace),
-so that a time window is one contiguous run of rows, which
-SimTrace.rows_between finds by bisection on t.  WindowMax takes
+raises.  A trace's rows are on a fixed step, t = k*h (see SimTrace), so a
+time window is one contiguous run of rows, which SimTrace.rows_between
+finds by bisection on t.  WindowMax takes
 precision_envelope's maxima from the rows of a run as they are produced,
 with no trace stored.
 
@@ -43,8 +43,7 @@ def _no_rows(window: tuple[float, float]) -> ValueError:
 
 
 def _window(trace: SimTrace, window: tuple[float, float]) -> tuple[int, int]:
-    """The window's rows a..b-1, the rows with lo <= t <= hi, with a < b;
-    rows are in time order."""
+    """The window's rows a..b-1, the rows with lo <= t <= hi, with a < b."""
     ts = [*trace.view("t", 0, 2)]
     lo, hi = _bounds(window, ts[1] - ts[0] if len(ts) == 2 else 0.0)
     a, b = trace.rows_between(lo, hi)
@@ -60,10 +59,7 @@ def precision_envelope(
     h: float,
     orders: tuple[float, float, float],
 ) -> PrecisionReport:
-    """Exact maxima of |x_i| over the window, and v_i = sup|x_i| / h^p_i.
-
-    Rows must be in time order (see SimTrace).
-    """
+    """Exact maxima of |x_i| over the window, and v_i = sup|x_i| / h^p_i."""
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h!r}")
     try:
@@ -114,7 +110,6 @@ def convergence_time(trace: SimTrace, threshold: float) -> float:
     """Smallest t after which |z1| and |z2| both stay below the threshold.
 
     Returns math.inf if the final record still violates the threshold.
-    Rows must be in time order (see SimTrace).
     """
     if not threshold > 0.0:
         raise ValueError(f"threshold must be positive, got {threshold!r}")
@@ -127,7 +122,7 @@ def state_settling_time(trace: SimTrace, bands: tuple[float, float, float]) -> f
     Settling time of the whole closed-loop state, including the fictitious
     z3, with one band per state; convergence_time is the (z1, z2) pair
     case, with no band on z3.  Returns math.inf if the final record still
-    violates a band.  Rows must be in time order (see SimTrace).
+    violates a band.
     """
     b1, b2, b3 = bands
     for name, band in zip(("z1", "z2", "z3"), bands):
@@ -146,8 +141,8 @@ def state_settling_time(trace: SimTrace, bands: tuple[float, float, float]) -> f
 def chatter_metrics(trace: SimTrace, window: tuple[float, float]) -> ChatterReport:
     """Total variation of u and sign changes of its increments over the window.
 
-    Rows must be in time order (see SimTrace).  The increments are summed
-    from 0.0 in row order, so a one-row window has a float total of 0.0.
+    The increments are summed from 0.0 in row order, so a one-row window
+    has a float total of 0.0.
     """
     a, b = _window(trace, window)
     with trace.view("u") as u:

@@ -19,10 +19,10 @@ z3 = eta + delta(t).  The final row's input is the controller output for
 the final state, evaluated without committing the controller update.
 
 This module owns the trace format: SimTrace alone knows the stored row
-layout and forms the derived columns z3 = eta + delta, x = z/L and, for
-rows on a fixed step, t = k*h; the row invariants (time order, L > 0) and
-the CSV codec sit beside it.  A run passes its rows to a sink (see
-run_simulation), by default a SimTrace.
+layout, forms the derived columns t = k*h, z3 = eta + delta and x = z/L,
+and holds the row invariants (a fixed-step grid, L > 0); the CSV codec
+sits beside it.  A run passes its rows to a sink (see run_simulation), by
+default a SimTrace.
 """
 
 from __future__ import annotations
@@ -171,25 +171,22 @@ def _copy(name: str) -> property:
 
 
 class SimTrace:
-    """Record of one run: one row of six float64s (z1, z2, u, u1, eta,
-    delta) per time point, packed row after row in one array('d') (48 B per
-    row).  z3 = eta + delta and x1..x3 = z/L are derived on each read.
+    """Record of one run on a fixed step h: one row of six float64s (z1,
+    z2, u, u1, eta, delta) per time point, packed row after row in one
+    array('d') (48 B per row).  t, z3 = eta + delta and x1..x3 = z/L are
+    derived on each read.
 
-    t is derived too while the rows are on a fixed-step grid: row 0 at +0.0,
-    row 1 at a finite t > 0, which sets the step h, and each later row k at
-    t == k*h, as run_simulation writes them.  The first row off that grid
-    gives the trace a time column of its own, an array('d') that holds k*h
-    for the rows before it and is sized for the allocated rows, so every t
-    reads back bit for bit either way.
+    Row k is at t = k*h: row 0 at +0.0, row 1 at a finite t > 0, which sets
+    the step h, and each later row k at t == k*h, as run_simulation writes
+    them.  append raises ValueError for a row off that grid, before it
+    writes anything, so the rows are in time order and every t reads back
+    bit for bit.  rows_between finds a time window by bisection.
 
     ``SimTrace(L, rows)`` allocates ``rows`` rows up front, and append fills
     them in place before it grows the array; run_simulation and
     read_trace_csv size their traces exactly this way.  ``n`` counts the
     rows appended, and every read stops there.
 
-    Rows must be in strictly increasing time order with finite t, which
-    append does not check: run_simulation writes t = k*h, and read_trace_csv
-    rejects any other file.  rows_between finds a time window by bisection.
     L must be positive and finite, so that x = z/L keeps the sign and order
     of z.  Each column attribute returns a fresh array('d') copy, O(n): bind
     a column once before indexing it in a loop, or read it with view().
@@ -205,10 +202,9 @@ class SimTrace:
         # Byte offsets: the end of the appended rows, of the allocated ones.
         self._end = 0
         self._allocated = _ROW_BYTES * rows
-        # The grid step, NaN until row 1 sets it and once the trace has its
-        # own time column, so that t == k*h fails for each row _time records.
+        # The step, NaN until row 1 sets it, so that t == k*h fails for the
+        # rows _step checks.
         self._h = math.nan
-        self._t = None
 
     @property
     def n(self) -> int:
@@ -222,18 +218,17 @@ class SimTrace:
         A stored column is a read-only strided memoryview; z3 = eta + delta
         (the float operation run_simulation performs) and x = z/L are lazy
         maps over such views, and t is a lazy map over the row numbers k,
-        giving k*h, or a memoryview of the trace's time column.  Each
-        memoryview covers the rows appended so far and holds the trace's
-        buffer, so an append that grows the array raises BufferError while
-        it is alive: take a memoryview in a ``with`` block, and use a map up
-        within one expression.  An unknown name raises ValueError.
+        giving k*h.  Each memoryview covers the rows appended so far and
+        holds the trace's buffer, so an append that grows the array raises
+        BufferError while it is alive: take a memoryview in a ``with``
+        block, and use a map up within one expression.  An unknown name
+        raises ValueError.
         """
         if name in _STORED:
             j = _STORED.index(name)
             return memoryview(self._rows).toreadonly()[j:_WIDTH * self.n:_WIDTH][a:b]
         if name == "t":
-            ts, key = self._time_axis()
-            return ts[a:b] if key is None else map(key, ts[a:b])
+            return map(self._k_times_h(), range(self.n)[a:b])
         if name == "z3":
             return map(add, self.view("eta", a, b), self.view("delta", a, b))
         if name in ("x1", "x2", "x3"):
@@ -243,53 +238,51 @@ class SimTrace:
 
     def rows_between(self, lo: float, hi: float) -> tuple[int, int]:
         """(a, b) such that rows a..b-1 are the rows with lo <= t <= hi,
-        found by bisection, which needs the rows in time order."""
-        ts, key = self._time_axis()
-        return bisect_left(ts, lo, key=key), bisect_right(ts, hi, key=key)
+        found by bisection over the row numbers k, with k*h as the key."""
+        ks, key = range(self.n), self._k_times_h()
+        return bisect_left(ks, lo, key=key), bisect_right(ks, hi, key=key)
 
-    def _time_axis(self):
-        """(ts, key): row k's t is key(ts[k]), or ts[k] where key is None.
-        On the grid ts is range(n) and key multiplies by h (0.0 before row
-        1, so that row 0 reads +0.0); else ts is the time column."""
-        n = self.n
-        if self._t is None:
-            return range(n), (self._h if n >= 2 else 0.0).__rmul__
-        return memoryview(self._t).toreadonly()[:n], None
+    def _k_times_h(self):
+        """Row k's t as a function of k: k*h, with 0.0 for h before row 1
+        sets it, so that row 0 reads +0.0."""
+        return (self._h if self._end > _ROW_BYTES else 0.0).__rmul__
 
-    def _time(self, k: int, t: float) -> float:
-        """Record row k's t where t == k*h fails: the slow path of append and
-        of read_trace_csv's fill.  Returns the h that the next row's t is
-        checked against, NaN once the trace has a time column."""
-        times = self._t
-        if times is None:
-            if k == 0 and t == 0.0 and math.copysign(1.0, t) > 0.0:
-                return self._h
-            if k == 1 and 0.0 < t < math.inf:
-                self._h = t
-                return t
-            # Off the grid: rows 0..k-1 keep their k*h in a new column.
-            h = self._h if k >= 2 else 0.0
-            times = self._t = array("d", [0.0]) * max(k, self._allocated // _ROW_BYTES)
-            times[:k] = array("d", map(h.__rmul__, range(k)))
-            self._h = math.nan
-        # Row k may be written again if growing the row array failed.
-        if k < len(times):
-            times[k] = t
+    def _step(self, k: int, t: float) -> float:
+        """The slow path of append, for a row k whose t == k*h fails: the
+        step h that row 0 at +0.0 keeps, or that row 1 at a finite t > 0
+        sets.  Any other row is off the grid: ValueError, naming the first
+        rule it breaks."""
+        if k == 0 and t == 0.0 and math.copysign(1.0, t) > 0.0:
+            return self._h
+        if k == 1 and 0.0 < t < math.inf:
+            return t
+        h = self._h
+        t_prev = (k - 1) * h if k >= 2 else 0.0
+        if not math.isfinite(t):
+            problem = "is not finite"
+        elif k and not t > t_prev:
+            problem = f"is not greater than the previous row's t = {t_prev!r}"
+        elif k == 0:
+            problem = "is off the grid: row 0 must be at t = +0.0"
         else:
-            times.append(t)
-        return math.nan
+            problem = f"is off the grid: row {k} must be at t = k*h = {k * h!r} for h = {h!r}"
+        raise ValueError(f"t = {t!r} {problem}")
 
     def append(self, t, z1, z2, u, u1, eta, delta) -> None:
-        """Add one row: record t unless it is on the grid, then fill the
-        next allocated row, or grow the array by one."""
+        """Add one row at t, which must be on the grid (see SimTrace): fill
+        the next allocated row, or grow the array by one.  A row off the
+        grid raises ValueError, and one that cannot grow the array
+        BufferError, with the trace left as it was."""
         end = self._end
-        if t != end // _ROW_BYTES * self._h:
-            self._time(end // _ROW_BYTES, t)
+        h = self._h
+        if t != end // _ROW_BYTES * h:
+            h = self._step(end // _ROW_BYTES, t)
         if end < self._allocated:
             _pack_into(self._rows, end, z1, z2, u, u1, eta, delta)
         else:
             self._rows.frombytes(_pack(z1, z2, u, u1, eta, delta))
         self._end = end + _ROW_BYTES
+        self._h = h
 
 
 @contextlib.contextmanager
@@ -370,30 +363,30 @@ def _data_rows(f) -> tuple[int, bool]:
 
 
 def read_trace_csv(path: str, L: float) -> SimTrace:
-    """Parse a trace CSV.  The z3 and x columns are not stored, nor is t
-    while the rows are on a grid (see SimTrace).  A header
-    other than TRACE_HEADER (lineno 1), a malformed row (a field count other
-    than 11, a cell that is not a float, a blank line), a row whose t is not
-    finite or not greater than the previous row's (the time order SimTrace
-    requires), or a row whose z3 and x are not eta + delta and z/L bit for
-    bit (-0 is not 0; NaN never is) raises ValueError starting with
-    `path:lineno:`, and a file that does not
-    decode raises ValueError starting with `path:`.  An L that is not
-    positive and finite raises ValueError before the file is opened.
+    """Parse a trace CSV.  The t, z3 and x columns are not stored (see
+    SimTrace).  A header other than TRACE_HEADER (lineno 1), a malformed
+    row (a field count other than 11, a cell that is not a float, a blank
+    line), a row whose t is not finite or that SimTrace.append rejects
+    (not greater than the previous row's t, or off the fixed-step grid),
+    or a row whose z3 and x are not eta + delta and z/L bit for bit (-0 is
+    not 0; NaN never is) raises ValueError starting with `path:lineno:`,
+    and a file that does not decode raises ValueError starting with
+    `path:`.  An L that is not positive and finite raises ValueError before
+    the file is opened.
 
     The trace is allocated for the rows a first pass over the file's
-    newlines counts, and filled in place, so it holds no growth slack; it
-    grows only past that count (a file that grew in between, or a pipe,
-    which is read in one pass).  A plain file (see _data_rows) is parsed
-    from its bytes, which split into the lines and cells its text would;
-    any other file is decoded, with newline="" line ends (LF, CRLF, CR)."""
+    newlines counts, and each row goes through SimTrace.append, which fills
+    them in place, so the trace holds no growth slack; it grows only past
+    that count (a file that grew in between, or a pipe, which is read in
+    one pass).  A plain file (see _data_rows) is parsed from its bytes,
+    which split into the lines and cells its text would; any other file is
+    decoded, with newline="" line ends (LF, CRLF, CR)."""
     SimTrace(L=L)  # rejects a bad L before the file is opened
-    t_prev = -math.inf
     try:
         with open(path, "rb") as f:
             rows, plain = _data_rows(f)
             trace = SimTrace(L=L, rows=rows)
-            buf, allocated, end, h = trace._rows, trace._allocated, 0, trace._h
+            append = trace.append
             lines, sep = (f, b",") if plain else (io.TextIOWrapper(f, newline=""), ",")
             header = lines.readline()
             # decoded first: str.strip() also removes \x1c-\x1f
@@ -409,12 +402,13 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
                             float, (line.decode() if plain else line).split(","))
                     except ValueError as exc:
                         raise ValueError(f"{path}:{k + 2}: {exc}") from None
-                if not t_prev < t < math.inf:
-                    if not math.isfinite(t):
-                        raise ValueError(f"{path}:{k + 2}: t = {t!r} is not finite")
-                    raise ValueError(f"{path}:{k + 2}: t = {t!r} is not greater than "
-                                     f"the previous row's t = {t_prev!r}")
-                t_prev = t
+                # An inf t is on the grid once k*h overflows.
+                if not math.isfinite(t):
+                    raise ValueError(f"{path}:{k + 2}: t = {t!r} is not finite")
+                try:
+                    append(t, z1, z2, u, u1, eta, delta)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{k + 2}: {exc}") from None
                 z3_row = eta + delta
                 # != fails every NaN.  Equal floats differ in bits only at -0 and 0,
                 # so the bits are compared only when a cell is zero.
@@ -429,18 +423,9 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
                     raise ValueError(f"{path}:{k + 2}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
                                      f"z/L = {z1 / L!r}, {z2 / L!r}, {z3_row / L!r} for L = {L!r}"
                                      f"{nan if any(map(math.isnan, (x1, x2, x3))) else ''}")
-                # append's paths, without a method call per row on the grid
-                if t != k * h:
-                    h = trace._time(k, t)
-                if end < allocated:
-                    _pack_into(buf, end, z1, z2, u, u1, eta, delta)
-                else:
-                    buf.frombytes(_pack(z1, z2, u, u1, eta, delta))
-                end += _ROW_BYTES
     except UnicodeDecodeError as exc:
         # Decoding runs in chunks, so the line is unknown.
         raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
-    trace._end = end
     return trace
 
 

@@ -14,8 +14,9 @@ z = 0.  ``disturbance`` evaluates a disturbance from its terms' fields, and
 ``outcome`` is a call's result bits or ValueError message.  The
 ``reference_*`` trace metrics select the window row by row over column
 copies; ``row`` reads one trace row as the CSV writes it.
-``read_trace_csv_text`` decodes every file and appends row by row, for
-equivalence checks of the reader that parses plain files as bytes.
+``read_trace_csv_text`` decodes every file, checks the time grid itself
+and appends row by row, for equivalence checks of the reader that parses
+plain files as bytes.
 """
 
 import io
@@ -269,17 +270,19 @@ def read_trace_csv_text(path: str, L: float) -> SimTrace:
     """Parse a trace CSV.  The z3 and x columns are not stored.  A header
     other than TRACE_HEADER (lineno 1), a malformed row (a field count other
     than 11, a cell that is not a float, a blank line), a row whose t is not
-    finite or not greater than the previous row's (the time order SimTrace
-    requires), or a row whose z3 and x are not eta + delta and z/L bit for
-    bit (-0 is not 0; NaN never is) raises ValueError starting with
-    `path:lineno:`, and a file that does not decode raises ValueError
-    starting with `path:`.  An L that is not positive and finite raises
-    ValueError before the file is opened.
+    finite, not greater than the previous row's, or off the fixed-step grid
+    SimTrace requires (row 0 at +0.0, row 1 at the step h, row k at k*h), or
+    a row whose z3 and x are not eta + delta and z/L bit for bit (-0 is not
+    0; NaN never is) raises ValueError starting with `path:lineno:`, and a
+    file that does not decode raises ValueError starting with `path:`.  An L
+    that is not positive and finite raises ValueError before the file is
+    opened.
 
-    Every file is decoded, with newline="" line ends (LF, CRLF, CR), and
-    each row goes through SimTrace.append."""
+    Every file is decoded, with newline="" line ends (LF, CRLF, CR); the
+    time checks are this function's own, not SimTrace's, and each row that
+    passes them goes through SimTrace.append."""
     trace = SimTrace(L=L)  # rejects a bad L before the file is opened
-    t_prev = -math.inf
+    t_prev, h = -math.inf, math.nan
     try:
         with io.TextIOWrapper(open(path, "rb"), newline="") as f:
             header = f.readline().strip()
@@ -296,6 +299,14 @@ def read_trace_csv_text(path: str, L: float) -> SimTrace:
                     raise ValueError(f"{path}:{lineno}: t = {t!r} is not greater than "
                                      f"the previous row's t = {t_prev!r}")
                 t_prev = t
+                k = lineno - 2
+                if k == 1:
+                    h = t
+                t_grid = k * h if k else 0.0
+                if struct.pack("d", t) != struct.pack("d", t_grid):
+                    rule = ("row 0 must be at t = +0.0" if k == 0 else
+                            f"row {k} must be at t = k*h = {t_grid!r} for h = {h!r}")
+                    raise ValueError(f"{path}:{lineno}: t = {t!r} is off the grid: {rule}")
                 z3_row = eta + delta
                 cells, derived = (z3, x1, x2, x3), (z3_row, z1 / L, z2 / L, z3_row / L)
                 # != fails every NaN; the bits tell -0 from 0.

@@ -101,7 +101,7 @@ class TestTraceCsv:
         write_trace_csv(trace, str(path))
         assert path.read_text().startswith(H)
 
-    # One row per rule: the file (the header line H, then one or two rows), the L
+    # One row per rule: the file (the header line H, then its rows), the L
     # it is read with, and the exact message, with {} standing for the file.
     @pytest.mark.parametrize("text, L, message", [
         ("h = 0.001\n", 5.0, "{}:1: unexpected trace header: 'h = 0.001'"),
@@ -131,11 +131,23 @@ class TestTraceCsv:
         (H + "0,0,0,0,0,0,0,0,0,0,0\n" * 2, 5.0,
          "{}:3: t = 0.0 is not greater than the previous row's t = 0.0"),
         (H + "nan,0,0,0,0,0,0,0,0,0,0\n", 5.0, "{}:2: t = nan is not finite"),
+        (H + "0,0,0,0,0,0,0,0,0,0,0\ninf,0,0,0,0,0,0,0,0,0,0\n", 5.0,
+         "{}:3: t = inf is not finite"),
         (H + "0,0,0,0,0,0,0,0,0,0,0\n", 0.0, "L must be positive and finite, got 0.0"),
+        # rows off the fixed-step grid: row 0 at -0 and at 0.5, row 6 an ulp up
+        (H + "-0,0,0,0,0,0,0,0,0,0,0\n", 5.0,
+         "{}:2: t = -0.0 is off the grid: row 0 must be at t = +0.0"),
+        (H + "0.5,0,0,0,0,0,0,0,0,0,0\n", 5.0,
+         "{}:2: t = 0.5 is off the grid: row 0 must be at t = +0.0"),
+        (H + "".join(f"{k * 0.001!r},0,0,0,0,0,0,0,0,0,0\n" for k in range(6))
+         + "0.006000000000000001,0,0,0,0,0,0,0,0,0,0\n", 5.0,
+         "{}:8: t = 0.006000000000000001 is off the grid: row 6 must be at t = k*h = 0.006 "
+         "for h = 0.001"),
     ], ids=["header-config-file", "header-empty-file", "z3-negative-zero", "z3-ulp-up",
             "z3-ulp-down", "z3-nan", "x1-positive-zero", "x1-nan", "x2-edited", "other-L",
             "too-few-fields", "too-many-fields", "non-numeric-cell", "blank-line",
-            "time-not-increasing", "time-not-finite", "L-zero"])
+            "time-not-increasing", "time-not-finite", "time-inf", "L-zero",
+            "t0-negative-zero", "t0-positive", "row-6-ulp"])
     def test_rejected_with_its_message(self, tmp_path, text, L, message):
         path = tmp_path / "trace.csv"
         path.write_text(text)
@@ -157,7 +169,6 @@ class TestTraceCsv:
         assert back.n == rows
         assert [row(back, i) for i in range(rows)] == [row(trace, i) for i in range(rows)]
         assert sys.getsizeof(back._rows) == sys.getsizeof(array("d")) + 48 * back.n
-        assert back._t is None
 
     def test_pipe_reads_the_rows_of_the_file(self, tmp_path):
         # A FIFO cannot seek back after a count, so it is read in one pass.
@@ -187,7 +198,7 @@ class TestTraceCsv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sys.getsizeof(back._rows) == 480_128 and back._t is None
+        assert sys.getsizeof(back._rows) == 480_128
         assert peak <= sys.getsizeof(back._rows) + 12_000
 
     @pytest.mark.parametrize("edit, decoded", [
@@ -264,7 +275,7 @@ def _edited_trace(draw) -> str:
     makes wrong; paper-implicit's rarely offers such a cell.  The
     nan-z3-and-eta edit makes z3 and eta + delta the same NaN, which must
     still be named as z3, and t-ulp moves a row's t one ulp off the grid,
-    so that the row and all after it are read into a time column."""
+    which both readers reject."""
     preset = draw(st.sampled_from(["paper-implicit", "zero"]))
     lines = _short_trace_text(preset).split("\n")[:-1]
     for _ in range(draw(st.integers(1, 3))):

@@ -30,21 +30,21 @@ def test_preset_trace_and_summary(preset, tmp_path):
 
 def test_trace_reload_summary(tmp_path):
     """The paper-implicit trace, read back from its CSV, summarizes to the
-    golden summary, and its array holds no growth slack and no time column."""
+    golden summary, and its array holds no growth slack: 48 B per row, with
+    t = k*h derived."""
     assert golden_check.check_preset("paper-implicit", str(tmp_path)) == []
     assert golden_check.check_reload(str(tmp_path)) == []
 
 
 def test_writer_matches_per_value_format(tmp_path):
     """Row-at-a-time %-formatting writes the bytes of a per-value
-    f"{v:.17g}" join, edge values and the derived z3 = eta + delta and
-    x = z/L columns included."""
+    f"{v:.17g}" join, edge values in the six stored columns and the derived
+    t = k*h, z3 = eta + delta and x = z/L columns included."""
     edge = [-0.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf, 1e308, -1e308,
             math.nan, 0.1, 1.0 / 3.0, 35.6, 1e-17, 123456789012345678.0]
     trace = SimTrace(L=3.0)
-    for i in range(len(edge)):
-        t, z1, z2, u, u1, eta, delta = (edge[(i + j) % len(edge)] for j in range(7))
-        trace.append(t, z1, z2, u, u1, eta, delta)
+    for k in range(len(edge)):
+        trace.append(k * 0.1, *(edge[(k + j) % len(edge)] for j in range(6)))
     path = tmp_path / "edge.csv"
     write_trace_csv(trace, str(path))
     expected = TRACE_HEADER + "\n" + "".join(

@@ -219,23 +219,13 @@ def _outcome(metric, *args):
 
 @st.composite
 def increasing_traces(draw):
-    """1..300 rows at strictly increasing finite times: on a k*h grid, on one
-    that the rows leave at a drawn row, each later by an ulp from there on
-    (a trace that leaves its grid part way switches to a time column), or
-    on none, with arbitrary floats (signed zeros, NaN, infinities) in the
-    states and u.
+    """1..300 rows at t = k*h, the only times a trace holds, with arbitrary
+    floats (signed zeros, NaN, infinities) in the states and u.
     z3 = eta + delta is eta itself: delta = -0.0 is the one addend that
     keeps every float, -0.0 and NaN payloads included."""
     n = draw(st.integers(1, 300))
-    times = draw(st.sampled_from(["grid", "grid-then-off", "any"]))
-    if times != "any":
-        h = draw(st.floats(1e-6, 1e3))
-        ts = [k * h for k in range(n)]
-        if times == "grid-then-off":
-            j = draw(st.integers(0, n - 1))
-            ts[j:] = [math.nextafter(t, math.inf) for t in ts[j:]]
-    else:
-        ts = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=n, unique=True)))
+    h = draw(st.floats(1e-6, 1e3))
+    ts = [k * h for k in range(n)]
     values = st.lists(st.floats(), min_size=len(ts), max_size=len(ts))
     z1, z2, eta, u = (draw(values) for _ in range(4))
     trace = SimTrace(L=draw(st.floats(1e-3, 1e3)))
@@ -311,8 +301,8 @@ class TestMatchesRowByRowReference:
                 reference_state_settling_time, trace, (threshold, threshold, math.inf))
 
 
-# A row as append takes it: t, z1, z2, u, u1, eta, delta.
-_ROW = (9.0, 1.0, 2.0, 4.0, 5.0, 6.0, 7.0)
+# A row's stored values as append takes them after t: z1, z2, u, u1, eta, delta.
+_ROW = (1.0, 2.0, 4.0, 5.0, 6.0, 7.0)
 
 
 class TestReadsInPlace:
@@ -329,7 +319,7 @@ class TestReadsInPlace:
     def test_append_after_metric_returns(self, metric):
         trace = make_trace([math.sin(k) for k in range(80)])
         metric(trace)
-        trace.append(*_ROW)
+        trace.append(80 * 0.01, *_ROW)  # row 80 of make_trace's grid
         assert trace.n == 81
 
     @pytest.mark.parametrize("window", [(5.0, 6.0), (0.5, 0.4), (math.nan, 1.0), (0.0, math.nan)],
@@ -344,7 +334,7 @@ class TestReadsInPlace:
             metric(trace, window)
         # info still holds the exception, its traceback and their frames.
         assert info.value.__traceback__ is not None
-        trace.append(*_ROW)
+        trace.append(80 * 0.01, *_ROW)  # row 80 of make_trace's grid
         assert trace.n == 81
 
     def test_summarize_copies_no_column(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 import sys
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from ctasim.cli import PAPER_DISTURBANCE, PAPER_GAINS, get_preset
 from ctasim.controller import Gains, implicit_step
+from ctasim import plant
 from ctasim.plant import (
+    DIVERGENCE_LIMIT,
     MAX_STEPS,
     Disturbance,
     SimConfig,
@@ -198,6 +201,27 @@ class TestRunSimulation:
             run_simulation(cfg)
         assert err.value.step == 0
 
+    @pytest.mark.parametrize("state", ["z1", "z2", "eta"])
+    def test_a_state_at_the_limit_runs_on(self, monkeypatch, state):
+        # A state of exactly DIVERGENCE_LIMIT is within it; the next float up
+        # diverges at step 0.  eta stays eta_0 with z = 0 (no sign to
+        # integrate); z1 and z2 come from a plant that jumps to the value.
+        for value, diverges in ((DIVERGENCE_LIMIT, False),
+                                (math.nextafter(DIVERGENCE_LIMIT, math.inf), True)):
+            cfg = _cfg(method="explicit", t_final=0.001)
+            if state == "eta":
+                cfg = cfg.replace(eta_0=value)
+            else:
+                jump = (value, 0.0) if state == "z1" else (0.0, value)
+                monkeypatch.setattr(plant, "plant_step", lambda *args: jump)
+            if diverges:
+                with pytest.raises(SimulationDiverged) as err:
+                    run_simulation(cfg)
+                assert err.value.step == 0
+            else:
+                trace = run_simulation(cfg)
+                assert trace.n == 2 and getattr(trace, state)[1] == value
+
     def test_nonfinite_plant_aborts_with_step(self):
         cfg = _cfg(z1_0=1e300, z2_0=1e300, method="explicit", t_final=0.1)
         with pytest.raises(SimulationDiverged):
@@ -332,35 +356,39 @@ def _bits(values):
     return [struct.pack("<d", v) for v in values]
 
 
-# A row as append takes it: t, z1, z2, u, u1, eta, delta.
-_ROW = (0.0, 1.0, 2.0, 4.0, 5.0, 6.0, 7.0)
+# A row's stored values as append takes them after t: z1, z2, u, u1, eta, delta.
+_ROW = (1.0, 2.0, 4.0, 5.0, 6.0, 7.0)
+_H = 0.25  # the step of the traces built here row by row
+
+
+def _append(trace, *stored):
+    """Append a row of ``stored`` values at the trace's next time, n*_H."""
+    trace.append(trace.n * _H, *stored)
 
 
 class TestSimTrace:
-    """The trace packs each row as six float64s, t derived on a grid; columns
+    """The trace packs each row as six float64s, t = k*h derived; columns
     are read as copies or, with view(), in place."""
 
     EDGE = (-0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.1, 1e308)
+    STORED = ("z1", "z2", "u", "u1", "eta", "delta")
 
     def _edge_trace(self):
         trace = SimTrace(L=3.0)
         for i in range(len(self.EDGE)):
-            t, z1, z2, u, u1, eta, delta = (self.EDGE[(i + j) % len(self.EDGE)]
-                                            for j in range(7))
-            trace.append(t, z1, z2, u, u1, eta, delta)
+            _append(trace, *(self.EDGE[(i + j) % len(self.EDGE)] for j in range(6)))
         return trace
 
     def test_edge_values_survive_bit_for_bit(self):
         trace = self._edge_trace()
-        stored = ("t", "z1", "z2", "u", "u1", "eta", "delta")
         for i in range(trace.n):
-            expected = [self.EDGE[(i + j) % len(self.EDGE)] for j in range(7)]
+            expected = [i * _H] + [self.EDGE[(i + j) % len(self.EDGE)] for j in range(6)]
             values = dict(zip(TRACE_COLUMNS, row(trace, i)))
-            assert _bits(values[c] for c in stored) == _bits(expected)
+            assert _bits(values[c] for c in ("t", *self.STORED)) == _bits(expected)
             assert _bits([values["z3"]]) == _bits([values["eta"] + values["delta"]])
             assert _bits(values[c] for c in ("x1", "x2", "x3")) == \
                 _bits(values[c] / 3.0 for c in ("z1", "z2", "z3"))
-        for j, name in enumerate(stored):
+        for j, name in enumerate(self.STORED):
             assert _bits(getattr(trace, name)) == \
                 _bits(self.EDGE[(i + j) % len(self.EDGE)] for i in range(trace.n))
         for name in ("x1", "x2", "x3"):
@@ -380,20 +408,19 @@ class TestSimTrace:
         trace = self._edge_trace()
         held = [getattr(trace, c) for c in TRACE_COLUMNS]
         n = trace.n
-        trace.append(1.0, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0)
+        _append(trace, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0)
         assert trace.n == n + 1 and all(len(c) == n for c in held)
-        assert row(trace, -1) == (1.0, 2.0, 3.0, 15.0, 2.0 / 3.0, 1.0, 15.0 / 3.0,
+        assert row(trace, -1) == (n * _H, 2.0, 3.0, 15.0, 2.0 / 3.0, 1.0, 15.0 / 3.0,
                                   5.0, 6.0, 7.0, 8.0)
 
     def test_view_reads_the_stored_column_in_place(self):
-        trace = self._edge_trace()  # off the grid from row 0 on: t is a column
-        stored = ("t", "z1", "z2", "u", "u1", "eta", "delta")
-        for name in stored:
+        trace = self._edge_trace()
+        for name in self.STORED:
             with trace.view(name) as view:
                 assert view.readonly and _bits(view) == _bits(getattr(trace, name))
                 with pytest.raises(BufferError):
-                    trace.append(*_ROW)
-        trace.append(*_ROW)
+                    _append(trace, *_ROW)
+        _append(trace, *_ROW)
         with trace.view("eta") as view:
             assert view[-1] == 6.0 and len(view) == trace.n
 
@@ -425,16 +452,16 @@ class TestSimTrace:
         for a, b in ((0, None), (2, 5), (3, 3), (0, trace.n)):
             for name in TRACE_COLUMNS:
                 assert _bits(trace.view(name, a, b)) == _bits(getattr(trace, name)[a:b])
-        trace.append(*_ROW)
+        _append(trace, *_ROW)
 
     @pytest.mark.parametrize("name", ["z3", "x1", "x2", "x3"])
     def test_held_derived_view_blocks_append(self, name):
         trace = self._edge_trace()
         held = trace.view(name)
         with pytest.raises(BufferError):
-            trace.append(*_ROW)
+            _append(trace, *_ROW)
         del held
-        trace.append(*_ROW)
+        _append(trace, *_ROW)
         assert trace.n == len(self.EDGE) + 1
 
     @pytest.mark.parametrize("name", ["w", "x4", "Z3"])
@@ -443,7 +470,7 @@ class TestSimTrace:
         with pytest.raises(ValueError, match=f"^'{name}' is not a trace column; the columns "
                                              f"are t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta$"):
             trace.view(name)
-        trace.append(*_ROW)
+        _append(trace, *_ROW)
 
     def test_stores_48_bytes_per_row(self):
         trace = run_simulation(_cfg(t_final=0.01))
@@ -451,8 +478,8 @@ class TestSimTrace:
             with trace.view(name) as view:
                 assert view.strides == (48,) and len(view) == trace.n
                 assert view.obj.itemsize * len(view.obj) == 48 * trace.n
-        # t = k*h is derived: a lazy map, and no time column
-        assert trace._t is None and not isinstance(trace.view("t"), memoryview)
+        # t = k*h is derived: a lazy map over the row numbers
+        assert isinstance(trace.view("t"), map)
 
     @pytest.mark.parametrize("method", ["explicit", "implicit"])
     def test_run_allocates_exactly_its_rows(self, method):
@@ -460,14 +487,13 @@ class TestSimTrace:
         trace = run_simulation(cfg)
         assert trace.n == cfg.steps + 1
         assert sys.getsizeof(trace._rows) == sys.getsizeof(array("d")) + 48 * (cfg.steps + 1)
-        assert trace._t is None
 
     def test_reads_stop_at_the_appended_rows(self):
         trace = SimTrace(L=3.0, rows=5)
         grown = SimTrace(L=3.0)
         for k in range(2):
-            trace.append(*_ROW[:1], k + 1.0, *_ROW[2:])
-            grown.append(*_ROW[:1], k + 1.0, *_ROW[2:])
+            _append(trace, k + 1.0, *_ROW[1:])
+            _append(grown, k + 1.0, *_ROW[1:])
         assert trace.n == 2
         for name in TRACE_COLUMNS:
             column = getattr(trace, name)
@@ -479,13 +505,13 @@ class TestSimTrace:
 
     def test_fills_its_rows_then_grows(self):
         trace = SimTrace(L=3.0, rows=2)
-        trace.append(*_ROW)
+        _append(trace, *_ROW)
         with trace.view("z1") as held:
-            trace.append(*_ROW[:1], 8.0, *_ROW[2:])  # fills in place
+            _append(trace, 8.0, *_ROW[1:])  # fills in place
             assert len(held) == 1 and trace.n == 2
             with pytest.raises(BufferError):  # growing would move the buffer
-                trace.append(*_ROW)
-        trace.append(*_ROW[:1], 9.0, *_ROW[2:])
+                _append(trace, *_ROW)
+        _append(trace, 9.0, *_ROW[1:])
         assert trace.n == 3 and list(trace.z1) == [1.0, 8.0, 9.0]
 
     @pytest.mark.parametrize("L", [0.0, -5.0, math.nan, math.inf])
@@ -533,95 +559,136 @@ def _on_grid(ts) -> bool:
     return 0.0 < h < math.inf and all(t == k * h for k, t in enumerate(ts))
 
 
+def _first_rejected(ts, finite=False) -> int:
+    """The first row of ``ts`` off the grid (or, with ``finite``, also the
+    first not finite), len(ts) if there is none."""
+    return next((k for k, t in enumerate(ts) if not _on_grid(ts[:k + 1])
+                 or finite and not math.isfinite(t)), len(ts))
+
+
+def _state(trace):
+    """n, every column's bits and the step h: what a rejected append keeps."""
+    return trace.n, [_bits(getattr(trace, c)) for c in TRACE_COLUMNS], _bits([trace._h])
+
+
 _GRID = [k * 0.001 for k in range(8)]
 
 
 class TestTimeAxis:
-    """A trace derives t = k*h while its rows are on a grid and stores a time
-    column from the first row off it; t reads back bit for bit either way,
-    through view(), the column copy and a CSV round trip."""
+    """A trace's rows are on a fixed-step grid, and t = k*h reads back bit
+    for bit through view(), the column copy and a CSV round trip.  The first
+    row off the grid is rejected with one message by append, which leaves
+    the trace as it was, and by both readers, at its line."""
 
     @staticmethod
-    def _trace(ts, rows):
+    def _stored(k):
+        return k + 1.0, -2.0 * k, 0.5 * k, 1.0, 3.0 * k, -0.25
+
+    def _trace(self, ts, rows):
         trace = SimTrace(L=5.0, rows=rows)
         for k, t in enumerate(ts):
-            trace.append(t, k + 1.0, -2.0 * k, 0.5 * k, 1.0, 3.0 * k, -0.25)
+            trace.append(t, *self._stored(k))
         return trace
 
-    def _check(self, ts, on_grid, tmp_path):
-        for rows in {0, len(ts) // 2, len(ts), len(ts) + 3}:
-            trace = self._trace(ts, rows)
-            assert trace.n == len(ts) and (trace._t is None) == on_grid
-            assert _bits(trace.view("t")) == _bits(trace.t) == _bits(ts)
+    def _check(self, ts, tmp_path):
+        """Append ``ts`` row by row and read them from a trace file with row
+        k at ts[k]; returns the message that rejects a row, None if none is
+        rejected.  Only a t = inf on the grid is taken by append and not
+        by the readers, which require a finite t."""
+        j, r = _first_rejected(ts), _first_rejected(ts, finite=True)
+        assert j in (r, len(ts))
+        messages = set()
+        for rows in {0, j // 2, j, j + 3}:
+            trace = self._trace(ts[:j], rows)
+            assert trace.n == j
+            assert _bits(trace.view("t")) == _bits(trace.t) == _bits(ts[:j])
             for a, b in ((1, None), (2, 5), (-3, -1), (4, 4)):
-                assert _bits(trace.view("t", a, b)) == _bits(ts[a:b])
-        if all(map(math.isfinite, ts)) and all(map(float.__lt__, ts, ts[1:])):
-            path = tmp_path / "trace.csv"
-            write_trace_csv(trace, str(path))
-            for reader in (read_trace_csv, read_trace_csv_text):
+                assert _bits(trace.view("t", a, b)) == _bits(ts[:j][a:b])
+            if j < len(ts):
+                before = _state(trace)
+                with pytest.raises(ValueError) as info:
+                    trace.append(ts[j], *self._stored(j))
+                assert _state(trace) == before
+                messages.add(str(info.value))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(self._trace([float(k) for k in range(len(ts))], 0), str(path))
+        lines = path.read_text().split("\n")
+        for k, t in enumerate(ts):
+            lines[k + 1] = "%.17g" % t + lines[k + 1][lines[k + 1].index(","):]
+        path.write_text("\n".join(lines))
+        for reader in (read_trace_csv, read_trace_csv_text):
+            if r == len(ts):
                 back = reader(str(path), trace.L)
-                assert (back._t is None) == on_grid
                 assert _bits(back.t) == _bits(ts)
                 assert back._rows[:6 * back.n] == trace._rows[:6 * trace.n]
+                continue
+            with pytest.raises(ValueError) as info:
+                reader(str(path), trace.L)
+            at = f"{path}:{r + 2}: "
+            assert str(info.value).startswith(at)
+            messages.add(str(info.value)[len(at):])
+        assert len(messages) <= 1, messages
+        return messages.pop() if messages else None
 
-    @pytest.mark.parametrize("ts, on_grid", [
-        ([], True),
-        ([0.0], True),
-        (_GRID, True),
-        ([k * 1e300 for k in range(4)], True),  # 2e300*2 overflows: t = inf is k*h
-        ([-0.0] + _GRID[1:], False),
-        ([0.5, 0.75, 1.0], False),
-        ([_off(0.0)] + _GRID[1:], False),
-        ([0.0, math.inf, 1.0], False),
-        ([0.0, math.nan, 1.0], False),
-        ([0.0, -0.001, 0.001], False),
-        ([0.0, 0.0, 0.001], False),
-        (_GRID[:2] + [_off(_GRID[2])] + _GRID[3:], False),
-        (_GRID[:2] + [_off(_GRID[2], up=False)] + _GRID[3:], False),
-        (_GRID[:5] + [_off(_GRID[5])] + _GRID[6:], False),
-        (_GRID[:-1] + [_off(_GRID[-1])], False),
-        (_GRID[:5] + [math.nan, _GRID[6]], False),
+    @pytest.mark.parametrize("ts, message", [
+        ([], None),
+        ([0.0], None),
+        (_GRID, None),
+        # h = 1e308: row 2 is at 2*h = inf, on the grid but not finite
+        ([k * 1e308 for k in range(4)], "t = inf is not finite"),
+        ([-0.0] + _GRID[1:], "t = -0.0 is off the grid: row 0 must be at t = +0.0"),
+        ([0.5, 0.75, 1.0], "t = 0.5 is off the grid: row 0 must be at t = +0.0"),
+        ([_off(0.0)] + _GRID[1:], "t = 5e-324 is off the grid: row 0 must be at t = +0.0"),
+        ([0.0, math.inf, 1.0], "t = inf is not finite"),
+        ([0.0, math.nan, 1.0], "t = nan is not finite"),
+        ([0.0, -0.001, 0.001], "t = -0.001 is not greater than the previous row's t = 0.0"),
+        ([0.0, 0.0, 0.001], "t = 0.0 is not greater than the previous row's t = 0.0"),
+        (_GRID[:2] + [_off(_GRID[2])] + _GRID[3:], "t = 0.0020000000000000005 is off the "
+         "grid: row 2 must be at t = k*h = 0.002 for h = 0.001"),
+        (_GRID[:2] + [_off(_GRID[2], up=False)] + _GRID[3:], "t = 0.0019999999999999996 is "
+         "off the grid: row 2 must be at t = k*h = 0.002 for h = 0.001"),
+        (_GRID[:5] + [_off(_GRID[5])] + _GRID[6:], "t = 0.005000000000000001 is off the "
+         "grid: row 5 must be at t = k*h = 0.005 for h = 0.001"),
+        (_GRID[:-1] + [_off(_GRID[-1])], "t = 0.007000000000000001 is off the grid: "
+         "row 7 must be at t = k*h = 0.007 for h = 0.001"),
+        (_GRID[:5] + [math.nan, _GRID[6]], "t = nan is not finite"),
     ], ids=["empty", "row-0", "grid", "grid-to-inf", "t0-negative-zero", "t0-positive",
             "t0-one-ulp", "t1-inf", "t1-nan", "t1-negative", "t1-zero", "row-2-ulp-up",
             "row-2-ulp-down", "mid-trace", "last-row", "nan-mid-trace"])
-    def test_every_t_reads_back(self, ts, on_grid, tmp_path):
-        assert _on_grid(ts) == on_grid
-        self._check(ts, on_grid, tmp_path)
+    def test_every_t_reads_back(self, ts, message, tmp_path):
+        assert _on_grid(ts) == (message is None or ts[2:3] == [math.inf])
+        assert self._check(ts, tmp_path) == message
 
     @given(h=st.floats(1e-9, 1e6), n=st.integers(2, 40), data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_every_t_reads_back_wherever_the_rows_leave_the_grid(self, tmp_path_factory,
-                                                                  h, n, data):
+    def test_a_row_off_the_grid_is_rejected_wherever_it_is(self, tmp_path_factory,
+                                                           h, n, data):
         ts = [k * h for k in range(n)]
         j = data.draw(st.integers(0, n))  # n: no row leaves the grid
         if j < n:
             ts[j] = data.draw(st.sampled_from([_off(ts[j]), _off(ts[j], up=False)])
                               | st.floats())
-        self._check(ts, _on_grid(ts), tmp_path_factory.mktemp("axis"))
+        message = self._check(ts, tmp_path_factory.mktemp("axis"))
+        assert (message is None) == _on_grid(ts)
 
-    def test_file_with_one_t_an_ulp_off_reads_its_t(self, tmp_path):
-        trace = run_simulation(_cfg(t_final=0.01, z1_0=8.0, disturbance=PAPER_DISTURBANCE))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, str(path))
-        lines = path.read_text().split("\n")
-        cells = lines[7].split(",")  # row 6
-        cells[0] = repr(_off(float(cells[0])))
-        lines[7] = ",".join(cells)
-        path.write_text("\n".join(lines))
-        back = read_trace_csv(str(path), trace.L)
-        expected = [k * 0.001 for k in range(trace.n)]
-        expected[6] = _off(expected[6])
-        assert back._t is not None and _bits(back.t) == _bits(expected)
-        assert back._rows.tobytes() == trace._rows.tobytes()
+    def test_file_with_one_t_an_ulp_off_is_rejected(self, tmp_path):
+        # Each row of an 11-row run in turn, an ulp up and down.  Row 1 sets
+        # h, so one an ulp off is taken, and row 2 is rejected instead.
+        for k, up in itertools.product(range(11), (True, False)):
+            ts = [i * 0.001 for i in range(11)]
+            ts[k] = _off(ts[k], up)
+            assert _first_rejected(ts) == (2 if k == 1 else k)
+            assert self._check(ts, tmp_path) is not None
 
     def test_failed_append_leaves_the_times_as_they_were(self):
-        # A held view blocks the row array's growth after t is recorded:
-        # the row is not added, and appending it again records t once.
-        for ts in (_GRID[:1] + [math.inf], _GRID[:3] + [_off(_GRID[3])], _GRID[:4]):
+        # A held view blocks the row array's growth: a row on the grid is
+        # not added, h is not set, and appending it again adds it once.
+        for ts in (_GRID[:1], _GRID[:2], _GRID[:4]):
             trace = self._trace(ts[:-1], 0)
+            before = _state(trace)
             with trace.view("z1"):
                 with pytest.raises(BufferError):
                     trace.append(ts[-1], 9.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-            assert _bits(trace.t) == _bits(ts[:-1])
+            assert _state(trace) == before
             trace.append(ts[-1], 9.0, 0.0, 0.0, 0.0, 0.0, 0.0)
             assert _bits(trace.t) == _bits(ts) and list(trace.z1)[-1] == 9.0
