@@ -5,7 +5,7 @@ The trace format and its CSV codec live in ctasim.plant.
 Commands:
 
     ctasim simulate --preset NAME [--method M] [--h SEC] [--t-final SEC]
-                    [--gains kp1,kp2,kp3,kp4] [--init z1,z2,eta]
+                    [--gains kp1,kp2,kp3,kp4] [--L SCALE] [--init z1,z2,eta]
                     [--config PATH] [--out trace.csv] [--summary out.json]
                     [--threshold R]
     ctasim sweep    --preset NAME --h-list h1,h2,... [--method M]
@@ -204,17 +204,16 @@ def load_config(path: str) -> dict:
     delta_constant, and repeatable delta_sin / delta_cos lines of the form
     `amp,omega`; any other key may be set once.  The delta_* lines build the
     `disturbance` setting, which replaces the preset's disturbance.  Lines
-    starting with '#' are comments, and a leading byte-order mark is
-    dropped.  Errors start with `path:lineno:` and name the key; a file that
-    does not decode raises ValueError starting with `path:`.
+    starting with '#' are comments.  The file is UTF-8, whatever the locale,
+    and a leading byte-order mark is dropped.  Errors start with
+    `path:lineno:` and name the key; a file that is not UTF-8 raises
+    ValueError starting with `path:`.
     """
     settings: dict = {}
     first_set: dict[str, int] = {}
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8-sig") as f:
             for lineno, line in enumerate(f, start=1):
-                if lineno == 1:  # drop a byte-order mark, as utf-8-sig decoding does
-                    line = line.removeprefix("\ufeff")
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
                     continue

@@ -28,7 +28,6 @@ default a SimTrace.
 from __future__ import annotations
 
 import contextlib
-import io
 import math
 import os
 import struct
@@ -346,20 +345,18 @@ def write_trace_csv(trace: SimTrace, path: str) -> None:
         f.writelines(row_format % row for row in zip(*map(trace.view, TRACE_COLUMNS)))
 
 
-def _data_rows(f) -> tuple[int, bool]:
+def _data_rows(f) -> int:
     """The lines after the header of the binary file ``f``, counted from its
-    newlines in 64 KiB blocks, a last line with none included, and whether
-    the file is plain: all ASCII, with no carriage return.  (0, False),
-    without reading, when ``f`` cannot seek back to its start (a pipe)."""
+    newlines in 64 KiB blocks, a last line with none included.  0, without
+    reading, when ``f`` cannot seek back to its start (a pipe)."""
     if not f.seekable():
-        return 0, False
-    newlines, last, plain = 0, b"", True
+        return 0
+    newlines, last = 0, b""
     for block in iter(lambda: f.read(1 << 16), b""):
         newlines += block.count(b"\n")
-        plain = plain and block.isascii() and b"\r" not in block
         last = block[-1:]
     f.seek(0)
-    return newlines - 1 if last == b"\n" else newlines, plain
+    return newlines - 1 if last == b"\n" else newlines
 
 
 def read_trace_csv(path: str, L: float) -> SimTrace:
@@ -370,36 +367,34 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
     (not greater than the previous row's t, or off the fixed-step grid),
     or a row whose z3 and x are not eta + delta and z/L bit for bit (-0 is
     not 0; NaN never is) raises ValueError starting with `path:lineno:`,
-    and a file that does not decode raises ValueError starting with
-    `path:`.  An L that is not positive and finite raises ValueError before
-    the file is opened.
+    and a file that is not UTF-8 raises ValueError starting with `path:`.
+    An L that is not positive and finite raises ValueError before the file
+    is opened.
 
     The trace is allocated for the rows a first pass over the file's
     newlines counts, and each row goes through SimTrace.append, which fills
     them in place, so the trace holds no growth slack; it grows only past
     that count (a file that grew in between, or a pipe, which is read in
-    one pass).  A plain file (see _data_rows) is parsed from its bytes,
-    which split into the lines and cells its text would; any other file is
-    decoded, with newline="" line ends (LF, CRLF, CR)."""
+    one pass).  Lines end at LF (a CR before it is whitespace; a lone CR
+    ends no line) and split into cells as bytes; a line whose bytes do not
+    parse is decoded and parsed again, for cells such as non-ASCII digits
+    that float() reads only as text."""
     SimTrace(L=L)  # rejects a bad L before the file is opened
     try:
         with open(path, "rb") as f:
-            rows, plain = _data_rows(f)
-            trace = SimTrace(L=L, rows=rows)
+            trace = SimTrace(L=L, rows=_data_rows(f))
             append = trace.append
-            lines, sep = (f, b",") if plain else (io.TextIOWrapper(f, newline=""), ",")
-            header = lines.readline()
             # decoded first: str.strip() also removes \x1c-\x1f
-            header = (header.decode() if plain else header).strip()
+            header = f.readline().decode().strip()
             if header != TRACE_HEADER:
                 raise ValueError(f"{path}:1: unexpected trace header: {header!r}")
-            for k, line in enumerate(lines):  # row k is on line k + 2
+            for k, line in enumerate(f):  # row k is on line k + 2
                 try:
-                    t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, line.split(sep))
-                except ValueError:
-                    try:  # again as text, which on ASCII fails alike, for 'abc', not b'abc'
-                        t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(
-                            float, (line.decode() if plain else line).split(","))
+                    t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, line.split(b","))
+                except ValueError:  # again as text: for 'abc', not b'abc', and non-ASCII digits
+                    cells = line.decode().split(",")  # UnicodeDecodeError leaves the handler
+                    try:
+                        t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, cells)
                     except ValueError as exc:
                         raise ValueError(f"{path}:{k + 2}: {exc}") from None
                 # An inf t is on the grid once k*h overflows.
@@ -424,7 +419,6 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
                                      f"z/L = {z1 / L!r}, {z2 / L!r}, {z3_row / L!r} for L = {L!r}"
                                      f"{nan if any(map(math.isnan, (x1, x2, x3))) else ''}")
     except UnicodeDecodeError as exc:
-        # Decoding runs in chunks, so the line is unknown.
         raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
     return trace
 

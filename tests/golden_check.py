@@ -6,10 +6,10 @@ Runs perfbench's golden gate (perfbench/workloads.py) through ctasim.cli.main
 in a temporary directory: each preset's trace CSV SHA-256 and summary and
 the 4-point `paper-implicit` sweep's JSON against perfbench/goldens.json.
 Then it checks what the gate does not: the sweep table's SHA-256 against
-SWEEP_TABLE_SHA256; the paper-implicit trace CSV read back, plain and as a
-CRLF copy (the reader's text path), into exactly sized arrays holding the
-simulated rows, with the golden summary; that `simulate` and `sweep` start
-their runs with no argparse parser alive (gc generations and array growth
+SWEEP_TABLE_SHA256; the paper-implicit trace CSV read back, as written and
+as a CRLF copy, into exactly sized arrays holding the simulated rows,
+with the golden summary; that `simulate` and `sweep` start their runs
+with no argparse parser alive (gc generations and array growth
 are interpreter internals); and resolvent.nested_clamp and
 plant.eval_disturbance against tests/oracles.py's references, bit for bit.
 Prints one line per check and exits 1 on any mismatch.  It needs the
@@ -68,8 +68,7 @@ def check_reload(workdir: str) -> list[str]:
     """Read back the paper-implicit trace CSV that check_preset wrote to
     ``workdir``, summarize it, and compare the result with the golden summary
     as the benchmark's trace-reload gate does; the trace's array must be
-    sized exactly for its rows, 48 B each.  A CRLF copy of the file, which
-    the reader decodes as text where it parses the plain file as bytes, must
+    sized exactly for its rows, 48 B each.  A CRLF copy of the file must
     read back as the same rows, and both must hold the simulated trace's
     rows and times bit for bit.
     Returns the mismatches, empty if none."""

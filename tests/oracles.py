@@ -14,12 +14,11 @@ z = 0.  ``disturbance`` evaluates a disturbance from its terms' fields, and
 ``outcome`` is a call's result bits or ValueError message.  The
 ``reference_*`` trace metrics select the window row by row over column
 copies; ``row`` reads one trace row as the CSV writes it.
-``read_trace_csv_text`` decodes every file, checks the time grid itself
-and appends row by row, for equivalence checks of the reader that parses
-plain files as bytes.
+``read_trace_csv_text`` decodes every file as UTF-8 text with lines
+ending at LF, checks the time grid itself and appends row by row, for
+equivalence checks of the reader that parses lines as bytes.
 """
 
-import io
 import math
 import struct
 from functools import reduce
@@ -278,13 +277,15 @@ def read_trace_csv_text(path: str, L: float) -> SimTrace:
     that is not positive and finite raises ValueError before the file is
     opened.
 
-    Every file is decoded, with newline="" line ends (LF, CRLF, CR); the
-    time checks are this function's own, not SimTrace's, and each row that
-    passes them goes through SimTrace.append."""
+    Every file is decoded as UTF-8, whatever the locale, with newline="\n":
+    lines end at LF, a CR before it stays in the line (float() and strip()
+    drop it), and a lone CR ends no line.  The time checks are this
+    function's own, not SimTrace's, and each row that passes them goes
+    through SimTrace.append."""
     trace = SimTrace(L=L)  # rejects a bad L before the file is opened
     t_prev, h = -math.inf, math.nan
     try:
-        with io.TextIOWrapper(open(path, "rb"), newline="") as f:
+        with open(path, encoding="utf-8", newline="\n") as f:
             header = f.readline().strip()
             if header != TRACE_HEADER:
                 raise ValueError(f"{path}:1: unexpected trace header: {header!r}")

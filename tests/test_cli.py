@@ -37,7 +37,7 @@ from ctasim.cli import (
 )
 from ctasim.controller import Gains
 from ctasim.metrics import precision_envelope
-from ctasim.plant import Disturbance, Sinusoid, run_simulation
+from ctasim.plant import TRACE_HEADER, Disturbance, Sinusoid, run_simulation
 from oracles import read_trace_csv_text, row
 
 # Three distinct step sizes whose math.log is one float, -6.907755278982137.
@@ -143,11 +143,14 @@ class TestTraceCsv:
          + "0.006000000000000001,0,0,0,0,0,0,0,0,0,0\n", 5.0,
          "{}:8: t = 0.006000000000000001 is off the grid: row 6 must be at t = k*h = 0.006 "
          "for h = 0.001"),
+        # a lone CR ends no line: the header line runs on to the end of the file
+        (TRACE_HEADER + "\r0,0,0,0,0,0,0,0,0,0,0\r", 5.0, "{}:1: unexpected trace header: "
+         "'t,z1,z2,z3,x1,x2,x3,u,u1,eta,delta\\r0,0,0,0,0,0,0,0,0,0,0'"),
     ], ids=["header-config-file", "header-empty-file", "z3-negative-zero", "z3-ulp-up",
             "z3-ulp-down", "z3-nan", "x1-positive-zero", "x1-nan", "x2-edited", "other-L",
             "too-few-fields", "too-many-fields", "non-numeric-cell", "blank-line",
             "time-not-increasing", "time-not-finite", "time-inf", "L-zero",
-            "t0-negative-zero", "t0-positive", "row-6-ulp"])
+            "t0-negative-zero", "t0-positive", "row-6-ulp", "lone-cr"])
     def test_rejected_with_its_message(self, tmp_path, text, L, message):
         path = tmp_path / "trace.csv"
         path.write_text(text)
@@ -188,7 +191,7 @@ class TestTraceCsv:
 
     def test_paper_implicit_read_peaks_at_the_trace(self, tmp_path):
         # The rest is the binary file's buffer (the block size, often 4 KiB) and the
-        # line being parsed; a decoding reader adds about 25 KB of text buffers.
+        # line being parsed.
         trace, _ = run_preset("paper-implicit")
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, str(path))
@@ -201,29 +204,23 @@ class TestTraceCsv:
         assert sys.getsizeof(back._rows) == 480_128
         assert peak <= sys.getsizeof(back._rows) + 12_000
 
-    @pytest.mark.parametrize("edit, decoded", [
-        (lambda text: text.encode(), False),
-        (lambda text: text.replace("\n", "\r\n").encode(), True),
-        (lambda text: text.replace("\n", "\r").encode(), True),
-        (lambda text: text.encode().replace(b",", b",\xff", 1), True),
-        (lambda text: _with_cell(text, 3, 7, "\u0661").encode(), True),
-    ], ids=["plain", "crlf", "lone-cr", "undecodable-byte", "arabic-indic-digit"])
-    def test_non_plain_file_is_decoded_as_the_text_reader_does(self, tmp_path, monkeypatch,
-                                                                edit, decoded):
-        # The last file's u cell is ARABIC-INDIC DIGIT ONE, which float()
-        # reads from text as 1.0, so the row is accepted.
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.encode(),
+        lambda text: text.replace("\n", "\r\n").encode(),
+        lambda text: text.replace("\n", "\r").encode(),
+        lambda text: text.encode().replace(b",", b",\xff", 1),
+        lambda text: _with_cell(text, 3, 7, "\udcff").encode(errors="surrogateescape"),
+        lambda text: _with_cell(text, 3, 7, "\u0661").encode(),
+    ], ids=["plain", "crlf", "lone-cr", "undecodable-byte", "undecodable-cell",
+            "arabic-indic-digit"])
+    def test_non_plain_file_is_decoded_as_the_text_reader_does(self, tmp_path, edit):
+        # The byte 0xff, which is not UTF-8, is in the header of one file and
+        # in a data row's u cell in the next.  The last file's u cell is
+        # ARABIC-INDIC DIGIT ONE, which float() reads from text as 1.0, so the
+        # row is accepted.
         path = tmp_path / "trace.csv"
         path.write_bytes(edit(_short_trace_text("paper-implicit")))
-        wrapped = []
-
-        def wrapper(f, **kwargs):
-            wrapped.append(kwargs)
-            return io.TextIOWrapper(f, **kwargs)
-
-        monkeypatch.setattr(plant, "io", types.SimpleNamespace(TextIOWrapper=wrapper))
-        outcome = _read_outcome(read_trace_csv, path)
-        assert wrapped == ([{"newline": ""}] if decoded else [])
-        assert outcome == _read_outcome(read_trace_csv_text, path)
+        assert _read_outcome(read_trace_csv, path) == _read_outcome(read_trace_csv_text, path)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -478,7 +475,7 @@ class TestConfigFile:
 
 
 class TestNotText:
-    """A file that does not decode is named in a one-line ValueError."""
+    """A file that is not UTF-8 is named in a one-line ValueError."""
 
     @pytest.fixture
     def binary_file(self, tmp_path):
@@ -490,18 +487,41 @@ class TestNotText:
         with pytest.raises(ValueError) as info:
             load_config(str(binary_file))
         assert type(info.value) is ValueError
-        assert str(info.value).startswith(f"{binary_file}: not ")
+        assert str(info.value) == f"{binary_file}: not utf-8 text (invalid continuation byte)"
 
     def test_trace_csv(self, binary_file):
         with pytest.raises(ValueError) as info:
             read_trace_csv(str(binary_file), 5.0)
         assert type(info.value) is ValueError
-        assert str(info.value).startswith(f"{binary_file}: not ")
+        assert str(info.value) == f"{binary_file}: not utf-8 text (invalid continuation byte)"
 
     def test_main_prints_one_error_line(self, binary_file, capsys):
         assert main(["simulate", "--preset", "zero", "--config", str(binary_file)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {binary_file}: not ") and err.count("\n") == 1
+
+
+def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # Under an ASCII locale, a config with a byte-order mark and a trace with
+    # a non-ASCII digit (ARABIC-INDIC DIGIT ONE) decode as UTF-8 all the same.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("h = 0.002\n", encoding="utf-8-sig")
+    trace_file = tmp_path / "trace.csv"
+    trace_file.write_text(_with_cell(_short_trace_text("paper-implicit"), 3, 7, "\u0661"),
+                          encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k not in ("LANG", "LC_CTYPE")}
+    env.update(PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", LC_ALL="C",
+               PYTHONPATH=str(Path(ctasim.__file__).resolve().parents[1]))
+    code = ("import codecs, locale, sys; from ctasim.cli import load_config, read_trace_csv; "
+            "print(codecs.lookup(locale.getpreferredencoding(False)).name); "
+            "print(load_config(sys.argv[1])['h'], read_trace_csv(sys.argv[2], 5.0).n)")
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg_file), str(trace_file)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    encoding, _, result = proc.stdout.partition("\n")
+    if encoding == "utf-8":
+        pytest.skip("the C locale's preferred encoding is UTF-8 on this platform")
+    assert proc.returncode == 0, proc.stderr
+    assert result == "0.002 11\n"
 
 
 class TestCommandLine:
