@@ -5,9 +5,9 @@ Every metric reads the trace in place through SimTrace.view, with no
 column copies, and uses up or releases each view before it returns or
 raises.  A trace's rows are on a fixed step, t = k*h (see SimTrace), so a
 time window is one contiguous run of rows, which SimTrace.rows_between
-finds by bisection on t.  WindowMax takes
-precision_envelope's maxima from the rows of a run as they are produced,
-with no trace stored.
+selects by bisection on t.  WindowMax takes precision_envelope's maxima
+from the rows of a run as they are produced, with no trace stored, and
+selects them by the same bounds (plant.widen_window).
 
 Float sums are taken left to right from 0.0 (_plain_sum), not with sum(),
 which compensates rounding from Python 3.12 on: the bits of a metric and
@@ -22,35 +22,11 @@ from functools import reduce
 from itertools import pairwise
 from operator import add, sub
 
-from .plant import SimTrace
+from .plant import SimTrace, no_rows_error, widen_window
 
 # Steady-window sup of |x_i| plus implied constants v_i = sup/h^p_i.
 PrecisionReport = namedtuple("PrecisionReport", "sup_abs_x v_constants")
 ChatterReport = namedtuple("ChatterReport", "total_variation_u sign_flips_u_delta")
-
-
-def _bounds(window: tuple[float, float], h: float) -> tuple[float, float]:
-    """The window widened to (lo, hi) by 1e-6 of h, the time between the
-    first two rows: row times are k*h, so boundary rows can miss the
-    nominal window by an ulp."""
-    t0, t1 = window
-    tol = h * 1e-6
-    return t0 - tol, t1 + tol
-
-
-def _no_rows(window: tuple[float, float]) -> ValueError:
-    return ValueError(f"window {window} selects no trace records")
-
-
-def _window(trace: SimTrace, window: tuple[float, float]) -> tuple[int, int]:
-    """The window's rows a..b-1, the rows with lo <= t <= hi, with a < b."""
-    ts = [*trace.view("t", 0, 2)]
-    lo, hi = _bounds(window, ts[1] - ts[0] if len(ts) == 2 else 0.0)
-    a, b = trace.rows_between(lo, hi)
-    # lo <= hi fails for a NaN bound, which bisection does not see.
-    if not (lo <= hi and a < b):
-        raise _no_rows(window)
-    return a, b
 
 
 def precision_envelope(
@@ -70,7 +46,7 @@ def precision_envelope(
     if 0.0 in scales:
         raise ValueError(f"h must be large enough that h**{max(orders):g} "
                          f"does not underflow to 0, got {h!r}")
-    a, b = _window(trace, window)
+    a, b = trace.rows_between(window)
     sups = tuple(max(map(abs, trace.view(x, a, b))) for x in ("x1", "x2", "x3"))
     v = tuple(s / scale for s, scale in zip(sups, scales))
     return PrecisionReport(sup_abs_x=sups, v_constants=v)
@@ -81,15 +57,15 @@ class WindowMax:
     time window: precision_envelope's sup_abs_x, bit for bit.
 
     ``h`` is the time between the first two rows, a run's step (0.0 for a
-    single row).  The sink takes the rows _window selects, lo <= t <= hi,
-    and folds them with the float operations and tie rule of max(): max(s,
-    x) keeps s unless x > s.  Read sup_abs_x after the last row.
+    single row).  The sink takes the rows SimTrace.rows_between selects and
+    folds them with the float operations and tie rule of max(): max(s, x)
+    keeps s unless x > s.  Read sup_abs_x after the last row.
     """
 
     def __init__(self, L: float, window: tuple[float, float], h: float):
         self.L = L
         self.window = window
-        self._lo, self._hi = _bounds(window, h)
+        self._lo, self._hi = widen_window(window, h)
         self._sup = None
 
     def append(self, t, z1, z2, u, u1, eta, delta) -> None:
@@ -102,7 +78,7 @@ class WindowMax:
     def sup_abs_x(self) -> tuple[float, float, float]:
         """max|x_i| over the window's rows; ValueError if there are none."""
         if self._sup is None:
-            raise _no_rows(self.window)
+            raise no_rows_error(self.window)
         return self._sup
 
 
@@ -144,7 +120,7 @@ def chatter_metrics(trace: SimTrace, window: tuple[float, float]) -> ChatterRepo
     The increments are summed from 0.0 in row order, so a one-row window
     has a float total of 0.0.
     """
-    a, b = _window(trace, window)
+    a, b = trace.rows_between(window)
     with trace.view("u") as u:
         tv = _plain_sum(map(abs, map(sub, u[a + 1:b], u[a:b - 1])))
         flips = sum(1 for d0, d1 in pairwise(map(sub, u[a + 1:b], u[a:b - 1]))

@@ -18,11 +18,12 @@ the integrator value eta at t, delta(t), and the fictitious state
 z3 = eta + delta(t).  The final row's input is the controller output for
 the final state, evaluated without committing the controller update.
 
-This module owns the trace format: SimTrace alone knows the stored row
-layout, forms the derived columns t = k*h, z3 = eta + delta and x = z/L,
-and holds the row invariants (a fixed-step grid, L > 0); the CSV codec
-sits beside it.  A run passes its rows to a sink (see run_simulation), by
-default a SimTrace.
+This module owns the trace format and its time axis: SimTrace alone knows
+the stored row layout, derives t = k*h, holds the row invariants (row k at
+a finite t = k*h, L > 0) and selects a window's rows (widen_window).  It
+forms z3 = eta + delta and x = z/L on each read; for speed, read_trace_csv
+and metrics.WindowMax restate them per row.  The CSV codec sits beside it.
+A run passes its rows to a sink (see run_simulation), by default a SimTrace.
 """
 
 from __future__ import annotations
@@ -164,6 +165,17 @@ _pack, _pack_into = _ROW.pack, _ROW.pack_into
 _DERIVED = struct.Struct("4d")  # a CSV row's z3, x1, x2, x3
 
 
+def widen_window(window: tuple[float, float], h: float) -> tuple[float, float]:
+    """(lo, hi): the window (t0, t1) widened by 1e-6 of the step h, which
+    a boundary row's t = k*h can miss by an ulp."""
+    t0, t1 = window
+    return t0 - h * 1e-6, t1 + h * 1e-6
+
+
+def no_rows_error(window: tuple[float, float]) -> ValueError:
+    return ValueError(f"window {window} selects no trace records")
+
+
 def _copy(name: str) -> property:
     return property(lambda self: array("d", self.view(name)),
                     doc=f"Column {name}, as a new array('d').")
@@ -176,10 +188,10 @@ class SimTrace:
     derived on each read.
 
     Row k is at t = k*h: row 0 at +0.0, row 1 at a finite t > 0, which sets
-    the step h, and each later row k at t == k*h, as run_simulation writes
-    them.  append raises ValueError for a row off that grid, before it
-    writes anything, so the rows are in time order and every t reads back
-    bit for bit.  rows_between finds a time window by bisection.
+    the step h, and each later row k at a finite t == k*h, as run_simulation
+    writes them.  append raises ValueError for a row off that grid, before
+    it writes anything, so the rows are in time order and every t reads back
+    bit for bit.  rows_between selects a time window's rows by bisection.
 
     ``SimTrace(L, rows)`` allocates ``rows`` rows up front, and append fills
     them in place before it grows the array; run_simulation and
@@ -235,11 +247,16 @@ class SimTrace:
         raise ValueError(f"{name!r} is not a trace column; the columns are "
                          f"{', '.join(TRACE_COLUMNS)}")
 
-    def rows_between(self, lo: float, hi: float) -> tuple[int, int]:
-        """(a, b) such that rows a..b-1 are the rows with lo <= t <= hi,
-        found by bisection over the row numbers k, with k*h as the key."""
+    def rows_between(self, window: tuple[float, float]) -> tuple[int, int]:
+        """(a, b), a < b: rows a..b-1 are the rows lo <= t <= hi for (lo, hi)
+        = widen_window(window, h), h = 0.0 below two rows, found by bisection
+        over k with k*h as the key.  ValueError if there are none."""
         ks, key = range(self.n), self._k_times_h()
-        return bisect_left(ks, lo, key=key), bisect_right(ks, hi, key=key)
+        lo, hi = widen_window(window, key(1))  # key(1) = 1*h
+        a, b = bisect_left(ks, lo, key=key), bisect_right(ks, hi, key=key)
+        if lo <= hi and a < b:  # lo <= hi fails for a NaN bound, unseen by bisection
+            return a, b
+        raise no_rows_error(window)
 
     def _k_times_h(self):
         """Row k's t as a function of k: k*h, with 0.0 for h before row 1
@@ -247,10 +264,10 @@ class SimTrace:
         return (self._h if self._end > _ROW_BYTES else 0.0).__rmul__
 
     def _step(self, k: int, t: float) -> float:
-        """The slow path of append, for a row k whose t == k*h fails: the
-        step h that row 0 at +0.0 keeps, or that row 1 at a finite t > 0
-        sets.  Any other row is off the grid: ValueError, naming the first
-        rule it breaks."""
+        """The slow path of append, for a row k not at a finite t == k*h: the
+        step h that row 0 at +0.0 keeps, or that row 1 at a finite t > 0 sets.
+        Any other row, t = k*h = inf too, is off the grid: ValueError, naming
+        the first rule it breaks."""
         if k == 0 and t == 0.0 and math.copysign(1.0, t) > 0.0:
             return self._h
         if k == 1 and 0.0 < t < math.inf:
@@ -274,7 +291,7 @@ class SimTrace:
         BufferError, with the trace left as it was."""
         end = self._end
         h = self._h
-        if t != end // _ROW_BYTES * h:
+        if not (t == end // _ROW_BYTES * h < math.inf):  # on the grid and finite
             h = self._step(end // _ROW_BYTES, t)
         if end < self._allocated:
             _pack_into(self._rows, end, z1, z2, u, u1, eta, delta)
@@ -363,9 +380,9 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
     """Parse a trace CSV.  The t, z3 and x columns are not stored (see
     SimTrace).  A header other than TRACE_HEADER (lineno 1), a malformed
     row (a field count other than 11, a cell that is not a float, a blank
-    line), a row whose t is not finite or that SimTrace.append rejects
-    (not greater than the previous row's t, or off the fixed-step grid),
-    or a row whose z3 and x are not eta + delta and z/L bit for bit (-0 is
+    line), a row that SimTrace.append rejects (a t that is not finite, not
+    greater than the previous row's t, or off the fixed-step grid), or a
+    row whose z3 and x are not eta + delta and z/L bit for bit (-0 is
     not 0; NaN never is) raises ValueError starting with `path:lineno:`,
     and a file that is not UTF-8 raises ValueError starting with `path:`.
     An L that is not positive and finite raises ValueError before the file
@@ -397,9 +414,6 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
                         t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, cells)
                     except ValueError as exc:
                         raise ValueError(f"{path}:{k + 2}: {exc}") from None
-                # An inf t is on the grid once k*h overflows.
-                if not math.isfinite(t):
-                    raise ValueError(f"{path}:{k + 2}: t = {t!r} is not finite")
                 try:
                     append(t, z1, z2, u, u1, eta, delta)
                 except ValueError as exc:

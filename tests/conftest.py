@@ -5,8 +5,6 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
-# The repository root, for the perfbench hooks test (tests/test_bench_hooks.py).
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 # Filled in by test_acceptance; printed at the end of the run so every
 # criterion gets its own pass/fail line in the terminal summary.

@@ -552,18 +552,17 @@ def _off(t: float, up: bool = True) -> float:
 
 
 def _on_grid(ts) -> bool:
-    """The grid rule: row 0 at +0.0, row 1 at a finite h > 0, row k at k*h."""
+    """The grid rule: row 0 at +0.0, row 1 at a finite h > 0, row k at a
+    finite k*h."""
     if ts[:1] and _bits(ts[:1]) != _bits([0.0]):
         return False
     h = ts[1] if len(ts) > 1 else 1.0
-    return 0.0 < h < math.inf and all(t == k * h for k, t in enumerate(ts))
+    return 0.0 < h < math.inf and all(t == k * h < math.inf for k, t in enumerate(ts))
 
 
-def _first_rejected(ts, finite=False) -> int:
-    """The first row of ``ts`` off the grid (or, with ``finite``, also the
-    first not finite), len(ts) if there is none."""
-    return next((k for k, t in enumerate(ts) if not _on_grid(ts[:k + 1])
-                 or finite and not math.isfinite(t)), len(ts))
+def _first_rejected(ts) -> int:
+    """The first row of ``ts`` off the grid, len(ts) if there is none."""
+    return next((k for k in range(len(ts)) if not _on_grid(ts[:k + 1])), len(ts))
 
 
 def _state(trace):
@@ -578,7 +577,8 @@ class TestTimeAxis:
     """A trace's rows are on a fixed-step grid, and t = k*h reads back bit
     for bit through view(), the column copy and a CSV round trip.  The first
     row off the grid is rejected with one message by append, which leaves
-    the trace as it was, and by both readers, at its line."""
+    the trace as it was, and by both readers, at its line: a t that is not
+    finite is off the grid, also where k*h overflows to inf."""
 
     @staticmethod
     def _stored(k):
@@ -593,10 +593,9 @@ class TestTimeAxis:
     def _check(self, ts, tmp_path):
         """Append ``ts`` row by row and read them from a trace file with row
         k at ts[k]; returns the message that rejects a row, None if none is
-        rejected.  Only a t = inf on the grid is taken by append and not
-        by the readers, which require a finite t."""
-        j, r = _first_rejected(ts), _first_rejected(ts, finite=True)
-        assert j in (r, len(ts))
+        rejected.  append and both readers reject the same first row, with
+        one message, and append leaves n, the columns and h as they were."""
+        j = _first_rejected(ts)
         messages = set()
         for rows in {0, j // 2, j, j + 3}:
             trace = self._trace(ts[:j], rows)
@@ -617,14 +616,14 @@ class TestTimeAxis:
             lines[k + 1] = "%.17g" % t + lines[k + 1][lines[k + 1].index(","):]
         path.write_text("\n".join(lines))
         for reader in (read_trace_csv, read_trace_csv_text):
-            if r == len(ts):
+            if j == len(ts):
                 back = reader(str(path), trace.L)
                 assert _bits(back.t) == _bits(ts)
                 assert back._rows[:6 * back.n] == trace._rows[:6 * trace.n]
                 continue
             with pytest.raises(ValueError) as info:
                 reader(str(path), trace.L)
-            at = f"{path}:{r + 2}: "
+            at = f"{path}:{j + 2}: "
             assert str(info.value).startswith(at)
             messages.add(str(info.value)[len(at):])
         assert len(messages) <= 1, messages
@@ -634,7 +633,7 @@ class TestTimeAxis:
         ([], None),
         ([0.0], None),
         (_GRID, None),
-        # h = 1e308: row 2 is at 2*h = inf, on the grid but not finite
+        # h = 1e308: row 2 is at 2*h = inf, which overflowed: not finite
         ([k * 1e308 for k in range(4)], "t = inf is not finite"),
         ([-0.0] + _GRID[1:], "t = -0.0 is off the grid: row 0 must be at t = +0.0"),
         ([0.5, 0.75, 1.0], "t = 0.5 is off the grid: row 0 must be at t = +0.0"),
@@ -656,7 +655,7 @@ class TestTimeAxis:
             "t0-one-ulp", "t1-inf", "t1-nan", "t1-negative", "t1-zero", "row-2-ulp-up",
             "row-2-ulp-down", "mid-trace", "last-row", "nan-mid-trace"])
     def test_every_t_reads_back(self, ts, message, tmp_path):
-        assert _on_grid(ts) == (message is None or ts[2:3] == [math.inf])
+        assert _on_grid(ts) == (message is None)
         assert self._check(ts, tmp_path) == message
 
     @given(h=st.floats(1e-9, 1e6), n=st.integers(2, 40), data=st.data())
@@ -692,3 +691,55 @@ class TestTimeAxis:
             assert _state(trace) == before
             trace.append(ts[-1], 9.0, 0.0, 0.0, 0.0, 0.0, 0.0)
             assert _bits(trace.t) == _bits(ts) and list(trace.z1)[-1] == 9.0
+
+
+class TestRowsBetween:
+    """rows_between(window) selects the rows lo <= t <= hi of the window
+    widened by 1e-6 of the step h, by nothing below two rows, and raises one
+    message where it selects none."""
+
+    H = 1e6  # its widening, 1e-6*H, is 1.0: the window bounds below are exact
+
+    def _trace(self, n):
+        trace = SimTrace(L=5.0)
+        for k in range(n):
+            trace.append(k * self.H, *_ROW)
+        return trace
+
+    def test_rows_at_the_widening_are_selected(self):
+        assert self.H * 1e-6 == 1.0
+        trace = self._trace(8)
+        assert trace.rows_between((2e6 + 1.0, 5e6 - 1.0)) == (2, 6)
+        assert trace.rows_between((1.0, 7e6 - 1.0)) == (0, 8)
+        # reversed, but by no more than the widening: row 2 is in both halves
+        assert trace.rows_between((2e6 + 1.0, 2e6 - 1.0)) == (2, 3)
+
+    def test_a_row_one_ulp_past_the_widening_is_not(self):
+        trace = self._trace(8)
+        assert trace.rows_between((_off(2e6 + 1.0), 5e6 - 1.0)) == (3, 6)
+        assert trace.rows_between((2e6 + 1.0, _off(5e6 - 1.0, up=False))) == (2, 5)
+        assert trace.rows_between((_off(1.0), _off(7e6 - 1.0, up=False))) == (1, 7)
+
+    def test_one_row_has_no_widening(self):
+        trace = self._trace(1)
+        assert trace.rows_between((0.0, 0.0)) == (0, 1)
+        assert trace.rows_between((-1.0, 1.0)) == (0, 1)
+        for window in ((5e-324, 1.0), (-1.0, -5e-324)):
+            with pytest.raises(ValueError) as info:
+                trace.rows_between(window)
+            assert str(info.value) == f"window {window} selects no trace records"
+
+    @pytest.mark.parametrize("n", [0, 1, 8])
+    @pytest.mark.parametrize("window, message", [
+        ((3e6, 2e6), "window (3000000.0, 2000000.0) selects no trace records"),
+        ((math.nan, 7e6), "window (nan, 7000000.0) selects no trace records"),
+        ((0.0, math.nan), "window (0.0, nan) selects no trace records"),
+        ((7e6 + 2.0, 9e6), "window (7000002.0, 9000000.0) selects no trace records"),
+        ((-9e6, -2.0), "window (-9000000.0, -2.0) selects no trace records"),
+        ((2e6 + 2.0, 3e6 - 2.0), "window (2000002.0, 2999998.0) selects no trace records"),
+    ], ids=["reversed", "nan-start", "nan-end", "after-last", "before-first", "between-rows"])
+    def test_a_window_with_no_rows_is_rejected(self, n, window, message):
+        trace = self._trace(n)
+        with pytest.raises(ValueError) as info:
+            trace.rows_between(window)
+        assert str(info.value) == message
