@@ -101,9 +101,12 @@ def implicit_step(
     Stage II: the previous disturbance sample is reconstructed from the
     measured z2 increment, delta_est = (z2 - zb2)/h - u1_prev - eta, and
     extrapolated linearly (2*delta_est - d_prev; only delta_est at k = 1, 0
-    at k = 0).  Higher order extrapolation is deliberately avoided: it would
-    push the tracking error below the h^2 scale and change the scheme's
-    accuracy signature.  With z3k = eta + forecast and ztilde2 = z2 + h*u1,
+    at k = 0).  Once both clamps stay inactive the loop is deadbeat: on each
+    row z3 is exactly this forecast's error, the second difference
+    d_k - 2*d_{k-1} + d_{k-2} of the delta samples, and z1 and z2 follow from
+    it row by row (pinned by tests/test_controller.py::TestImplicitSteadyState::
+    test_steady_rows_obey_the_deadbeat_identity).  With z3k = eta + forecast
+    and ztilde2 = z2 + h*u1,
 
         y1 = ztilde2/h + z3k,   y2 = (ztilde2 - v_ref)/h + z3k
 

@@ -59,10 +59,16 @@ class WindowMax:
     ``h`` is the time between the first two rows, a run's step (0.0 for a
     single row).  The sink takes the rows SimTrace.rows_between selects and
     folds them with the float operations and tie rule of max(): max(s, x)
-    keeps s unless x > s.  Read sup_abs_x after the last row.
+    keeps s unless x > s.  Read sup_abs_x after the last row.  An L that is
+    not positive and finite, an h that is not finite and >= 0, or a window
+    that is not t0 <= t1 raises ValueError here, before any row.
     """
 
     def __init__(self, L: float, window: tuple[float, float], h: float):
+        if not (L > 0.0 and math.isfinite(L)):
+            raise ValueError(f"L must be positive and finite, got {L!r}")
+        if not (h >= 0.0 and math.isfinite(h)):
+            raise ValueError(f"h must be finite and >= 0, got {h!r}")
         self.L = L
         self.window = window
         self._lo, self._hi = widen_window(window, h)

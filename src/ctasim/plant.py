@@ -165,15 +165,19 @@ _pack, _pack_into = _ROW.pack, _ROW.pack_into
 _DERIVED = struct.Struct("4d")  # a CSV row's z3, x1, x2, x3
 
 
-def widen_window(window: tuple[float, float], h: float) -> tuple[float, float]:
-    """(lo, hi): the window (t0, t1) widened by 1e-6 of the step h, which
-    a boundary row's t = k*h can miss by an ulp."""
-    t0, t1 = window
-    return t0 - h * 1e-6, t1 + h * 1e-6
-
-
 def no_rows_error(window: tuple[float, float]) -> ValueError:
     return ValueError(f"window {window} selects no trace records")
+
+
+def widen_window(window: tuple[float, float], h: float) -> tuple[float, float]:
+    """(lo, hi): the window (t0, t1) widened by 1e-6 of the step h, which
+    a boundary row's t = k*h can miss by an ulp.  A window that is not
+    t0 <= t1 (reversed, or with a NaN bound) selects no rows, however
+    slightly it is reversed: ValueError."""
+    t0, t1 = window
+    if not t0 <= t1:
+        raise no_rows_error(window)
+    return t0 - h * 1e-6, t1 + h * 1e-6
 
 
 def _copy(name: str) -> property:
@@ -254,7 +258,7 @@ class SimTrace:
         ks, key = range(self.n), self._k_times_h()
         lo, hi = widen_window(window, key(1))  # key(1) = 1*h
         a, b = bisect_left(ks, lo, key=key), bisect_right(ks, hi, key=key)
-        if lo <= hi and a < b:  # lo <= hi fails for a NaN bound, unseen by bisection
+        if a < b:
             return a, b
         raise no_rows_error(window)
 

@@ -14,6 +14,8 @@ z = 0.  ``disturbance`` evaluates a disturbance from its terms' fields, and
 ``outcome`` is a call's result bits or ValueError message.  The
 ``reference_*`` trace metrics select the window row by row over column
 copies; ``row`` reads one trace row as the CSV writes it.
+``deadbeat_rows`` predicts an implicit trace's steady rows from its own
+delta samples, within a derived rounding bound.
 ``read_trace_csv_text`` decodes every file as UTF-8 text with lines
 ending at LF, checks the time grid itself and appends row by row, for
 equivalence checks of the reader that parses lines as bytes.
@@ -21,8 +23,9 @@ equivalence checks of the reader that parses lines as bytes.
 
 import math
 import struct
+from collections import namedtuple
 from functools import reduce
-from operator import add
+from operator import add, le
 
 from ctasim.metrics import ChatterReport, PrecisionReport
 from ctasim.plant import TRACE_HEADER, SimTrace
@@ -211,7 +214,8 @@ def reference_window_indices(trace, window):
     t0, t1 = window
     ts = trace.t
     tol = (ts[1] - ts[0]) * 1e-6 if len(ts) >= 2 else 0.0
-    idx = [i for i, t in enumerate(ts) if t0 - tol <= t <= t1 + tol]
+    # A window that is not t0 <= t1 selects nothing, however slightly reversed.
+    idx = [i for i, t in enumerate(ts) if t0 - tol <= t <= t1 + tol] if t0 <= t1 else []
     if not idx:
         raise ValueError(f"window {window} selects no trace records")
     return idx
@@ -260,6 +264,81 @@ def reference_chatter_metrics(trace, window):
     tv = reduce(add, (abs(d) for d in diffs), 0.0)
     flips = sum(1 for i in range(len(diffs) - 1) if diffs[i] * diffs[i + 1] < 0.0)
     return ChatterReport(total_variation_u=tv, sign_flips_u_delta=flips)
+
+
+# --- the steady implicit loop, row by row --------------------------------------
+
+
+# Worst |z - predicted| that rounding allows on a steady row, in units of
+# ulp(max|delta|) * h**j, for (z1, z2, z3) with j = (2, 1, 0); see deadbeat_rows.
+DEADBEAT_BOUND = (44.0, 22.0, 18.0)
+
+Deadbeat = namedtuple("Deadbeat", "onset worst before")
+
+
+def deadbeat_rows(trace):
+    """Where an implicit trace obeys the steady loop's exact row identity.
+
+    With both clamps of the implicit step inactive, stage I commands
+    z2 + h*u1 = v_ref and stage II sets eta_next = -forecast, and the
+    reconstruction returns the previous sample exactly, so (in exact
+    arithmetic) the loop is deadbeat.  With e_k = d_k - 2*d_{k-1} + d_{k-2}
+    for the row's delta d_k:
+
+    * z3_k = e_k on every row;
+    * on a row after an odd step (k even): z2_k = h*e_k, z1_k = h**2*e_{k-1};
+    * on a row after an even step (k odd): z1_k = h**2*(e_{k-1} + e_{k-2})
+      and z2_k = -z1_k/h + h*e_k.
+
+    The bound (DEADBEAT_BOUND) counts the roundings of the loop, to first
+    order.  Let D = max|delta| over the trace and eps = 2**-53.  A rounded
+    result r is off by at most eps*|r|, and eps*D < ulp(D), the unit.  Only
+    results of size about D (or h*D, in z2) count: the others (z1, z2, u1,
+    v_ref, z3 and their sums) are smaller by a factor h or more.
+
+    * The plant's z2 update rounds h*u, z2 + h*u and h*delta, each about
+      h*D: 3*h units.  u = u1 + eta_next rounds once: 1 unit, times h in z2.
+    * The next step's reconstruction divides z2's increment by h (4 units
+      so far) and subtracts eta (1): it is off by 5.  The forecast
+      2*d_k - d_{k-1} doubles one reconstruction and adds the previous one
+      (15), rounds once (1), and eta_next = eta - y2 rounds once (1): z3 is
+      off by 17.  Forming e_k rounds d_k - 2*d_{k-1} (1): 18 units for z3.
+    * z2 = h*z3 + (the rounding of u and the plant update): 18 + 1 + 3 = 22
+      units of h, on both kinds of row (v_ref and z1/h cancel exactly:
+      controller and plant form z1 + h*z2 alike).
+    * z1 after an odd step is h times the previous row's z2 deviation: 22
+      units of h**2; after an even step it adds two such rows: 44.
+
+    Returns (onset, worst, before): onset is the first row k >= 4 (e_{k-2}
+    needs d_{k-4}) from which every row holds all three identities within
+    the bound; worst is each column's largest deviation from the onset on,
+    and before row onset - 1's, in units (None when onset is 4).  An onset
+    of trace.n means the last row fails.
+    """
+    n = trace.n
+    with trace.view("delta") as delta:
+        d_max = max(map(abs, delta))
+        e = [0.0, 0.0] + [delta[k] - 2.0 * delta[k - 1] + delta[k - 2] for k in range(2, n)]
+    h, = trace.view("t", 1, 2)
+    unit = math.ulp(d_max)
+    scales = (unit * h * h, unit * h, unit)
+    deviations = []
+    with trace.view("z1") as z1, trace.view("z2") as z2:
+        for k, z3 in enumerate(trace.view("z3", 4), start=4):
+            if k % 2 == 0:
+                p1, p2 = h * h * e[k - 1], h * e[k]
+            else:
+                p1 = h * h * (e[k - 1] + e[k - 2])
+                p2 = -z1[k] / h + h * e[k]
+            deviations.append(tuple(abs(z - p) / s for z, p, s in
+                                    zip((z1[k], z2[k], z3), (p1, p2, e[k]), scales)))
+    onset = n
+    while onset > 4 and all(map(le, deviations[onset - 5], DEADBEAT_BOUND)):
+        onset -= 1
+    held = deviations[onset - 4:]
+    worst = tuple(max(column) for column in zip(*held)) if held else None
+    before = deviations[onset - 5] if onset > 4 else None
+    return Deadbeat(onset, worst, before)
 
 
 # --- the trace CSV, decoded whole ---------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import operator
 import struct
 from functools import cache
 
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from ctasim.controller import Gains, explicit_step, implicit_step
 from ctasim import plant
 from ctasim.cli import get_preset, run_preset, steady_window
-from ctasim.plant import TRACE_COLUMNS, run_simulation
+from ctasim.plant import TRACE_COLUMNS, read_trace_csv, run_simulation, write_trace_csv
 from oracles import (
-    disturbance_second_derivative, reference_explicit_step, reference_implicit_step)
+    DEADBEAT_BOUND, deadbeat_rows, disturbance_second_derivative, reference_explicit_step,
+    reference_implicit_step)
 
 PAPER = Gains(kp1=160.236, kp2=60.3738, kp3=28.5, kp4=15.0, L=5.0)
 
@@ -302,6 +304,19 @@ class TestOnePassMatchesReference:
 GAIN_SCALES = (1, 10, 100)
 
 
+def _h_run(h: float):
+    """The paper-implicit trace at step h."""
+    return run_preset("paper-implicit", {"h": h})[0]
+
+
+def _read_back(tmp_path):
+    """The paper-implicit trace, written as CSV and read back."""
+    path = str(tmp_path / "trace.csv")
+    trace = _scaled_run("implicit", 1)[0]
+    write_trace_csv(trace, path)
+    return read_trace_csv(path, trace.L)
+
+
 @cache
 def _scaled_run(method: str, scale: int):
     """run_preset of the paper preset of ``method`` with kp1..kp4 times
@@ -347,34 +362,22 @@ class TestImplicitSteadyState:
         assert peaks == pytest.approx([3.07e5, 2.93e6, 7.99e6], rel=5e-3)
         assert tvs == pytest.approx([6.26e3, 3.24e5, 5.49e7], rel=5e-3)
 
-    # Worst |ratio / expected - 1| / h over the rows below, measured at all
-    # three h: z3 13.8; z2 13.8 (even k), 54.6-55.2 (odd k); z1 27.7 (even
-    # k), 34.1-34.5 (odd k).
-    RATIO_BOUNDS = {"z3": 15.0, "z2 even": 15.0, "z2 odd": 60.0,
-                    "z1 even": 30.0, "z1 odd": 37.0}
-
-    @pytest.mark.parametrize("h, rows", [(1e-3, 1333), (5e-4, 2663), (2e-4, 6656)])
-    def test_row_ratios_to_the_disturbance_curvature(self, h, rows):
-        # Row by row, the same law: over the steady-window rows (t = k*h)
-        # with |delta''| > 1, z3 ~ h**2 delta'', z2 ~ +-h**3 delta'' (+ on
-        # even k, - on odd k) and z1 ~ (1 or 2) * h**4 delta'' (1 on even k,
-        # 2 on odd k), each within a relative error proportional to h.
-        cfg = get_preset("paper-implicit").cfg
-        trace, _ = run_preset("paper-implicit", {"h": h})
-        lo, hi = steady_window(cfg)
-        worst = dict.fromkeys(self.RATIO_BOUNDS, 0.0)
-        selected = 0
-        for k, (t, z1, z2, z3) in enumerate(zip(trace.t, trace.z1, trace.z2, trace.z3)):
-            d2 = disturbance_second_derivative(cfg.disturbance, t)
-            if not (lo <= t <= hi and abs(d2) > 1.0):
-                continue
-            selected += 1
-            odd = k % 2 == 1
-            parity = "odd" if odd else "even"
-            for name, ratio, expected in (
-                    ("z3", z3 / (h**2 * d2), 1.0),
-                    (f"z2 {parity}", z2 / (h**3 * d2), -1.0 if odd else 1.0),
-                    (f"z1 {parity}", z1 / (h**4 * d2), 2.0 if odd else 1.0)):
-                worst[name] = max(worst[name], abs(ratio / expected - 1.0) / h)
-        assert selected == rows
-        assert {name: w for name, w in worst.items() if not w <= self.RATIO_BOUNDS[name]} == {}
+    @pytest.mark.parametrize("trace_of, onset", [
+        (lambda _: _h_run(1e-3), 898),
+        (lambda _: _h_run(5e-4), 1768),
+        (lambda _: _h_run(2e-4), 4354),
+        (lambda _: _h_run(1e-2), 96),
+        (lambda _: _scaled_run("implicit", 10)[0], 96),
+        (lambda _: _scaled_run("implicit", 100)[0], 16),
+        (_read_back, 898),
+    ], ids=["h=1e-3", "h=5e-4", "h=2e-4", "h=1e-2", "gains-x10", "gains-x100", "csv-read-back"])
+    def test_steady_rows_obey_the_deadbeat_identity(self, trace_of, onset, tmp_path):
+        # Once both implicit clamps stay inactive, z3 is the linear
+        # forecast's error, e_k = delta_k - 2*delta_{k-1} + delta_{k-2}, and
+        # z1, z2 follow from e row by row (oracles.deadbeat_rows, which
+        # derives the rounding bound).  The identity holds from the pinned
+        # row to the end of the run, and the row before it fails.
+        report = deadbeat_rows(trace_of(tmp_path))
+        assert report.onset == onset
+        assert all(map(operator.le, report.worst, DEADBEAT_BOUND)), report
+        assert not all(map(operator.le, report.before, DEADBEAT_BOUND)), report

@@ -76,6 +76,30 @@ class TestPrecisionEnvelope:
         assert str(info.value) == f"h must be positive, got {h!r}"
 
 
+class TestWindowMax:
+    @pytest.mark.parametrize("L, window, h, message", [
+        (0.0, (0.0, 1.0), 0.1, "L must be positive and finite, got 0.0"),
+        (-5.0, (0.0, 1.0), 0.1, "L must be positive and finite, got -5.0"),
+        (math.nan, (0.0, 1.0), 0.1, "L must be positive and finite, got nan"),
+        (math.inf, (0.0, 1.0), 0.1, "L must be positive and finite, got inf"),
+        (5.0, (0.0, 1.0), -0.1, "h must be finite and >= 0, got -0.1"),
+        (5.0, (0.0, 1.0), math.nan, "h must be finite and >= 0, got nan"),
+        (5.0, (0.0, 1.0), math.inf, "h must be finite and >= 0, got inf"),
+        (5.0, (1.0, 0.5), 0.1, "window (1.0, 0.5) selects no trace records"),
+        (5.0, (math.nan, 1.0), 0.1, "window (nan, 1.0) selects no trace records"),
+    ], ids=["L-zero", "L-negative", "L-nan", "L-inf", "h-negative", "h-nan", "h-inf",
+            "reversed", "nan-start"])
+    def test_rejects_bad_arguments_before_any_row(self, L, window, h, message):
+        with pytest.raises(ValueError) as info:
+            WindowMax(L, window, h)
+        assert str(info.value) == message
+
+    def test_a_single_row_needs_no_step(self):
+        sink = WindowMax(5.0, (0.0, 0.0), 0.0)
+        sink.append(0.0, 1.0, -2.0, 0.0, 0.0, 3.0, 2.0)
+        assert sink.sup_abs_x == (0.2, 0.4, 1.0)
+
+
 class TestFitLoglogSlope:
     def test_step_sizes_sharing_one_log_fit_no_slope(self):
         hs = [1e-3, 0.0010000000000000002, 0.0010000000000000004]
@@ -278,10 +302,14 @@ class TestMatchesRowByRowReference:
         sup_abs_x bit for bit, or raises its ValueError."""
         trace, ts = data.draw(increasing_traces())
         window = (data.draw(window_bounds(ts)), data.draw(window_bounds(ts)))
-        sink = WindowMax(trace.L, window, ts[1] - ts[0] if len(ts) >= 2 else 0.0)
-        for r in zip(*(getattr(trace, c) for c in ("t", "z1", "z2", "u", "u1", "eta", "delta"))):
-            sink.append(*r)
-        assert _outcome(lambda: sink.sup_abs_x) == _outcome(
+
+        def window_max():
+            sink = WindowMax(trace.L, window, ts[1] - ts[0] if len(ts) >= 2 else 0.0)
+            for r in zip(*(getattr(trace, c) for c in ("t", "z1", "z2", "u", "u1", "eta", "delta"))):
+                sink.append(*r)
+            return sink.sup_abs_x
+
+        assert _outcome(window_max) == _outcome(
             lambda: precision_envelope(trace, window, 1.0, (1.0, 1.0, 1.0)).sup_abs_x)
 
     @settings(max_examples=100, deadline=None)

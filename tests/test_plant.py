@@ -711,8 +711,6 @@ class TestRowsBetween:
         trace = self._trace(8)
         assert trace.rows_between((2e6 + 1.0, 5e6 - 1.0)) == (2, 6)
         assert trace.rows_between((1.0, 7e6 - 1.0)) == (0, 8)
-        # reversed, but by no more than the widening: row 2 is in both halves
-        assert trace.rows_between((2e6 + 1.0, 2e6 - 1.0)) == (2, 3)
 
     def test_a_row_one_ulp_past_the_widening_is_not(self):
         trace = self._trace(8)
@@ -732,12 +730,15 @@ class TestRowsBetween:
     @pytest.mark.parametrize("n", [0, 1, 8])
     @pytest.mark.parametrize("window, message", [
         ((3e6, 2e6), "window (3000000.0, 2000000.0) selects no trace records"),
+        # reversed by no more than the widening, which would take in row 2
+        ((2e6 + 1.0, 2e6 - 1.0), "window (2000001.0, 1999999.0) selects no trace records"),
         ((math.nan, 7e6), "window (nan, 7000000.0) selects no trace records"),
         ((0.0, math.nan), "window (0.0, nan) selects no trace records"),
         ((7e6 + 2.0, 9e6), "window (7000002.0, 9000000.0) selects no trace records"),
         ((-9e6, -2.0), "window (-9000000.0, -2.0) selects no trace records"),
         ((2e6 + 2.0, 3e6 - 2.0), "window (2000002.0, 2999998.0) selects no trace records"),
-    ], ids=["reversed", "nan-start", "nan-end", "after-last", "before-first", "between-rows"])
+    ], ids=["reversed", "reversed-within-widening", "nan-start", "nan-end", "after-last",
+            "before-first", "between-rows"])
     def test_a_window_with_no_rows_is_rejected(self, n, window, message):
         trace = self._trace(n)
         with pytest.raises(ValueError) as info:
