@@ -11,9 +11,10 @@ bit-identity checks of the one-pass step; ``reference_explicit_step`` is
 the explicit step through an odd fractional power with its own branch at
 z = 0.  ``disturbance`` evaluates a disturbance from its terms' fields, and
 ``disturbance_second_derivative`` is delta'' differentiated by hand;
-``outcome`` is a call's result bits or ValueError message.  The
-``reference_*`` trace metrics select the window row by row over column
-copies; ``row`` reads one trace row as the CSV writes it.
+``outcome`` is a call's result bits, item by item for a tuple (a metric's
+report too), or its ValueError message.  The ``reference_*`` trace metrics
+select the window row by row over column copies; ``row`` reads one trace
+row as the CSV writes it.
 ``deadbeat_rows`` predicts an implicit trace's steady rows from its own
 delta samples, within a derived rounding bound.
 ``read_trace_csv_text`` decodes every file as UTF-8 text with lines
@@ -32,10 +33,18 @@ from ctasim.plant import TRACE_HEADER, SimTrace
 from ctasim.resolvent import Interval, proj, sign_selection
 
 
+def _bits(result):
+    """A float as its float64 bytes, so that -0.0 differs from 0.0 and NaNs
+    compare by payload; a tuple (a namedtuple too) as a tuple of its items'."""
+    if isinstance(result, tuple):
+        return tuple(map(_bits, result))
+    return struct.pack("d", result)
+
+
 def outcome(f, *args):
     """f(*args) as its result's bits, or the message of the ValueError it raises."""
     try:
-        return struct.pack("d", f(*args))
+        return _bits(f(*args))
     except ValueError as exc:
         return str(exc)
 

@@ -524,6 +524,76 @@ def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
     assert result == "0.002 11\n"
 
 
+# The command line's failure exits: argv, the text of a config file passed
+# as --config (or None), the exit code, and what the one line on stderr
+# holds.  A fragment that starts with "error: " is that line's prefix, and
+# with its "\n" the whole line; any other fragment is a part of it.
+# "{cfg}" stands for the config file's path.
+FAILURE_EXITS = [
+    (["simulate", "--preset", "zero", "--h-bogus", "1"], None, 1, "unrecognized arguments"),
+    (["simulate"], None, 1, "required: --preset"),
+    (["simulate", "--preset", "zero", "--method", "bogus"], None, 1,
+     "argument --method: invalid"),
+    (["simulate", "--preset", "zero", "--h", "abc"], None, 1, "argument --h: invalid float"),
+    (["simulate", "--preset", "zero", "--gains", "1,abc,2,1"], None, 1, "--gains: could not"),
+    (["simulate", "--preset", "zero", "--init", "1,x,0"], None, 1, "--init: could not"),
+    (["sweep", "--preset", "zero", "--h-list", "1e-3,abc,3e-3"], None, 1, "--h-list: could not"),
+    ([], None, 1, "required: command"),
+    # An empty field, or an empty list, is an error, not a value left out.
+    (["simulate", "--preset", "zero", "--gains", "1,,2,0.5,0.1"], None, 1,
+     "--gains expects 4 comma-separated values, got '1,,2,0.5,0.1'"),
+    (["simulate", "--preset", "zero", "--gains", ""], None, 1, "--gains expects 4"),
+    (["simulate", "--preset", "zero", "--init", ""], None, 1, "--init expects 3"),
+    (["sweep", "--preset", "zero", "--h-list", "0.01,,0.005,0.002"], None, 1,
+     "--h-list: could not convert string to float: ''"),
+    # An empty path is a path that cannot be opened, not a flag left out.
+    (["simulate", "--preset", "zero", "--out", ""], None, 1, "No such file or directory: ''"),
+    (["simulate", "--preset", "zero", "--summary", ""], None, 1, "No such file or directory: ''"),
+    (["simulate", "--preset", "zero", "--config", ""], None, 1, "No such file or directory: ''"),
+    (["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2", "--out", ""], None, 1,
+     "No such file or directory: ''"),
+    (["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2", "--summary", ""], None, 1,
+     "No such file or directory: ''"),
+    # Settings no run can take, each named before the run starts.
+    (["simulate", "--preset", "bogus"], None, 1, "unknown preset"),
+    *[(["simulate", "--preset", "paper-explicit", "--method", method, "--t-final", "0.01",
+        *flags], None, 1, f"error: {field} must be")
+      for flags, field in [
+          (["--t-final", "inf"], "t_final"),
+          (["--h", "inf"], "h"),
+          (["--init", "nan,0,0"], "z1_0"),
+          (["--init", "0,-inf,0"], "z2_0"),
+          (["--init", "0,0,nan"], "eta_0"),
+          (["--gains", "inf,1,2,1"], "kp1"),
+          (["--gains", "1,1,nan,1"], "kp3"),
+      ]
+      for method in ("explicit", "implicit")],
+    *[(["simulate", "--preset", "paper-explicit", "--t-final", "0.01"], f"{line}\n", 1,
+       f"error: {{cfg}}:1: {line.split()[0]}: {field} must be finite")
+      for line, field in [
+          ("delta_constant = nan", "constant"),
+          ("delta_sin = inf,1", "amplitude"),
+          ("delta_cos = 1,-inf", "omega"),
+      ]],
+    *[(["simulate", "--preset", "zero", "--h", h, "--t-final", "1"], None, 1,
+       f"error: {field} must")
+      for h, field in [("0.3", "t_final"), ("0.7", "t_final"), ("2", "t_final"), ("1e-9", "h")]],
+    *[(["simulate", "--preset", "paper-explicit", "--method", method, "--t-final", "0.01",
+        "--gains", "1e308,1e308,2e307,1e307"], None, 1,
+       "error: gains kp1=1e+308, kp2=1e+308 overflow")
+      for method in ("explicit", "implicit")],
+    (["simulate", "--preset", "zero", "--h", "1e-300", "--t-final", "1e-300"], None, 1,
+     "error: h must be"),
+    (["simulate", "--preset", "zero", "--t-final", "2", "--h", "1"], "delta_sin = 1,1e308\n", 1,
+     "error: omega must keep the phase omega*t finite up to t=2.0, got 1e+308\n"),
+    (["sweep", "--preset", "zero", "--h-list", "0.01,0.005"], None, 1,
+     "error: a sweep needs at least 3 step sizes\n"),
+    # A state past 1e12 is a divergence, the one exit 2.
+    (["simulate", "--preset", "zero", "--init", "2e12,0,0", "--t-final", "0.01"], None, 2,
+     "diverged"),
+]
+
+
 class TestCommandLine:
     def test_simulate_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -573,59 +643,6 @@ class TestCommandLine:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["window"] == window
 
-    def test_unknown_preset_is_usage_error(self, capsys):
-        assert main(["simulate", "--preset", "bogus"]) == 1
-        assert "unknown preset" in capsys.readouterr().err
-
-    def test_divergence_exit_code(self, tmp_path, capsys):
-        rc = main([
-            "simulate", "--preset", "zero", "--init", "2e12,0,0",
-            "--t-final", "0.01",
-        ])
-        assert rc == 2
-        assert "diverged" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("method", ["explicit", "implicit"])
-    @pytest.mark.parametrize("flags, field", [
-        (["--t-final", "inf"], "t_final"),
-        (["--h", "inf"], "h"),
-        (["--init", "nan,0,0"], "z1_0"),
-        (["--init", "0,-inf,0"], "z2_0"),
-        (["--init", "0,0,nan"], "eta_0"),
-        (["--gains", "inf,1,2,1"], "kp1"),
-        (["--gains", "1,1,nan,1"], "kp3"),
-    ])
-    def test_nonfinite_input_is_usage_error(self, capsys, method, flags, field):
-        rc = main(["simulate", "--preset", "paper-explicit", "--method", method,
-                   "--t-final", "0.01", *flags])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("line, field", [
-        ("delta_constant = nan", "constant"),
-        ("delta_sin = inf,1", "amplitude"),
-        ("delta_cos = 1,-inf", "omega"),
-    ])
-    def test_nonfinite_disturbance_is_usage_error(self, tmp_path, capsys, line, field):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(line + "\n")
-        rc = main(["simulate", "--preset", "paper-explicit", "--t-final", "0.01",
-                   "--config", str(cfg_file)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith(f"error: {cfg_file}:1: ") and err.count("\n") == 1
-        assert f"{field} must be finite" in err
-
-    @pytest.mark.parametrize("h, field", [
-        ("0.3", "t_final"), ("0.7", "t_final"), ("2", "t_final"), ("1e-9", "h"),
-    ])
-    def test_step_grid_is_usage_error(self, capsys, h, field):
-        rc = main(["simulate", "--preset", "zero", "--h", h, "--t-final", "1"])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith(f"error: {field} must") and err.count("\n") == 1
-
     def test_nan_state_is_divergence(self, nan_plant_from_step_3, capsys):
         rc = main(["simulate", "--preset", "zero", "--t-final", "0.01"])
         err = capsys.readouterr().err
@@ -633,52 +650,31 @@ class TestCommandLine:
         assert err.startswith("error: simulation diverged at step 3") and err.count("\n") == 1
         assert "z1=nan" in err
 
-    @pytest.mark.parametrize("argv, fragment", [
-        (["simulate", "--preset", "zero", "--h-bogus", "1"], "unrecognized arguments"),
-        (["simulate"], "required: --preset"),
-        (["simulate", "--preset", "zero", "--method", "bogus"], "argument --method: invalid"),
-        (["simulate", "--preset", "zero", "--h", "abc"], "argument --h: invalid float"),
-        (["simulate", "--preset", "zero", "--gains", "1,abc,2,1"], "--gains: could not"),
-        (["simulate", "--preset", "zero", "--init", "1,x,0"], "--init: could not"),
-        (["sweep", "--preset", "zero", "--h-list", "1e-3,abc,3e-3"], "--h-list: could not"),
-        ([], "required: command"),
-        # An empty field, or an empty list, is an error, not a value left out.
-        (["simulate", "--preset", "zero", "--gains", "1,,2,0.5,0.1"],
-         "--gains expects 4 comma-separated values, got '1,,2,0.5,0.1'"),
-        (["simulate", "--preset", "zero", "--gains", ""], "--gains expects 4"),
-        (["simulate", "--preset", "zero", "--init", ""], "--init expects 3"),
-        (["sweep", "--preset", "zero", "--h-list", "0.01,,0.005,0.002"],
-         "--h-list: could not convert string to float: ''"),
-        # An empty path is a path that cannot be opened, not a flag left out.
-        (["simulate", "--preset", "zero", "--out", ""], "No such file or directory: ''"),
-        (["simulate", "--preset", "zero", "--summary", ""], "No such file or directory: ''"),
-        (["simulate", "--preset", "zero", "--config", ""], "No such file or directory: ''"),
-        (["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2", "--out", ""],
-         "No such file or directory: ''"),
-        (["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2", "--summary", ""],
-         "No such file or directory: ''"),
-    ])
-    def test_usage_error_is_one_line_exit_1(self, capsys, argv, fragment):
+    @pytest.mark.parametrize(
+        "argv, config, code, fragment", FAILURE_EXITS,
+        # argv{i}-{fragment}: an id that stays the same when a row gains a column.
+        ids=[f"argv{i}-{fragment.rstrip()}" for i, (*_, fragment) in enumerate(FAILURE_EXITS)])
+    def test_usage_error_is_one_line_exit_1(self, tmp_path, capsys, argv, config, code,
+                                            fragment):
+        if config is not None:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(config)
+            argv = [*argv, "--config", str(cfg_file)]
+            fragment = fragment.replace("{cfg}", str(cfg_file))
         rc = main(argv)
         captured = capsys.readouterr()
-        assert rc == 1 and captured.out == ""
+        assert rc == code and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert fragment in captured.err
+        if fragment.startswith("error: "):
+            assert captured.err.startswith(fragment)
+        else:
+            assert fragment in captured.err
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["simulate", "--help"])
         assert info.value.code == 0
         assert "--preset" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("method", ["explicit", "implicit"])
-    def test_overflowing_gains_are_usage_error(self, capsys, method):
-        rc = main(["simulate", "--preset", "paper-explicit", "--method", method,
-                   "--t-final", "0.01", "--gains", "1e308,1e308,2e307,1e307"])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error: gains kp1=1e+308, kp2=1e+308 overflow")
-        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("preset, flags, message", [
         ("zero", ["--threshold", "inf"], "threshold must be positive and finite"),
@@ -698,12 +694,6 @@ class TestCommandLine:
         assert not out.exists()
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1
-
-    def test_underflowing_step_is_usage_error(self, capsys):
-        rc = main(["simulate", "--preset", "zero", "--h", "1e-300", "--t-final", "1e-300"])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error: h must be") and err.count("\n") == 1
 
     def test_runs_as_module(self):
         # The package must not import ctasim.cli, or runpy warns that the
@@ -745,16 +735,6 @@ class TestCommandLine:
         assert rc == 1
         assert capsys.readouterr().err == (f"error: {tmp_path}/bad{shown}name.cfg:1: "
                                            f"stepsize: unknown config key\n")
-
-    def test_overflowing_disturbance_phase_is_usage_error(self, tmp_path, capsys):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("delta_sin = 1,1e308\n")
-        rc = main(["simulate", "--preset", "zero", "--t-final", "2", "--h", "1",
-                   "--config", str(cfg_file)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err == "error: omega must keep the phase omega*t finite up to t=2.0, " \
-                      "got 1e+308\n"
 
     def test_out_is_written_with_no_encoder_closure_alive(self, monkeypatch, tmp_path,
                                                           capsys):
@@ -873,22 +853,6 @@ class TestCommandLine:
         assert not reader.is_alive()
         assert json.loads(received[0])["preset"] == "zero"
         assert list(tmp_path.iterdir()) == [fifo]
-
-    def test_simulate_runs_through_cli_run_simulation(self, monkeypatch):
-        # perfbench/setup_probe.py stops `simulate` by replacing this name.
-        class Reached(Exception):
-            pass
-
-        def stop(cfg):
-            raise Reached
-
-        monkeypatch.setattr(cli, "run_simulation", stop)
-        with pytest.raises(Reached):
-            main(["simulate", "--preset", "zero"])
-
-    def test_sweep_requires_three_points(self, capsys):
-        rc = main(["sweep", "--preset", "zero", "--h-list", "0.01,0.005"])
-        assert rc == 1
 
     def test_sweep_writes_table(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -1,5 +1,4 @@
 import math
-import struct
 import tracemalloc
 
 import pytest
@@ -16,6 +15,7 @@ from ctasim.metrics import (
 )
 from ctasim.plant import SimTrace, run_simulation
 from oracles import (
+    outcome,
     reference_chatter_metrics,
     reference_precision_envelope,
     reference_state_settling_time,
@@ -136,6 +136,10 @@ class TestConvergenceTime:
         times = [convergence_time(trace, thr) for thr in (0.01, 0.05, 0.2, 0.9)]
         assert times == sorted(times, reverse=True)
 
+    def test_z3_is_ignored_at_any_size(self):
+        trace = make_trace([0.0] * 10, eta=[1e308] * 10)
+        assert convergence_time(trace, 0.01) == 0.0
+
     def test_threshold_validation(self):
         trace = make_trace([0.0] * 5)
         with pytest.raises(ValueError):
@@ -226,21 +230,6 @@ class TestChatterMetrics:
         assert type(summary["tv_u"]) is float and summary["tv_u"] == 0.0
 
 
-def _bits(result):
-    """A metric result with every number as its float64 bytes, so that -0.0
-    differs from 0.0 and NaNs compare by payload."""
-    if isinstance(result, tuple):
-        return tuple(_bits(v) for v in result)
-    return struct.pack("d", result)
-
-
-def _outcome(metric, *args):
-    try:
-        return _bits(metric(*args))
-    except ValueError as exc:
-        return ("ValueError", str(exc))
-
-
 @st.composite
 def increasing_traces(draw):
     """1..300 rows at t = k*h, the only times a trace holds, with arbitrary
@@ -280,52 +269,43 @@ def window_bounds(draw, ts):
 
 
 class TestMatchesRowByRowReference:
-    """The in-place metrics equal the row-by-row forms (tests/oracles.py) bit
-    for bit, and raise the same ValueError on an empty window."""
+    """The in-place metrics and WindowMax equal the row-by-row forms
+    (tests/oracles.py) bit for bit, or raise the same ValueError."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_window_metrics(self, data):
+        """One drawn trace per example for every metric path: the window
+        metrics, WindowMax, state_settling_time and convergence_time."""
         trace, ts = data.draw(increasing_traces())
         window = (data.draw(window_bounds(ts)), data.draw(window_bounds(ts)))
         h = data.draw(st.floats(1e-320, 1e300))
         orders = data.draw(st.tuples(*[st.floats(0.5, 5.0)] * 3))
-        assert _outcome(precision_envelope, trace, window, h, orders) == \
-            _outcome(reference_precision_envelope, trace, window, h, orders)
-        assert _outcome(chatter_metrics, trace, window) == \
-            _outcome(reference_chatter_metrics, trace, window)
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_window_max_sink(self, data):
-        """WindowMax, fed the rows one at a time, equals precision_envelope's
-        sup_abs_x bit for bit, or raises its ValueError."""
-        trace, ts = data.draw(increasing_traces())
-        window = (data.draw(window_bounds(ts)), data.draw(window_bounds(ts)))
-
-        def window_max():
-            sink = WindowMax(trace.L, window, ts[1] - ts[0] if len(ts) >= 2 else 0.0)
-            for r in zip(*(getattr(trace, c) for c in ("t", "z1", "z2", "u", "u1", "eta", "delta"))):
-                sink.append(*r)
-            return sink.sup_abs_x
-
-        assert _outcome(window_max) == _outcome(
-            lambda: precision_envelope(trace, window, 1.0, (1.0, 1.0, 1.0)).sup_abs_x)
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_settling_time(self, data):
-        trace, _ = data.draw(increasing_traces())
         # Bands equal to a stored |z| tell < from <=.
         on_a_value = st.sampled_from([abs(z) for c in (trace.z1, trace.z2, trace.z3) for z in c])
         band = (st.floats(0.0, exclude_min=True) | on_a_value
                 | st.sampled_from([0.0, -1.0, math.nan]))
         bands = data.draw(st.tuples(band, band, band))
-        assert _outcome(state_settling_time, trace, bands) == \
-            _outcome(reference_state_settling_time, trace, bands)
+
+        assert outcome(precision_envelope, trace, window, h, orders) == \
+            outcome(reference_precision_envelope, trace, window, h, orders)
+        assert outcome(chatter_metrics, trace, window) == \
+            outcome(reference_chatter_metrics, trace, window)
+
+        def window_max():
+            """WindowMax fed the rows one at a time, as a run feeds it."""
+            sink = WindowMax(trace.L, window, ts[1] - ts[0] if len(ts) >= 2 else 0.0)
+            for r in zip(*(getattr(trace, c) for c in ("t", "z1", "z2", "u", "u1", "eta", "delta"))):
+                sink.append(*r)
+            return sink.sup_abs_x
+
+        assert outcome(window_max) == outcome(
+            lambda: reference_precision_envelope(trace, window, 1.0, (1.0, 1.0, 1.0)).sup_abs_x)
+        assert outcome(state_settling_time, trace, bands) == \
+            outcome(reference_state_settling_time, trace, bands)
         threshold = bands[0]
         if threshold > 0.0:  # else convergence_time raises its own message
-            assert _outcome(convergence_time, trace, threshold) == _outcome(
+            assert outcome(convergence_time, trace, threshold) == outcome(
                 reference_state_settling_time, trace, (threshold, threshold, math.inf))
 
 
