@@ -15,7 +15,7 @@ plant.eval_disturbance against tests/oracles.py's references, bit for bit.
 Prints one line per check and exits 1 on any mismatch.  It needs the
 standard library only, so it runs on interpreters that cannot run the test
 suite; tests/test_goldens.py calls the same checks, and runs this script
-without numpy, hypothesis or pytest.
+without numpy, hypothesis or pytest and with warnings as errors.
 """
 
 import gc

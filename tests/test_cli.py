@@ -146,17 +146,28 @@ class TestTraceCsv:
         # a lone CR ends no line: the header line runs on to the end of the file
         (TRACE_HEADER + "\r0,0,0,0,0,0,0,0,0,0,0\r", 5.0, "{}:1: unexpected trace header: "
          "'t,z1,z2,z3,x1,x2,x3,u,u1,eta,delta\\r0,0,0,0,0,0,0,0,0,0,0'"),
+        # one zero cell among nonzero ones is still compared bit for bit
+        (H + "0,-0,1,1,0,0.2,0.2,0,0,1,0\n", 5.0,
+         "{}:2: x1..x3 = 0.0, 0.2, 0.2 are not z/L = -0.0, 0.2, 0.2 for L = 5.0"),
     ], ids=["header-config-file", "header-empty-file", "z3-negative-zero", "z3-ulp-up",
             "z3-ulp-down", "z3-nan", "x1-positive-zero", "x1-nan", "x2-edited", "other-L",
             "too-few-fields", "too-many-fields", "non-numeric-cell", "blank-line",
             "time-not-increasing", "time-not-finite", "time-inf", "L-zero",
-            "t0-negative-zero", "t0-positive", "row-6-ulp", "lone-cr"])
+            "t0-negative-zero", "t0-positive", "row-6-ulp", "lone-cr",
+            "x1-positive-zero-among-nonzero"])
     def test_rejected_with_its_message(self, tmp_path, text, L, message):
         path = tmp_path / "trace.csv"
         path.write_text(text)
         with pytest.raises(ValueError) as info:
             read_trace_csv(str(path), L)
         assert str(info.value) == message.format(path)
+
+    def test_row_with_zero_cells_reads_back(self, tmp_path):
+        # A zero cell takes the bit-for-bit compare of every derived cell.
+        path = tmp_path / "trace.csv"
+        path.write_text(H + "0,0,1,0,0,0.2,0,0,0,0,0\n")
+        back = read_trace_csv(str(path), 5.0)
+        assert row(back, 0) == (0.0, 0.0, 1.0, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("edit, rows", [
         (lambda text: text.rstrip("\n"), 11),
@@ -315,10 +326,6 @@ def scratch_csv(tmp_path_factory):
 
 
 class TestSweep:
-    def test_needs_three_points(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            run_sweep("zero", (0.01, 0.02))
-
     @pytest.mark.parametrize("h", [0.0, -0.005, float("nan")])
     def test_rejects_nonpositive_step(self, h):
         # SimConfig checks each step size; the sweep builds every one before
@@ -683,6 +690,7 @@ class TestCommandLine:
         # v = sup|x| / h**4 overflows; only the JSON backstop sees it
         ("paper-implicit", ["--h", "1e-78", "--t-final", "1e-78"],
          "summary is not valid JSON"),
+        ("zero", ["--threshold", "0"], "threshold must be positive and finite, got 0.0"),
     ])
     def test_nonfinite_summary_is_usage_error(self, tmp_path, capsys, preset, flags, message):
         # The JSON is formed before the first write, so no case writes --out.

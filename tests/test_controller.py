@@ -125,11 +125,6 @@ class TestImplicitStage2:
     def test_origin(self):
         assert call(implicit_step, 0.0, 0.0)[2:] == (0.0, 0.0)
 
-    def test_rate_interval_endpoints(self):
-        h = 0.001
-        assert h * (PAPER.kp3 - PAPER.kp4) == pytest.approx(0.0135, abs=1e-15)
-        assert h * (PAPER.kp3 + PAPER.kp4) == pytest.approx(0.0435, abs=1e-15)
-
     def test_integrator_walks_at_max_rate(self):
         # zero state and memory force u1 = 0; then y1 = y2 = 10, the nested
         # interval is [-3, 1] and the increment clamps at -3

@@ -6,8 +6,9 @@ its summary JSON (recorded on this platform's libm; see
 fails here, not only in the benchmark's gate.  The preset, trace read-back,
 sweep, parser and kernel checks are ``tests/golden_check.py``'s, which runs
 perfbench's gate and ``tests/oracles.py``'s references; the last test runs
-that script as the interpreters without pytest run it.  The writer tests
-compare the trace and sweep CSVs with a per-value format.
+that script as the interpreters without pytest run it, with warnings as
+errors.  The writer tests compare the trace and sweep CSVs with a per-value
+format.
 """
 
 import math
@@ -93,14 +94,14 @@ def test_script_runs_on_the_standard_library_alone(tmp_path):
     """golden_check as __main__, from outside the repository and with
     numpy, hypothesis and pytest unimportable, as `python3
     tests/golden_check.py` runs on interpreters without them: exit 0 and
-    one ok line per check."""
+    one ok line per check, with any warning an error."""
     script = os.path.abspath(golden_check.__file__)
     code = ("import runpy, sys\n"
             "sys.modules.update(numpy=None, hypothesis=None, pytest=None)\n"
             f"sys.path[0] = {os.path.dirname(script)!r}  # a script's own directory\n"
             f"runpy.run_path({script!r}, run_name='__main__')\n")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()

@@ -142,7 +142,7 @@ class TestConvergenceTime:
 
     def test_threshold_validation(self):
         trace = make_trace([0.0] * 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^threshold must be positive, got 0\.0$"):
             convergence_time(trace, 0.0)
 
 
@@ -170,6 +170,11 @@ class TestStateSettlingTime:
         z3[-1] = 1.0
         trace = make_trace([0.0] * 20, eta=z3)
         assert state_settling_time(trace, (0.5, 0.5, 0.5)) == math.inf
+        # The bands are strict, |z| < b: a state at its band on the last row
+        # (z3 = eta, with delta = 0) has not settled.
+        for state in ("z1", "z2", "eta"):
+            columns = {"z1": [0.0] * 10, state: [0.0] * 9 + [0.5]}
+            assert state_settling_time(make_trace(**columns), (0.5, 0.5, 0.5)) == math.inf
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("pos", [0, 1, 2])
