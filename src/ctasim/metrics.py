@@ -127,10 +127,9 @@ def chatter_metrics(trace: SimTrace, window: tuple[float, float]) -> ChatterRepo
     has a float total of 0.0.
     """
     a, b = trace.rows_between(window)
-    with trace.view("u") as u:
-        tv = _plain_sum(map(abs, map(sub, u[a + 1:b], u[a:b - 1])))
-        flips = sum(1 for d0, d1 in pairwise(map(sub, u[a + 1:b], u[a:b - 1]))
-                    if d0 * d1 < 0.0)
+    with trace.view("u", a, b) as u:
+        tv = _plain_sum(map(abs, map(sub, u[1:], u)))
+        flips = sum(1 for d0, d1 in pairwise(map(sub, u[1:], u)) if d0 * d1 < 0.0)
     return ChatterReport(total_variation_u=tv, sign_flips_u_delta=flips)
 
 
