@@ -14,8 +14,8 @@ are interpreter internals); and resolvent.nested_clamp and
 plant.eval_disturbance against tests/oracles.py's references, bit for bit.
 Prints one line per check and exits 1 on any mismatch.  It needs the
 standard library only, so it runs on interpreters that cannot run the test
-suite; tests/test_goldens.py runs it as such an interpreter does, without
-numpy, hypothesis or pytest, and with warnings as errors.
+suite; tests/test_goldens.py calls the same checks, and runs this script
+without numpy, hypothesis or pytest and with warnings as errors.
 """
 
 import gc
@@ -98,9 +98,7 @@ def check_reload(workdir: str) -> list[str]:
 def check_sweep(workdir: str) -> list[str]:
     """The 4-point sweep's printed JSON through the benchmark's gate, and the
     SHA-256 of its --out table, written to ``workdir``, against
-    SWEEP_TABLE_SHA256; returns the mismatches, empty if none.  The JSON is
-    the only check on precision_envelope's bits across step sizes
-    (criterion 6 checks the fitted slopes to +-0.7)."""
+    SWEEP_TABLE_SHA256; returns the mismatches, empty if none."""
     table = os.path.join(workdir, "sweep.csv")
     rc, out = workloads.quiet_main([*workloads.SWEEP_ARGV, "--out", table])
     sweep = workloads.OrderSweep(workdir, workloads.load_goldens())
@@ -112,9 +110,7 @@ def check_sweep(workdir: str) -> list[str]:
 
 def check_parsers_freed(argv: list[str]) -> list[str]:
     """``argv`` must enter cli.run_simulation with no argparse object alive
-    but its Namespace; returns the mismatches, empty if none.  Parsers are
-    reference cycles, and a run allocates too few containers to trigger the
-    collector, so main collects them first."""
+    but its Namespace; returns the mismatches, empty if none."""
     def argparse_objects():
         return [o for o in gc.get_objects() if type(o).__module__ == "argparse"]
 

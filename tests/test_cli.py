@@ -4,7 +4,6 @@ import io
 import json
 import math
 import os
-import shlex
 import subprocess
 import sys
 import tempfile
@@ -66,6 +65,13 @@ class TestPresets:
         # The name is the PRESETS key; it is not repeated in the value.
         assert ExperimentPreset._fields == ("cfg",)
 
+    def test_zero_preset_runs_flat(self):
+        trace, summary = run_preset("zero")
+        assert all(v == 0.0 for v in trace.z1)
+        assert all(v == 0.0 for v in trace.u)
+        assert summary["sup_abs_x"] == [0.0, 0.0, 0.0]
+        assert summary["convergence_time_s"] == 0.0
+
     def test_override_validation(self):
         cfg = get_preset("zero").cfg
         for bad in ({"stepsize": 0.1}, {"gains": cfg.gains}):
@@ -80,6 +86,21 @@ class TestPresets:
 
 
 class TestTraceCsv:
+    def test_round_trip_is_exact(self, tmp_path):
+        trace, _ = run_preset("paper-implicit", {"t_final": 0.05})
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        back = read_trace_csv(str(path), L=trace.L)
+        assert back.n == trace.n
+        for i in range(trace.n):
+            assert row(back, i) == row(trace, i)
+
+    def test_header(self, tmp_path):
+        trace, _ = run_preset("zero", {"t_final": 0.01})
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, str(path))
+        assert path.read_text().startswith(H)
+
     # One row per rule: the file (the header line H, then its rows), the L
     # it is read with, and the exact message, with {} standing for the file.
     @pytest.mark.parametrize("text, L, message", [
@@ -107,7 +128,21 @@ class TestTraceCsv:
         (H + "0,0,0,0,0,0,0,0,0,0,0,0\n", 5.0, "{}:2: too many values to unpack (expected 11)"),
         (H + "abc,0,0,0,0,0,0,0,0,0,0\n", 5.0, "{}:2: could not convert string to float: 'abc'"),
         (H + "0,0,0,0,0,0,0,0,0,0,0\n\n", 5.0, "{}:3: could not convert string to float: '\\n'"),
+        (H + "0,0,0,0,0,0,0,0,0,0,0\n" * 2, 5.0,
+         "{}:3: t = 0.0 is not greater than the previous row's t = 0.0"),
+        (H + "nan,0,0,0,0,0,0,0,0,0,0\n", 5.0, "{}:2: t = nan is not finite"),
+        (H + "0,0,0,0,0,0,0,0,0,0,0\ninf,0,0,0,0,0,0,0,0,0,0\n", 5.0,
+         "{}:3: t = inf is not finite"),
         (H + "0,0,0,0,0,0,0,0,0,0,0\n", 0.0, "L must be positive and finite, got 0.0"),
+        # rows off the fixed-step grid: row 0 at -0 and at 0.5, row 6 an ulp up
+        (H + "-0,0,0,0,0,0,0,0,0,0,0\n", 5.0,
+         "{}:2: t = -0.0 is off the grid: row 0 must be at t = +0.0"),
+        (H + "0.5,0,0,0,0,0,0,0,0,0,0\n", 5.0,
+         "{}:2: t = 0.5 is off the grid: row 0 must be at t = +0.0"),
+        (H + "".join(f"{k * 0.001!r},0,0,0,0,0,0,0,0,0,0\n" for k in range(6))
+         + "0.006000000000000001,0,0,0,0,0,0,0,0,0,0\n", 5.0,
+         "{}:8: t = 0.006000000000000001 is off the grid: row 6 must be at t = k*h = 0.006 "
+         "for h = 0.001"),
         # a lone CR ends no line: the header line runs on to the end of the file
         (TRACE_HEADER + "\r0,0,0,0,0,0,0,0,0,0,0\r", 5.0, "{}:1: unexpected trace header: "
          "'t,z1,z2,z3,x1,x2,x3,u,u1,eta,delta\\r0,0,0,0,0,0,0,0,0,0,0'"),
@@ -116,8 +151,10 @@ class TestTraceCsv:
          "{}:2: x1..x3 = 0.0, 0.2, 0.2 are not z/L = -0.0, 0.2, 0.2 for L = 5.0"),
     ], ids=["header-config-file", "header-empty-file", "z3-negative-zero", "z3-ulp-up",
             "z3-ulp-down", "z3-nan", "x1-positive-zero", "x1-nan", "x2-edited", "other-L",
-            "too-few-fields", "too-many-fields", "non-numeric-cell", "blank-line", "L-zero",
-            "lone-cr", "x1-positive-zero-among-nonzero"])
+            "too-few-fields", "too-many-fields", "non-numeric-cell", "blank-line",
+            "time-not-increasing", "time-not-finite", "time-inf", "L-zero",
+            "t0-negative-zero", "t0-positive", "row-6-ulp", "lone-cr",
+            "x1-positive-zero-among-nonzero"])
     def test_rejected_with_its_message(self, tmp_path, text, L, message):
         path = tmp_path / "trace.csv"
         path.write_text(text)
@@ -134,8 +171,9 @@ class TestTraceCsv:
 
     @pytest.mark.parametrize("edit, rows", [
         (lambda text: text.rstrip("\n"), 11),
+        (lambda text: text.replace("\n", "\r\n"), 11),
         (lambda text: text.split("\n", 1)[0] + "\n", 0),
-    ], ids=["no-final-newline", "header-only"])
+    ], ids=["no-final-newline", "crlf", "header-only"])
     def test_trace_is_allocated_for_exactly_its_rows(self, tmp_path, edit, rows):
         trace, _ = run_preset("paper-implicit", {"t_final": 0.01})
         path = tmp_path / "trace.csv"
@@ -525,8 +563,8 @@ FAILURE_EXITS = [
      "No such file or directory: ''"),
     # Settings no run can take, each named before the run starts.
     (["simulate", "--preset", "bogus"], None, 1, "unknown preset"),
-    *[(["simulate", "--preset", "paper-explicit", "--t-final", "0.01", *flags], None, 1,
-       f"error: {field} must be")
+    *[(["simulate", "--preset", "paper-explicit", "--method", method, "--t-final", "0.01",
+        *flags], None, 1, f"error: {field} must be")
       for flags, field in [
           (["--t-final", "inf"], "t_final"),
           (["--h", "inf"], "h"),
@@ -535,7 +573,8 @@ FAILURE_EXITS = [
           (["--init", "0,0,nan"], "eta_0"),
           (["--gains", "inf,1,2,1"], "kp1"),
           (["--gains", "1,1,nan,1"], "kp3"),
-      ]],
+      ]
+      for method in ("explicit", "implicit")],
     *[(["simulate", "--preset", "paper-explicit", "--t-final", "0.01"], f"{line}\n", 1,
        f"error: {{cfg}}:1: {line.split()[0]}: {field} must be finite")
       for line, field in [
@@ -546,9 +585,10 @@ FAILURE_EXITS = [
     *[(["simulate", "--preset", "zero", "--h", h, "--t-final", "1"], None, 1,
        f"error: {field} must")
       for h, field in [("0.3", "t_final"), ("0.7", "t_final"), ("2", "t_final"), ("1e-9", "h")]],
-    (["simulate", "--preset", "paper-explicit", "--t-final", "0.01",
-      "--gains", "1e308,1e308,2e307,1e307"], None, 1,
-     "error: gains kp1=1e+308, kp2=1e+308 overflow"),
+    *[(["simulate", "--preset", "paper-explicit", "--method", method, "--t-final", "0.01",
+        "--gains", "1e308,1e308,2e307,1e307"], None, 1,
+       "error: gains kp1=1e+308, kp2=1e+308 overflow")
+      for method in ("explicit", "implicit")],
     (["simulate", "--preset", "zero", "--h", "1e-300", "--t-final", "1e-300"], None, 1,
      "error: h must be"),
     (["simulate", "--preset", "zero", "--t-final", "2", "--h", "1"], "delta_sin = 1,1e308\n", 1,
@@ -562,6 +602,33 @@ FAILURE_EXITS = [
 
 
 class TestCommandLine:
+    def test_simulate_writes_outputs(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        summ = tmp_path / "summary.json"
+        rc = main([
+            "simulate", "--preset", "zero", "--t-final", "0.05",
+            "--out", str(out), "--summary", str(summ),
+        ])
+        assert rc == 0
+        payload = json.loads(summ.read_text())
+        for key in ("convergence_time_s", "window", "sup_abs_x",
+                    "v_constants", "tv_u", "sign_flips"):
+            assert key in payload
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["preset"] == "zero"
+        assert out.read_text().startswith("t,z1,z2,z3")
+
+    def test_byte_identical_reruns(self, tmp_path):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        for path in (a, b):
+            rc = main([
+                "simulate", "--preset", "paper-implicit",
+                "--t-final", "0.2", "--out", str(path),
+            ])
+            assert rc == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("h = 0.01\nt_final = 0.5\n")
@@ -592,10 +659,8 @@ class TestCommandLine:
 
     @pytest.mark.parametrize(
         "argv, config, code, fragment", FAILURE_EXITS,
-        # A row's id is its command line, with the config file's text in
-        # place of its path: it stays the same when rows come or go.
-        ids=[shlex.join(argv if config is None else [*argv, "--config", config.strip()])
-             for argv, config, *_ in FAILURE_EXITS])
+        # argv{i}-{fragment}: an id that stays the same when a row gains a column.
+        ids=[f"argv{i}-{fragment.rstrip()}" for i, (*_, fragment) in enumerate(FAILURE_EXITS)])
     def test_usage_error_is_one_line_exit_1(self, tmp_path, capsys, argv, config, code,
                                             fragment):
         if config is not None:
@@ -796,6 +861,19 @@ class TestCommandLine:
         assert not reader.is_alive()
         assert json.loads(received[0])["preset"] == "zero"
         assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_sweep_writes_table(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--preset", "zero", "--h-list", "0.01,0.005,0.002",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "h,sup_abs_x1,sup_abs_x2,sup_abs_x3,status"
+        assert len(lines) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["fitted_slopes"] == [None, None, None]
 
 
 class _FullDisk:

@@ -73,6 +73,9 @@ class TestExplicitStep:
 class TestImplicitStage1:
     """Stage I of the one-pass step, read off its u1 output."""
 
+    def test_origin_interval_forces_zero(self):
+        assert call(implicit_step, 0.0, 0.0)[1] == 0.0
+
     def test_benchmark_first_step_saturates(self):
         u1 = call(implicit_step, 8.0, -12.0, zb1=8.0, zb2=-12.0)[1]
         # magnitude interval endpoints, recomputed independently
@@ -102,6 +105,10 @@ class TestImplicitStage1:
         assert u1 == -1.0
         assert 1.0 + 1.0 * u1 == 0.0  # predicted z2
 
+    def test_nan_prediction_rejected(self):
+        with pytest.raises(ValueError):
+            call(implicit_step, 1.0, 1.0, zb1=float("nan"))
+
     @given(state_floats, state_floats, state_floats, state_floats,
            st.integers(min_value=0, max_value=5))
     @settings(max_examples=300)
@@ -114,6 +121,9 @@ class TestImplicitStage1:
 
 class TestImplicitStage2:
     """Stage II of the one-pass step, read off the returned eta_next."""
+
+    def test_origin(self):
+        assert call(implicit_step, 0.0, 0.0)[2:] == (0.0, 0.0)
 
     def test_integrator_walks_at_max_rate(self):
         # zero state and memory force u1 = 0; then y1 = y2 = 10, the nested
@@ -164,6 +174,11 @@ class TestImplicitStep:
                                    u1_prev=-u1p, d_prev=-dlt)
             assert u_n == -u_p
             assert u1_n == -u1_p
+
+    def test_determinism(self):
+        a = call(implicit_step, 3.0, -4.0, zb1=3.0, zb2=-4.0, eta=1.5)
+        b = call(implicit_step, 3.0, -4.0, zb1=3.0, zb2=-4.0, eta=1.5)
+        assert a == b
 
     def test_alternating_velocity_reference(self):
         # even steps target the position, odd steps only flush the velocity

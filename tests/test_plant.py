@@ -136,6 +136,46 @@ def _cfg(**kw):
 
 
 class TestRunSimulation:
+    def test_zero_everything_stays_zero(self):
+        for method in ("explicit", "implicit"):
+            trace = run_simulation(_cfg(method=method))
+            assert trace.n == 1001
+            assert all(v == 0.0 for v in trace.z1)
+            assert all(v == 0.0 for v in trace.z2)
+            assert all(v == 0.0 for v in trace.u)
+            assert all(v == 0.0 for v in trace.eta)
+
+    def test_time_column_is_exact_grid(self):
+        trace = run_simulation(_cfg(t_final=0.25))
+        assert trace.n == 251
+        for k, t in enumerate(trace.t):
+            assert t == k * 0.001
+        # every row of both benchmark presets, the final one included
+        for preset in ("paper-explicit", "paper-implicit"):
+            cfg = get_preset(preset).cfg
+            trace = run_simulation(cfg)
+            assert trace.n == cfg.steps + 1 == 10_001
+            assert _bits(trace.t) == _bits(k * cfg.h for k in range(trace.n))
+
+    def test_trace_arithmetic(self):
+        trace = run_simulation(
+            _cfg(z1_0=8.0, z2_0=-12.0, disturbance=PAPER_DISTURBANCE, t_final=0.5)
+        )
+        L = PAPER_GAINS.L
+        x1 = trace.x1
+        for i in range(trace.n):
+            # x is z/L exactly; the round trip is within one ulp of z
+            assert x1[i] == trace.z1[i] / L
+            assert abs(x1[i] * L - trace.z1[i]) <= math.ulp(abs(trace.z1[i]) + 1e-300)
+            assert trace.z3[i] == trace.eta[i] + trace.delta[i]
+
+    def test_reproducible(self):
+        cfg = _cfg(z1_0=8.0, z2_0=-12.0, disturbance=PAPER_DISTURBANCE, t_final=0.5)
+        a = run_simulation(cfg)
+        b = run_simulation(cfg)
+        assert row(a, 0) == row(b, 0)
+        assert all(row(a, i) == row(b, i) for i in range(a.n))
+
     def test_controller_never_sees_disturbance(self):
         # replaying the recorded measurements through a fresh controller
         # reproduces the input column exactly
@@ -180,6 +220,11 @@ class TestRunSimulation:
             else:
                 trace = run_simulation(cfg)
                 assert trace.n == 2 and getattr(trace, state)[1] == value
+
+    def test_nonfinite_plant_aborts_with_step(self):
+        cfg = _cfg(z1_0=1e300, z2_0=1e300, method="explicit", t_final=0.1)
+        with pytest.raises(SimulationDiverged):
+            run_simulation(cfg)
 
     @pytest.mark.parametrize("method", ["explicit", "implicit"])
     def test_nan_state_diverges_at_its_step(self, nan_plant_from_step_3, method):
