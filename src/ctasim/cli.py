@@ -84,26 +84,24 @@ def get_preset(name: str) -> ExperimentPreset:
         ) from None
 
 
-# Settings name SimConfig fields, except that the gains go by kp1..kp4 and L,
-# plus the convergence threshold.
-_GAIN_KEYS = Gains._fields
-_CONFIG_KEYS = frozenset(SimConfig._fields) - {"gains"}
+# The setting keys: SimConfig's fields, with the gains split into Gains'
+# fields, plus the convergence threshold.
+_SETTINGS = (*(k for k in SimConfig._fields if k != "gains"), *Gains._fields, "threshold")
 
 
 def resolve_config(cfg: SimConfig, settings: dict) -> tuple[SimConfig, float]:
     """Apply flat settings over ``cfg``; return the config and the threshold.
 
-    Keys: method, h, t_final, kp1..kp4, L, z1_0, z2_0, eta_0, disturbance
-    and threshold.  Unknown keys raise ValueError.
+    Keys are those of ``_SETTINGS``; unknown keys raise ValueError.
     """
     rest = dict(settings)
     threshold = rest.pop("threshold", DEFAULT_THRESHOLD)
     if not (threshold > 0.0 and math.isfinite(threshold)):
         raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
-    kp = {k: rest.pop(k) for k in _GAIN_KEYS if k in rest}
-    bad = sorted(set(rest) - _CONFIG_KEYS)
+    bad = sorted(set(rest).difference(_SETTINGS))
     if bad:
         raise ValueError(f"unknown setting(s): {', '.join(bad)}")
+    kp = {k: rest.pop(k) for k in Gains._fields if k in rest}
     return cfg.replace(gains=cfg.gains.replace(**kp), **rest), threshold
 
 
@@ -194,16 +192,12 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
 # --- config files -----------------------------------------------------------
 
 
-_FLOAT_KEYS = ("h", "t_final", *_GAIN_KEYS, "z1_0", "z2_0", "eta_0", "threshold")
-
-
 def load_config(path: str) -> dict:
     """Flat `key = value` file; returns settings for resolve_config.
 
-    Keys: method, h, t_final, kp1..kp4, L, z1_0, z2_0, eta_0, threshold,
-    delta_constant, and repeatable delta_sin / delta_cos lines of the form
-    `amp,omega`; any other key may be set once.  The delta_* lines build the
-    `disturbance` setting, which replaces the preset's disturbance.  Lines
+    Keys: those of ``_SETTINGS`` but disturbance, which is built from
+    delta_constant and repeatable delta_sin / delta_cos lines (`amp,omega`)
+    and replaces the preset's; any other key may be set once.  Lines
     starting with '#' are comments.  The file is UTF-8, whatever the locale,
     and a leading byte-order mark is dropped.  Errors start with
     `path:lineno:` and name the key; a file that is not UTF-8 raises
@@ -240,7 +234,7 @@ def _set_config_value(settings: dict, key: str, value: str) -> None:
         if value not in METHODS:
             raise ValueError(f"must be one of {METHODS}, got {value!r}")
         settings[key] = value
-    elif key in _FLOAT_KEYS:
+    elif key in _SETTINGS and key != "disturbance":
         settings[key] = float(value)
     elif key in ("delta_constant", "delta_sin", "delta_cos"):
         d = settings.get("disturbance", Disturbance())
@@ -323,14 +317,10 @@ def _build_parser():
 def _cmd_simulate(args) -> tuple:
     # Flags are written over the file's settings: flags > file > preset.
     settings = load_config(args.config) if args.config is not None else {}
-    flags = {"method": args.method, "h": args.h, "t_final": args.t_final,
-             "L": args.L, "threshold": args.threshold}
-    settings.update((k, v) for k, v in flags.items() if v is not None)
-    if args.gains is not None:
-        kp = _parse_floats(args.gains, "--gains", 4)
-        settings.update(zip(("kp1", "kp2", "kp3", "kp4"), kp))
-    if args.init is not None:
-        settings.update(zip(("z1_0", "z2_0", "eta_0"), _parse_floats(args.init, "--init", 3)))
+    settings.update((k, v) for k, v in vars(args).items() if k in _SETTINGS and v is not None)
+    for flag, keys in (("gains", Gains._fields[:4]), ("init", ("z1_0", "z2_0", "eta_0"))):
+        if (text := getattr(args, flag)) is not None:
+            settings.update(zip(keys, _parse_floats(text, f"--{flag}", len(keys))))
     trace, summary = run_preset(args.preset, settings)
     return summary, lambda path: write_trace_csv(trace, path)
 

@@ -425,6 +425,24 @@ class TestConfigFile:
         assert (cfg.z1_0, cfg.z2_0) == (preset.z1_0, preset.z2_0)
         assert cfg.disturbance == dist and threshold == 0.05
 
+    @pytest.mark.parametrize("key, value", [
+        ("h", 0.002), ("t_final", 5.0), ("kp1", 100.0), ("kp2", 50.0), ("kp3", 30.0),
+        ("kp4", 20.0), ("L", 2.5), ("z1_0", 1.5), ("z2_0", -2.5), ("eta_0", 0.5),
+        ("threshold", 0.05),
+    ])
+    def test_each_float_setting_sets_its_field(self, tmp_path, key, value):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = {value!r}\n")
+        preset = get_preset("paper-implicit").cfg
+        if key == "threshold":
+            expected = (preset, value)
+        elif key in Gains._fields:
+            expected = (preset.replace(gains=preset.gains.replace(**{key: value})),
+                        cli.DEFAULT_THRESHOLD)
+        else:
+            expected = (preset.replace(**{key: value}), cli.DEFAULT_THRESHOLD)
+        assert resolve_config(preset, load_config(str(cfg_file))) == expected
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("stepsize = 0.1\n")
@@ -438,6 +456,9 @@ class TestConfigFile:
         ("stepsize = 0.1", "stepsize"),
         ("delta_sin = 0.4,,3", "delta_sin"),
         ("delta_cos = 0.6,2,", "delta_cos"),
+        # SimConfig fields that are not config keys
+        ("gains = 1", "gains"),
+        ("disturbance = 1", "disturbance"),
     ])
     def test_errors_name_file_line_and_key(self, tmp_path, line, key):
         cfg_file = tmp_path / "bad.cfg"
@@ -682,6 +703,19 @@ class TestCommandLine:
             main(["simulate", "--help"])
         assert info.value.code == 0
         assert "--preset" in capsys.readouterr().out
+
+    def test_each_command_accepts_exactly_its_options(self):
+        # Option strings, not --help text, whose layout varies across Pythons.
+        commands = next(a.choices for a in cli._build_parser()._actions
+                        if a.dest == "command")
+        assert {name: {s for a in p._actions for s in a.option_strings}
+                for name, p in commands.items()} == {
+            "simulate": {"-h", "--help", "--preset", "--config", "--method", "--h",
+                         "--t-final", "--gains", "--L", "--init", "--out", "--summary",
+                         "--threshold"},
+            "sweep": {"-h", "--help", "--preset", "--method", "--h-list", "--out",
+                      "--summary"},
+        }
 
     @pytest.mark.parametrize("preset, flags, message", [
         ("zero", ["--threshold", "inf"], "threshold must be positive and finite"),
