@@ -16,7 +16,7 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctasim
@@ -37,7 +37,7 @@ from ctasim.cli import (
 )
 from ctasim.controller import Gains
 from ctasim.metrics import precision_envelope
-from ctasim.plant import TRACE_HEADER, Disturbance, Sinusoid, run_simulation
+from ctasim.plant import TRACE_HEADER, Disturbance, SimTrace, Sinusoid, run_simulation
 from oracles import read_trace_csv_text, row
 
 # Three distinct step sizes whose math.log is one float, -6.907755278982137.
@@ -323,6 +323,216 @@ def _edited_trace(draw) -> str:
 @pytest.fixture(scope="module")
 def scratch_csv(tmp_path_factory):
     return tmp_path_factory.mktemp("edited") / "trace.csv"
+
+
+# --- the trace written in one process or two ---------------------------------
+
+# The widest "%.17g" cells, 24 bytes each: a row of them (t, which is never
+# negative, takes 23) fills all but one of the 275 B a child reserves per row.
+WIDEST = [-2.2250738585072014e-308, -1.7976931348623157e+308]
+stored_cells = st.one_of(st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf,
+                                                       *WIDEST]))
+
+
+@st.composite
+def drawn_traces(draw):
+    """(L, h, rows): a trace's L, step and stored rows (z1, z2, u, u1, eta,
+    delta), with row k at t = k*h."""
+    L = draw(st.one_of(st.just(1.0), st.floats(min_value=5e-324, max_value=1e308)))
+    h = draw(st.one_of(st.just(-WIDEST[0]), st.floats(min_value=5e-324, max_value=1e300)))
+    rows = draw(st.lists(st.tuples(*[stored_cells] * 6), max_size=12))
+    return L, h, rows
+
+
+def _widest(n):
+    """n rows whose cells are all 24 bytes wide but t (L = 1, so x = z)."""
+    return 1.0, -WIDEST[0], [(WIDEST[0], WIDEST[1], WIDEST[0], WIDEST[1], WIDEST[1],
+                              WIDEST[0])] * n
+
+
+def _trace(L, h, rows):
+    trace = SimTrace(L)
+    for k, stored in enumerate(rows):
+        trace.append(k * h, *stored)
+    return trace
+
+
+def _written(trace, path, split):
+    """write_trace_csv with the second process forced on or off: (the file's
+    bytes, the number of os.fork calls)."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plant, "_two_processes", lambda rows: split)
+        mp.setattr(os, "fork", fork)
+        write_trace_csv(trace, str(path))
+    return Path(path).read_bytes(), len(forks)
+
+
+def _no_fork():
+    raise AssertionError("os.fork was called")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def split_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("split")
+
+
+# Each case: the rows of the trace written in a fresh interpreter, which
+# runs one thread, the code run there before the write, and the os.fork
+# calls the write makes.
+TWO_CPUS = "os.sched_getaffinity = lambda pid: {0, 1}; "
+PREDICATE_CASES = {
+    "two-cpus": (2_000, TWO_CPUS, 1),
+    "rows-below-split": (1_999, TWO_CPUS, 0),
+    "one-cpu": (2_000, "os.sched_getaffinity = lambda pid: {0}", 0),
+    "cpu-count-two": (2_000, "del os.sched_getaffinity; os.cpu_count = lambda: 2", 1),
+    "cpu-count-one": (2_000, "del os.sched_getaffinity; os.cpu_count = lambda: 1", 0),
+    "cpu-count-unknown": (2_000, "del os.sched_getaffinity; os.cpu_count = lambda: None", 0),
+    "no-fork": (2_000, TWO_CPUS + "del os.fork", 0),
+    "no-fork-rows-below-split": (1_999, TWO_CPUS + "del os.fork", 0),
+    "thread-alive": (2_000, TWO_CPUS + "threading.Thread(target=stop.wait).start()", 0),
+    "threads-not-listed": (2_000, TWO_CPUS + "os.listdir = unlisted", 1),
+    "threads-not-listed-one-alive": (2_000, TWO_CPUS + "os.listdir = unlisted; "
+                                     "threading.Thread(target=stop.wait).start()", 0),
+}
+PREDICATE_SCRIPT = """
+import os, sys, threading
+from ctasim import plant
+from ctasim.cli import run_preset
+
+trace, _ = run_preset("zero", {"t_final": float(sys.argv[3]), "h": 1.0})
+forks, real_fork, stop = [], os.fork, threading.Event()
+
+def fork():
+    forks.append(None)
+    return real_fork()
+
+def unlisted(path):
+    raise FileNotFoundError(path)
+
+os.fork = fork
+exec(sys.argv[1])
+try:
+    plant.write_trace_csv(trace, sys.argv[2])
+finally:
+    stop.set()
+print(len(forks))
+"""
+
+
+class TestTwoProcessWrite:
+    @given(drawn_traces())
+    @example(_widest(1))
+    @example(_widest(2))
+    @example(_widest(7))
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_equal_in_one_or_two_processes(self, split_dir, drawn):
+        trace = _trace(*drawn)
+        one, forks = _written(trace, split_dir / "one.csv", split=False)
+        assert forks == 0
+        assert one.decode() == H + "".join(",".join("%.17g" % cell for cell in row(trace, k))
+                                           + "\n" for k in range(trace.n))
+        two, forks = _written(trace, split_dir / "two.csv", split=True)
+        assert forks == (trace.n > 0)
+        assert two == one
+        _assert_no_child_left()
+
+    def test_child_maps_275_bytes_per_row(self, tmp_path, monkeypatch):
+        sizes = []
+        real_mmap = plant.mmap.mmap
+
+        def spy(fileno, length):
+            sizes.append(length)
+            return real_mmap(fileno, length)
+
+        monkeypatch.setattr(plant.mmap, "mmap", spy)
+        trace, _ = run_preset("paper-implicit", {})
+        _written(trace, tmp_path / "trace.csv", split=True)
+        assert (trace.n, sizes) == (10_001, [8 + 275 * 5_001])
+
+    def test_row_that_does_not_fit_fails_the_write(self, tmp_path, monkeypatch, capsys):
+        # A child that cannot fit its rows fails the write; it never cuts one
+        # short.  main reports it on one line.
+        monkeypatch.setattr(plant, "_two_processes", lambda rows: True)
+        monkeypatch.setattr(plant, "_CSV_ROW_BYTES", 100)
+        target = tmp_path / "trace.csv"
+        assert main(["simulate", "--preset", "paper-implicit", "--out", str(target)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the child process formatting trace rows 5000..10000 ended with status 1\n")
+        assert list(tmp_path.iterdir()) == []
+        _assert_no_child_left()
+        # The child's row 1 of this trace is the widest a trace holds, 274 B:
+        # it fits in 274, not in 273.
+        widest = _trace(*_widest(2))
+        monkeypatch.setattr(plant, "_CSV_ROW_BYTES", 273)
+        with pytest.raises(OSError, match="rows 1..1 ended with status 1"):
+            write_trace_csv(widest, str(target))
+        assert list(tmp_path.iterdir()) == []
+        _assert_no_child_left()
+        monkeypatch.setattr(plant, "_CSV_ROW_BYTES", 274)
+        write_trace_csv(widest, str(target))
+        one, _ = _written(widest, tmp_path / "one.csv", split=False)
+        assert target.read_bytes() == one
+        assert len(one.splitlines(keepends=True)[2]) == 274
+        _assert_no_child_left()
+
+    def test_failing_child_leaves_no_file(self, tmp_path, monkeypatch):
+        trace, _ = run_preset("paper-implicit", {})
+        m = trace.n // 2
+        real_view = trace.view
+
+        def view(name, a=0, b=None):
+            if a >= m:
+                raise ValueError(f"row {a} is unreadable")
+            return real_view(name, a, b)
+
+        monkeypatch.setattr(trace, "view", view)
+        with pytest.raises(OSError, match="rows 5000..10000 ended with status 1"):
+            _written(trace, tmp_path / "trace.csv", split=True)
+        assert list(tmp_path.iterdir()) == []
+        _assert_no_child_left()
+
+    def test_no_fork_while_another_thread_is_alive(self, tmp_path, monkeypatch):
+        # Python 3.12+ warns about a fork with other threads alive.
+        trace, _ = run_preset("paper-implicit", {})
+        expected, _ = _written(trace, tmp_path / "one.csv", split=False)
+        monkeypatch.setattr(plant.os, "fork", _no_fork)
+        stop = threading.Event()
+        waiter = threading.Thread(target=stop.wait)
+        waiter.start()
+        try:
+            write_trace_csv(trace, str(tmp_path / "trace.csv"))
+        finally:
+            stop.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert (tmp_path / "trace.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("rows, setup, forks", PREDICATE_CASES.values(),
+                             ids=PREDICATE_CASES)
+    def test_second_process_only_where_it_pays(self, tmp_path, rows, setup, forks):
+        trace, _ = run_preset("zero", {"t_final": rows - 1.0, "h": 1.0})
+        assert trace.n == rows
+        expected, _ = _written(trace, tmp_path / "one.csv", split=False)
+        src = str(Path(ctasim.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", PREDICATE_SCRIPT, setup,
+             str(tmp_path / "trace.csv"), str(rows - 1.0)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"{forks}\n")
+        assert (tmp_path / "trace.csv").read_bytes() == expected
 
 
 class TestSweep:
@@ -799,22 +1009,34 @@ class TestCommandLine:
                      "--out", str(tmp_path / "trace.csv")]) == 0
         assert alive == [0]
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--preset", "zero", "--t-final", "0.01", "--out"],
-        ["simulate", "--preset", "zero", "--t-final", "0.01", "--summary"],
-        ["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2", "--out"],
-        ["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2", "--summary"],
-    ], ids=["simulate-out", "simulate-summary", "sweep-out", "sweep-summary"])
-    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, capsys, argv):
-        monkeypatch.setattr(plant, "open", _disk_full_after(60), raising=False)
+    @pytest.mark.parametrize("argv, room", [
+        pytest.param(["simulate", "--preset", "zero", "--t-final", "0.01", "--out"], 60,
+                     id="simulate-out"),
+        pytest.param(["simulate", "--preset", "zero", "--t-final", "0.01", "--summary"], 60,
+                     id="simulate-summary"),
+        pytest.param(["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2", "--out"], 60,
+                     id="sweep-out"),
+        pytest.param(["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2", "--summary"], 60,
+                     id="sweep-summary"),
+        # The 2,375,196 B trace: the header and rows 0..4999 take 1,174,963 B,
+        # so the room runs out while the child's rows are copied.
+        pytest.param(["simulate", "--preset", "paper-implicit", "--out"], 1_500_000,
+                     id="simulate-out-child-rows"),
+    ])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, capsys, argv,
+                                                 room):
+        monkeypatch.setattr(plant, "open", _disk_full_after(room), raising=False)
+        monkeypatch.setattr(plant, "_two_processes", lambda rows: True)
         target = tmp_path / "output"
         assert main([*argv, str(target)]) == 1
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
         assert list(tmp_path.iterdir()) == []
+        _assert_no_child_left()
         target.write_text("earlier output\n")
         assert main([*argv, str(target)]) == 1
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_text() == "earlier output\n"
+        _assert_no_child_left()
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--preset", "zero", "--t-final", "0.01", "--out"],
