@@ -24,8 +24,10 @@ a finite t = k*h, L > 0) and selects a window's rows (widen_window).  It
 forms z3 = eta + delta and x = z/L on each read; for speed, read_trace_csv
 and metrics.WindowMax restate them per row.  The CSV codec sits beside it;
 where a second CPU is usable, write_trace_csv formats half of the rows in
-a forked child process, and the file's bytes are the same either way.  A
-run passes its rows to a sink (see run_simulation), by default a SimTrace.
+a forked child process, and read_trace_csv parses half of them in one, and
+the file's bytes, the trace read back and every error are the same either
+way.  A run passes its rows to a sink (see run_simulation), by default a
+SimTrace.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import struct
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, truediv
 
 from ._record import Record
@@ -377,11 +379,11 @@ _SPLIT_ROWS = 2_000
 
 
 def _two_processes(rows: int) -> bool:
-    """Whether write_trace_csv formats half of its ``rows`` rows in a forked
-    child: only for at least _SPLIT_ROWS rows, where os.fork exists, more
-    than one CPU is usable and no other thread is alive.  Threads are
-    counted by the kernel where it lists them, native ones included, as
-    Python 3.12+ counts them when it warns about a fork."""
+    """Whether the CSV codec splits its ``rows`` rows between this process
+    and a forked child: only for at least _SPLIT_ROWS rows, where os.fork
+    exists, more than one CPU is usable and no other thread is alive.
+    Threads are counted by the kernel where it lists them, native ones
+    included, as Python 3.12+ counts them when it warns about a fork."""
     if rows < _SPLIT_ROWS or not hasattr(os, "fork"):
         return False
     if hasattr(os, "sched_getaffinity"):
@@ -395,6 +397,35 @@ def _two_processes(rows: int) -> bool:
     return cpus > 1 and threads == 1
 
 
+def _with_child(split: bool, child, parent) -> int | None:
+    """Run child() in a forked child process, if ``split``, while parent()
+    runs here.  Returns the child's exit code: 0 once child() returns, 1 if
+    it raises, minus the signal's number if one ends it.  Returns None, and
+    has run parent() alone, when ``split`` is false or os.fork fails (EAGAIN,
+    ENOMEM): the caller then does the child's part itself.
+
+    The child ends in os._exit, so it never flushes the files it inherits,
+    runs its callers' cleanup (replacing's removal of the temporary) or
+    runs atexit handlers.  The wait is in a finally block, so no child
+    outlives the call, even when parent() raises."""
+    pid = None
+    if split:
+        with contextlib.suppress(OSError):
+            pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            child()
+            code = 0
+        finally:
+            os._exit(code)
+    try:
+        parent()
+    finally:
+        status = os.waitpid(pid, 0)[1] if pid else None
+    return None if status is None else os.waitstatus_to_exitcode(status)
+
+
 def write_trace_csv(trace: SimTrace, path: str) -> None:
     """17 significant digits: parsing the file reproduces the doubles exactly.
 
@@ -402,14 +433,13 @@ def write_trace_csv(trace: SimTrace, path: str) -> None:
     complete (see replacing).  Where _two_processes allows it, a forked
     child formats rows m..n-1, m = n//2, into an anonymous shared mapping
     sized for 275 B per row, while this process writes rows 0..m-1; then it
-    waits for the child and appends the child's bytes.  Otherwise m = n and
-    this process writes every row.  The bytes are the same either way.
+    waits for the child and appends the child's bytes.  Otherwise, or if
+    the fork fails, this process writes every row.  The bytes are the same
+    either way.
 
-    The child ends in os._exit, so it never flushes the file it inherits,
-    removes the temporary or runs atexit handlers.  Any failure there, a
-    row that does not fit the mapping included, ends it with status 1, and
-    a child that ends with any status but 0 raises OSError here.  No child
-    outlives the call.
+    Any failure in the child, a row that does not fit the mapping included,
+    ends it with status 1, and a child that ends with any status but 0
+    raises OSError here.  No child outlives the call (see _with_child).
     """
     n = trace.n
     m = n // 2 if _two_processes(n) else n
@@ -417,40 +447,120 @@ def write_trace_csv(trace: SimTrace, path: str) -> None:
     # view of the mapping, close raises BufferError in place of that error.
     # The mapping goes with its last reference.
     shared = mmap.mmap(-1, _USED.size + _CSV_ROW_BYTES * (n - m))
+
+    def child():
+        shared.seek(_USED.size)
+        shared.write(b"".join(_csv_rows(trace, m, n)))  # ValueError if it does not fit
+        _USED.pack_into(shared, 0, shared.tell())
+
     with replacing(path) as f:
         f.write(TRACE_HEADER.encode() + b"\n")
-        pid = os.fork() if m < n else None
-        if pid == 0:
-            code = 1
-            try:
-                shared.seek(_USED.size)
-                shared.write(b"".join(_csv_rows(trace, m, n)))  # ValueError if it does not fit
-                _USED.pack_into(shared, 0, shared.tell())
-                code = 0
-            finally:
-                os._exit(code)
-        try:
-            f.writelines(_csv_rows(trace, 0, m))
-        finally:
-            status = os.waitpid(pid, 0)[1] if pid else 0
-        if status:
+        code = _with_child(m < n, child, lambda: f.writelines(_csv_rows(trace, 0, m)))
+        if code is None:
+            f.writelines(_csv_rows(trace, m, n))
+        elif code:
             raise OSError(f"the child process formatting trace rows {m}..{n - 1} ended "
-                          f"with status {os.waitstatus_to_exitcode(status)}")
-        f.write(memoryview(shared)[_USED.size:_USED.unpack_from(shared)[0]])
+                          f"with status {code}")
+        else:
+            f.write(memoryview(shared)[_USED.size:_USED.unpack_from(shared)[0]])
 
 
-def _data_rows(f) -> int:
-    """The lines after the header of the binary file ``f``, counted from its
-    newlines in 64 KiB blocks, a last line with none included.  0, without
+def _data_rows(f) -> tuple[int, int, int]:
+    """(rows, s, k0) for the binary file ``f``, from one pass over its
+    newlines in 64 KiB blocks: ``rows``, the lines after the header, a last
+    line with no newline included; ``s``, the byte offset of the first line
+    that starts at or after half the file's size, and ``k0``, that line's
+    row number, or (0, 0) if no line starts there.  (0, 0, 0), without
     reading, when ``f`` cannot seek back to its start (a pipe)."""
     if not f.seekable():
-        return 0
-    newlines, last = 0, b""
+        return 0, 0, 0
+    half = f.seek(0, os.SEEK_END) // 2
+    f.seek(0)
+    newlines = pos = s = k0 = 0
+    last = b""
     for block in iter(lambda: f.read(1 << 16), b""):
+        if not s and pos + len(block) >= half:
+            i = block.find(b"\n", max(half - 1 - pos, 0))
+            if i >= 0:  # the line after this newline starts at or after half
+                s, k0 = pos + i + 1, newlines + block.count(b"\n", 0, i)
         newlines += block.count(b"\n")
+        pos += len(block)
         last = block[-1:]
     f.seek(0)
-    return newlines - 1 if last == b"\n" else newlines
+    return newlines - 1 if last == b"\n" else newlines, s, k0
+
+
+def _parse_rows(path: str, trace: SimTrace, lines, stop: int | None = None) -> None:
+    """Parse ``lines``, binary lines of the trace CSV ``path``, as rows
+    trace.n, trace.n + 1, ... of ``trace``, up to row stop - 1 or to the
+    last line; row k is on line k + 2.  Raises ValueError as read_trace_csv
+    describes, and UnicodeDecodeError for a line that is not UTF-8."""
+    L, append, n = trace.L, trace.append, trace.n
+    for k, line in enumerate(islice(lines, None if stop is None else stop - n), n):
+        try:
+            t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, line.split(b","))
+        except ValueError:  # again as text: for 'abc', not b'abc', and non-ASCII digits
+            cells = line.decode().split(",")  # UnicodeDecodeError leaves the handler
+            try:
+                t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, cells)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{k + 2}: {exc}") from None
+        try:
+            append(t, z1, z2, u, u1, eta, delta)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{k + 2}: {exc}") from None
+        z3_row = eta + delta
+        # != fails every NaN.  Equal floats differ in bits only at -0 and 0,
+        # so the bits are compared only when a cell is zero.
+        if (z3 != z3_row or x1 != z1 / L or x2 != z2 / L or x3 != z3_row / L
+                or not (z3 and x1 and x2 and x3)
+                and _DERIVED.pack(z3, x1, x2, x3)
+                != _DERIVED.pack(z3_row, z1 / L, z2 / L, z3_row / L)):
+            nan = " (a NaN cell never matches)"  # not even where both print as nan
+            if math.isnan(z3) or struct.pack("d", z3) != struct.pack("d", z3_row):
+                raise ValueError(f"{path}:{k + 2}: z3 = {z3!r} is not eta + delta = "
+                                 f"{z3_row!r}{nan if math.isnan(z3) else ''}")
+            raise ValueError(f"{path}:{k + 2}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
+                             f"z/L = {z1 / L!r}, {z2 / L!r}, {z3_row / L!r} for L = {L!r}"
+                             f"{nan if any(map(math.isnan, (x1, x2, x3))) else ''}")
+
+
+def _rows_from_child(path: str, trace: SimTrace, f, s: int, k0: int) -> bool:
+    """Parse rows k0.. of the file ``path`` in a forked child while this
+    process parses rows trace.n..k0-1 from ``f``; True once the child's rows
+    are in ``trace``, which is then full.
+
+    The child goes on from its copy of ``trace`` at row k0, through the same
+    _parse_rows, and reads from byte ``s`` through a file description of its
+    own, because it shares the file offset of ``f``.  It never maps the
+    file, since a file truncated under a mapping ends the process with
+    SIGBUS.  It copies its rows, 48 B each, into an anonymous shared mapping,
+    then writes their used length before them.  False, with rows k0.. left
+    for this process to parse, unless that length says the child filled the
+    mapping with exactly the rows the count found, and ``f`` stops at ``s``:
+    a bad row, a file that grew, shrank or was replaced since the count, a
+    failed fork and a child that dies all end here.  So every error is
+    raised here, by the one-process loop, in file order."""
+    a = k0 * _ROW_BYTES
+    shared = mmap.mmap(-1, _USED.size + trace._allocated - a)
+
+    def child():
+        with open(path, "rb") as g:
+            if not os.path.sameopenfile(f.fileno(), g.fileno()):
+                return  # another file took path's name: the used length stays 0
+            g.seek(s)
+            trace._end = a
+            _parse_rows(path, trace, g)
+        shared.seek(_USED.size)
+        shared.write(memoryview(trace._rows).cast("B")[a:trace._end])  # ValueError if it grew
+        _USED.pack_into(shared, 0, shared.tell())
+
+    _with_child(True, child, lambda: _parse_rows(path, trace, f, k0))
+    if f.tell() != s or _USED.unpack_from(shared)[0] != len(shared):
+        return False
+    memoryview(trace._rows).cast("B")[a:] = memoryview(shared)[_USED.size:]
+    trace._end = trace._allocated
+    return True
 
 
 def read_trace_csv(path: str, L: float) -> SimTrace:
@@ -472,43 +582,29 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
     one pass).  Lines end at LF (a CR before it is whitespace; a lone CR
     ends no line) and split into cells as bytes; a line whose bytes do not
     parse is decoded and parsed again, for cells such as non-ASCII digits
-    that float() reads only as text."""
+    that float() reads only as text.
+
+    Where _two_processes allows it, this process parses rows 0 and 1, which
+    set the step, then forks a child that parses the rows from the first
+    line at or after half the file while this process parses the rows
+    before it (see _rows_from_child).  The trace and every error message
+    are the same either way: any child outcome but a full set of good rows
+    leaves those rows to this process, so an error is always the first in
+    file order."""
     SimTrace(L=L)  # rejects a bad L before the file is opened
     try:
         with open(path, "rb") as f:
-            trace = SimTrace(L=L, rows=_data_rows(f))
-            append = trace.append
+            rows, s, k0 = _data_rows(f)
+            trace = SimTrace(L=L, rows=rows)
             # decoded first: str.strip() also removes \x1c-\x1f
             header = f.readline().decode().strip()
             if header != TRACE_HEADER:
                 raise ValueError(f"{path}:1: unexpected trace header: {header!r}")
-            for k, line in enumerate(f):  # row k is on line k + 2
-                try:
-                    t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, line.split(b","))
-                except ValueError:  # again as text: for 'abc', not b'abc', and non-ASCII digits
-                    cells = line.decode().split(",")  # UnicodeDecodeError leaves the handler
-                    try:
-                        t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(float, cells)
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{k + 2}: {exc}") from None
-                try:
-                    append(t, z1, z2, u, u1, eta, delta)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{k + 2}: {exc}") from None
-                z3_row = eta + delta
-                # != fails every NaN.  Equal floats differ in bits only at -0 and 0,
-                # so the bits are compared only when a cell is zero.
-                if (z3 != z3_row or x1 != z1 / L or x2 != z2 / L or x3 != z3_row / L
-                        or not (z3 and x1 and x2 and x3)
-                        and _DERIVED.pack(z3, x1, x2, x3)
-                        != _DERIVED.pack(z3_row, z1 / L, z2 / L, z3_row / L)):
-                    nan = " (a NaN cell never matches)"  # not even where both print as nan
-                    if math.isnan(z3) or struct.pack("d", z3) != struct.pack("d", z3_row):
-                        raise ValueError(f"{path}:{k + 2}: z3 = {z3!r} is not eta + delta = "
-                                         f"{z3_row!r}{nan if math.isnan(z3) else ''}")
-                    raise ValueError(f"{path}:{k + 2}: x1..x3 = {x1!r}, {x2!r}, {x3!r} are not "
-                                     f"z/L = {z1 / L!r}, {z2 / L!r}, {z3_row / L!r} for L = {L!r}"
-                                     f"{nan if any(map(math.isnan, (x1, x2, x3))) else ''}")
+            if 2 <= k0 < rows and _two_processes(rows):
+                _parse_rows(path, trace, f, 2)
+                if _rows_from_child(path, trace, f, s, k0):
+                    return trace
+            _parse_rows(path, trace, f)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
     return trace

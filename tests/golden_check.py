@@ -6,9 +6,10 @@ Runs perfbench's golden gate (perfbench/workloads.py) through ctasim.cli.main
 in a temporary directory: each preset's trace CSV SHA-256 and summary and
 the 4-point `paper-implicit` sweep's JSON against perfbench/goldens.json.
 Then it checks what the gate does not: the sweep table's SHA-256 against
-SWEEP_TABLE_SHA256; the paper-implicit trace CSV read back, as written and
-as a CRLF copy, into exactly sized arrays holding the simulated rows,
-with the golden summary; that `simulate` and `sweep` start their runs
+SWEEP_TABLE_SHA256; the paper-implicit trace CSV read back, as written
+(in two processes where a second CPU is usable), in one process and as a
+CRLF copy, into exactly sized arrays holding the simulated rows, with the
+golden summary; that `simulate` and `sweep` start their runs
 with no argparse parser alive (gc generations and array growth
 are interpreter internals); and resolvent.nested_clamp and
 plant.eval_disturbance against tests/oracles.py's references, bit for bit.
@@ -31,7 +32,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if __name__ == "__main__":
     sys.path[1:1] = [os.path.join(ROOT, "src"), ROOT]
 
-from ctasim import cli  # noqa: E402
+from ctasim import cli, plant  # noqa: E402
 from ctasim.plant import Disturbance, Sinusoid, eval_disturbance  # noqa: E402
 from ctasim.resolvent import nested_clamp  # noqa: E402
 from oracles import disturbance, outcome, reference_nested_clamp  # noqa: E402
@@ -64,13 +65,24 @@ def check_preset(preset: str, workdir: str) -> list[str]:
     return _gate(sim.check, sim.run())
 
 
+def _read_in_one_process(path: str, L: float):
+    """cli.read_trace_csv with plant._two_processes forced false."""
+    split = plant._two_processes
+    plant._two_processes = lambda rows: False
+    try:
+        return cli.read_trace_csv(path, L)
+    finally:
+        plant._two_processes = split
+
+
 def check_reload(workdir: str) -> list[str]:
     """Read back the paper-implicit trace CSV that check_preset wrote to
     ``workdir``, summarize it, and compare the result with the golden summary
     as the benchmark's trace-reload gate does; the trace's array must be
-    sized exactly for its rows, 48 B each.  A CRLF copy of the file must
-    read back as the same rows, and both must hold the simulated trace's
-    rows and times bit for bit.
+    sized exactly for its rows, 48 B each.  A CRLF copy of the file, and the
+    file read in one process (the default read takes two where a second CPU
+    is usable), must read back as the same rows, and all must hold the
+    simulated trace's rows and times bit for bit.
     Returns the mismatches, empty if none."""
     cfg = cli.get_preset("paper-implicit").cfg
     plain = os.path.join(workdir, "paper-implicit.csv")
@@ -79,19 +91,22 @@ def check_reload(workdir: str) -> list[str]:
         with open(plain, "rb") as src, open(crlf, "wb") as dst:
             dst.write(src.read().replace(b"\n", b"\r\n"))
         traces = [cli.read_trace_csv(path, cfg.gains.L) for path in (plain, crlf)]
+        traces.append(_read_in_one_process(plain, cfg.gains.L))
     except (OSError, ValueError) as exc:
         return [f"cannot read the trace: {exc}"]
     golden = workloads.load_goldens()["simulate"]["paper-implicit"]["summary"]
     problems = [] if workloads.same_summary(cli.summarize(traces[0], cfg), golden) \
         else ["summary differs"]
     simulated = cli.run_simulation(cfg)
-    for name, trace in zip(("plain", "CRLF"), traces):
+    for name, trace in zip(("plain", "CRLF", "one-process"), traces):
         slack = sys.getsizeof(trace._rows) - sys.getsizeof(array("d")) - 48 * trace.n
         if slack:
             problems.append(f"{name}: {slack} B of growth slack at {trace.n} rows")
         if (trace._rows.tobytes(), trace.t.tobytes()) != (simulated._rows.tobytes(),
                                                           simulated.t.tobytes()):
             problems.append(f"{name}: rows differ from the simulated trace's")
+    if traces[2]._rows != traces[0]._rows:
+        problems.append("the one-process read differs from the default read")
     return problems
 
 

@@ -1,5 +1,6 @@
 import errno
 import gc
+import hashlib
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import threading
 import tracemalloc
 import types
 from array import array
-from contextlib import redirect_stderr, redirect_stdout, suppress
+from contextlib import contextmanager, redirect_stderr, redirect_stdout, suppress
 from functools import cache
 from pathlib import Path
 
@@ -85,6 +86,63 @@ class TestPresets:
         assert out.gains == Gains(100.0, g.kp2, g.kp3, g.kp4, L=2.0) and threshold == 0.5
 
 
+# One row per rule: the file (the header line H, then its rows), the L
+# it is read with, and the exact message, with {} standing for the file.
+REJECTED = [
+    ("h = 0.001\n", 5.0, "{}:1: unexpected trace header: 'h = 0.001'"),
+    ("", 5.0, "{}:1: unexpected trace header: ''"),
+    # a -0 for 0, or the reverse, would be written back as the derived value
+    (H + "0,0,0,-0,0,0,-0,0,0,0,0\n", 5.0, "{}:2: z3 = -0.0 is not eta + delta = 0.0"),
+    # eta + delta = 0.1 + 0.2 = 0.30000000000000004; z3 one ulp up, then one down
+    (H + "0,0,0,0.3000000000000001,0,0,0.06000000000000001,0,0,0.1,0.2\n", 5.0,
+     "{}:2: z3 = 0.3000000000000001 is not eta + delta = 0.30000000000000004"),
+    (H + "0,0,0,0.3,0,0,0.06000000000000001,0,0,0.1,0.2\n", 5.0,
+     "{}:2: z3 = 0.3 is not eta + delta = 0.30000000000000004"),
+    (H + "0,0,0,nan,0,0,nan,0,0,nan,0\n", 5.0,
+     "{}:2: z3 = nan is not eta + delta = nan (a NaN cell never matches)"),
+    (H + "0,-0,0,0,0,0,0,0,0,0,0\n", 5.0,
+     "{}:2: x1..x3 = 0.0, 0.0, 0.0 are not z/L = -0.0, 0.0, 0.0 for L = 5.0"),
+    (H + "0,nan,0,0,nan,0,0,0,0,0,0\n", 5.0, "{}:2: x1..x3 = nan, 0.0, 0.0 are not "
+     "z/L = nan, 0.0, 0.0 for L = 5.0 (a NaN cell never matches)"),
+    (H + "0,1,2,0,0.2,0.8,0,0,0,0,0\n", 5.0,
+     "{}:2: x1..x3 = 0.2, 0.8, 0.0 are not z/L = 0.2, 0.4, 0.0 for L = 5.0"),
+    (H + "0,1,2,0,0.2,0.4,0,0,0,0,0\n", 2.5,
+     "{}:2: x1..x3 = 0.2, 0.4, 0.0 are not z/L = 0.4, 0.8, 0.0 for L = 2.5"),
+    (H + "0,0,0,0,0,0,0,0,0,0\n", 5.0,
+     "{}:2: not enough values to unpack (expected 11, got 10)"),
+    (H + "0,0,0,0,0,0,0,0,0,0,0,0\n", 5.0, "{}:2: too many values to unpack (expected 11)"),
+    (H + "abc,0,0,0,0,0,0,0,0,0,0\n", 5.0, "{}:2: could not convert string to float: 'abc'"),
+    (H + "0,0,0,0,0,0,0,0,0,0,0\n\n", 5.0, "{}:3: could not convert string to float: '\\n'"),
+    (H + "0,0,0,0,0,0,0,0,0,0,0\n" * 2, 5.0,
+     "{}:3: t = 0.0 is not greater than the previous row's t = 0.0"),
+    (H + "nan,0,0,0,0,0,0,0,0,0,0\n", 5.0, "{}:2: t = nan is not finite"),
+    (H + "0,0,0,0,0,0,0,0,0,0,0\ninf,0,0,0,0,0,0,0,0,0,0\n", 5.0,
+     "{}:3: t = inf is not finite"),
+    (H + "0,0,0,0,0,0,0,0,0,0,0\n", 0.0, "L must be positive and finite, got 0.0"),
+    # rows off the fixed-step grid: row 0 at -0 and at 0.5, row 6 an ulp up
+    (H + "-0,0,0,0,0,0,0,0,0,0,0\n", 5.0,
+     "{}:2: t = -0.0 is off the grid: row 0 must be at t = +0.0"),
+    (H + "0.5,0,0,0,0,0,0,0,0,0,0\n", 5.0,
+     "{}:2: t = 0.5 is off the grid: row 0 must be at t = +0.0"),
+    (H + "".join(f"{k * 0.001!r},0,0,0,0,0,0,0,0,0,0\n" for k in range(6))
+     + "0.006000000000000001,0,0,0,0,0,0,0,0,0,0\n", 5.0,
+     "{}:8: t = 0.006000000000000001 is off the grid: row 6 must be at t = k*h = 0.006 "
+     "for h = 0.001"),
+    # a lone CR ends no line: the header line runs on to the end of the file
+    (TRACE_HEADER + "\r0,0,0,0,0,0,0,0,0,0,0\r", 5.0, "{}:1: unexpected trace header: "
+     "'t,z1,z2,z3,x1,x2,x3,u,u1,eta,delta\\r0,0,0,0,0,0,0,0,0,0,0'"),
+    # one zero cell among nonzero ones is still compared bit for bit
+    (H + "0,-0,1,1,0,0.2,0.2,0,0,1,0\n", 5.0,
+     "{}:2: x1..x3 = 0.0, 0.2, 0.2 are not z/L = -0.0, 0.2, 0.2 for L = 5.0"),
+]
+REJECTED_IDS = ["header-config-file", "header-empty-file", "z3-negative-zero", "z3-ulp-up",
+                "z3-ulp-down", "z3-nan", "x1-positive-zero", "x1-nan", "x2-edited", "other-L",
+                "too-few-fields", "too-many-fields", "non-numeric-cell", "blank-line",
+                "time-not-increasing", "time-not-finite", "time-inf", "L-zero",
+                "t0-negative-zero", "t0-positive", "row-6-ulp", "lone-cr",
+                "x1-positive-zero-among-nonzero"]
+
+
 class TestTraceCsv:
     def test_round_trip_is_exact(self, tmp_path):
         trace, _ = run_preset("paper-implicit", {"t_final": 0.05})
@@ -101,60 +159,7 @@ class TestTraceCsv:
         write_trace_csv(trace, str(path))
         assert path.read_text().startswith(H)
 
-    # One row per rule: the file (the header line H, then its rows), the L
-    # it is read with, and the exact message, with {} standing for the file.
-    @pytest.mark.parametrize("text, L, message", [
-        ("h = 0.001\n", 5.0, "{}:1: unexpected trace header: 'h = 0.001'"),
-        ("", 5.0, "{}:1: unexpected trace header: ''"),
-        # a -0 for 0, or the reverse, would be written back as the derived value
-        (H + "0,0,0,-0,0,0,-0,0,0,0,0\n", 5.0, "{}:2: z3 = -0.0 is not eta + delta = 0.0"),
-        # eta + delta = 0.1 + 0.2 = 0.30000000000000004; z3 one ulp up, then one down
-        (H + "0,0,0,0.3000000000000001,0,0,0.06000000000000001,0,0,0.1,0.2\n", 5.0,
-         "{}:2: z3 = 0.3000000000000001 is not eta + delta = 0.30000000000000004"),
-        (H + "0,0,0,0.3,0,0,0.06000000000000001,0,0,0.1,0.2\n", 5.0,
-         "{}:2: z3 = 0.3 is not eta + delta = 0.30000000000000004"),
-        (H + "0,0,0,nan,0,0,nan,0,0,nan,0\n", 5.0,
-         "{}:2: z3 = nan is not eta + delta = nan (a NaN cell never matches)"),
-        (H + "0,-0,0,0,0,0,0,0,0,0,0\n", 5.0,
-         "{}:2: x1..x3 = 0.0, 0.0, 0.0 are not z/L = -0.0, 0.0, 0.0 for L = 5.0"),
-        (H + "0,nan,0,0,nan,0,0,0,0,0,0\n", 5.0, "{}:2: x1..x3 = nan, 0.0, 0.0 are not "
-         "z/L = nan, 0.0, 0.0 for L = 5.0 (a NaN cell never matches)"),
-        (H + "0,1,2,0,0.2,0.8,0,0,0,0,0\n", 5.0,
-         "{}:2: x1..x3 = 0.2, 0.8, 0.0 are not z/L = 0.2, 0.4, 0.0 for L = 5.0"),
-        (H + "0,1,2,0,0.2,0.4,0,0,0,0,0\n", 2.5,
-         "{}:2: x1..x3 = 0.2, 0.4, 0.0 are not z/L = 0.4, 0.8, 0.0 for L = 2.5"),
-        (H + "0,0,0,0,0,0,0,0,0,0\n", 5.0,
-         "{}:2: not enough values to unpack (expected 11, got 10)"),
-        (H + "0,0,0,0,0,0,0,0,0,0,0,0\n", 5.0, "{}:2: too many values to unpack (expected 11)"),
-        (H + "abc,0,0,0,0,0,0,0,0,0,0\n", 5.0, "{}:2: could not convert string to float: 'abc'"),
-        (H + "0,0,0,0,0,0,0,0,0,0,0\n\n", 5.0, "{}:3: could not convert string to float: '\\n'"),
-        (H + "0,0,0,0,0,0,0,0,0,0,0\n" * 2, 5.0,
-         "{}:3: t = 0.0 is not greater than the previous row's t = 0.0"),
-        (H + "nan,0,0,0,0,0,0,0,0,0,0\n", 5.0, "{}:2: t = nan is not finite"),
-        (H + "0,0,0,0,0,0,0,0,0,0,0\ninf,0,0,0,0,0,0,0,0,0,0\n", 5.0,
-         "{}:3: t = inf is not finite"),
-        (H + "0,0,0,0,0,0,0,0,0,0,0\n", 0.0, "L must be positive and finite, got 0.0"),
-        # rows off the fixed-step grid: row 0 at -0 and at 0.5, row 6 an ulp up
-        (H + "-0,0,0,0,0,0,0,0,0,0,0\n", 5.0,
-         "{}:2: t = -0.0 is off the grid: row 0 must be at t = +0.0"),
-        (H + "0.5,0,0,0,0,0,0,0,0,0,0\n", 5.0,
-         "{}:2: t = 0.5 is off the grid: row 0 must be at t = +0.0"),
-        (H + "".join(f"{k * 0.001!r},0,0,0,0,0,0,0,0,0,0\n" for k in range(6))
-         + "0.006000000000000001,0,0,0,0,0,0,0,0,0,0\n", 5.0,
-         "{}:8: t = 0.006000000000000001 is off the grid: row 6 must be at t = k*h = 0.006 "
-         "for h = 0.001"),
-        # a lone CR ends no line: the header line runs on to the end of the file
-        (TRACE_HEADER + "\r0,0,0,0,0,0,0,0,0,0,0\r", 5.0, "{}:1: unexpected trace header: "
-         "'t,z1,z2,z3,x1,x2,x3,u,u1,eta,delta\\r0,0,0,0,0,0,0,0,0,0,0'"),
-        # one zero cell among nonzero ones is still compared bit for bit
-        (H + "0,-0,1,1,0,0.2,0.2,0,0,1,0\n", 5.0,
-         "{}:2: x1..x3 = 0.0, 0.2, 0.2 are not z/L = -0.0, 0.2, 0.2 for L = 5.0"),
-    ], ids=["header-config-file", "header-empty-file", "z3-negative-zero", "z3-ulp-up",
-            "z3-ulp-down", "z3-nan", "x1-positive-zero", "x1-nan", "x2-edited", "other-L",
-            "too-few-fields", "too-many-fields", "non-numeric-cell", "blank-line",
-            "time-not-increasing", "time-not-finite", "time-inf", "L-zero",
-            "t0-negative-zero", "t0-positive", "row-6-ulp", "lone-cr",
-            "x1-positive-zero-among-nonzero"])
+    @pytest.mark.parametrize("text, L, message", REJECTED, ids=REJECTED_IDS)
     def test_rejected_with_its_message(self, tmp_path, text, L, message):
         path = tmp_path / "trace.csv"
         path.write_text(text)
@@ -201,19 +206,7 @@ class TestTraceCsv:
         assert [row(back, i) for i in range(back.n)] == [row(trace, i) for i in range(trace.n)]
 
     def test_paper_implicit_read_peaks_at_the_trace(self, tmp_path):
-        # The rest is the binary file's buffer (the block size, often 4 KiB) and the
-        # line being parsed.
-        trace, _ = run_preset("paper-implicit")
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, str(path))
-        tracemalloc.start()
-        try:
-            back = read_trace_csv(str(path), trace.L)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sys.getsizeof(back._rows) == 480_128
-        assert peak <= sys.getsizeof(back._rows) + 12_000
+        _assert_read_peaks_at_the_trace(tmp_path, split=False)
 
     @pytest.mark.parametrize("edit", [
         lambda text: text.encode(),
@@ -262,14 +255,35 @@ def _with_cell(text: str, i: int, j: int, cell: str) -> str:
     return "\n".join(lines)
 
 
-def _read_outcome(reader, path):
-    """(n, the bytes of the trace's rows and of its t column) of ``reader``'s
-    read of ``path`` with L = 5, or the message of the ValueError it raises."""
+def _read_outcome(reader, path, L=5.0):
+    """(n, the bytes of the trace's rows and of its t column, its step h) of
+    ``reader``'s read of ``path`` with ``L``, or the message of the
+    ValueError it raises."""
     try:
-        trace = reader(str(path), 5.0)
+        trace = reader(str(path), L)
     except ValueError as exc:
         return str(exc)
-    return trace.n, trace._rows.tobytes(), trace.t.tobytes()
+    return trace.n, trace._rows.tobytes(), trace.t.tobytes(), trace._h.hex()
+
+
+def _assert_read_peaks_at_the_trace(tmp_path, split):
+    """The paper-implicit trace read back, with the second process forced on
+    or off, peaks at its rows and 12,000 B: the binary file's buffer (the
+    block size, often 4 KiB) and the line being parsed."""
+    trace, _ = run_preset("paper-implicit")
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, str(path))
+    with _split_forced(split) as forks:
+        tracemalloc.start()
+        try:
+            back = read_trace_csv(str(path), trace.L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(forks) == split
+    assert back._rows == trace._rows
+    assert sys.getsizeof(back._rows) == 480_128
+    assert peak <= sys.getsizeof(back._rows) + 12_000
 
 
 EDITS = ["ulp", "-0", "nan", "inf", "1_0", "abc", "", "add-field", "drop-field",
@@ -335,12 +349,12 @@ stored_cells = st.one_of(st.floats(), st.sampled_from([-0.0, math.nan, math.inf,
 
 
 @st.composite
-def drawn_traces(draw):
+def drawn_traces(draw, cells=stored_cells):
     """(L, h, rows): a trace's L, step and stored rows (z1, z2, u, u1, eta,
-    delta), with row k at t = k*h."""
+    delta) of ``cells``, with row k at t = k*h."""
     L = draw(st.one_of(st.just(1.0), st.floats(min_value=5e-324, max_value=1e308)))
     h = draw(st.one_of(st.just(-WIDEST[0]), st.floats(min_value=5e-324, max_value=1e300)))
-    rows = draw(st.lists(st.tuples(*[stored_cells] * 6), max_size=12))
+    rows = draw(st.lists(st.tuples(*[cells] * 6), max_size=12))
     return L, h, rows
 
 
@@ -357,9 +371,10 @@ def _trace(L, h, rows):
     return trace
 
 
-def _written(trace, path, split):
-    """write_trace_csv with the second process forced on or off: (the file's
-    bytes, the number of os.fork calls)."""
+@contextmanager
+def _split_forced(split):
+    """Within the block, the CSV codec's second process is forced on or off
+    (plant._two_processes); yields the list that each os.fork call adds to."""
     forks = []
     real_fork = os.fork
 
@@ -370,12 +385,24 @@ def _written(trace, path, split):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(plant, "_two_processes", lambda rows: split)
         mp.setattr(os, "fork", fork)
+        yield forks
+
+
+def _written(trace, path, split):
+    """write_trace_csv with the second process forced on or off: (the file's
+    bytes, the number of os.fork calls)."""
+    with _split_forced(split) as forks:
         write_trace_csv(trace, str(path))
     return Path(path).read_bytes(), len(forks)
 
 
 def _no_fork():
     raise AssertionError("os.fork was called")
+
+
+def _failed_fork():
+    # As where a user's process limit is reached.
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
 
 def _assert_no_child_left():
@@ -519,6 +546,16 @@ class TestTwoProcessWrite:
         assert not waiter.is_alive()
         assert (tmp_path / "trace.csv").read_bytes() == expected
 
+    def test_failed_fork_writes_in_one_process(self, tmp_path, monkeypatch, capsys):
+        trace, _ = run_preset("paper-implicit", {})
+        expected, _ = _written(trace, tmp_path / "one.csv", split=False)
+        monkeypatch.setattr(plant, "_two_processes", lambda rows: True)
+        monkeypatch.setattr(plant.os, "fork", _failed_fork)
+        target = tmp_path / "trace.csv"
+        assert main(["simulate", "--preset", "paper-implicit", "--out", str(target)]) == 0
+        assert capsys.readouterr().err == ""
+        assert target.read_bytes() == expected
+
     @pytest.mark.parametrize("rows, setup, forks", PREDICATE_CASES.values(),
                              ids=PREDICATE_CASES)
     def test_second_process_only_where_it_pays(self, tmp_path, rows, setup, forks):
@@ -533,6 +570,311 @@ class TestTwoProcessWrite:
         )
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"{forks}\n")
         assert (tmp_path / "trace.csv").read_bytes() == expected
+
+
+# --- the trace read in one process or two ------------------------------------
+
+# A NaN cell fails the reader's derived-cell check, so these cells hold none.
+readable_cells = st.one_of(st.floats(allow_nan=False),
+                           st.sampled_from([-0.0, math.inf, -math.inf, *WIDEST]))
+
+
+@cache
+def _preset_trace():
+    return run_preset("paper-implicit")[0]
+
+
+def _read_split(path, L, split):
+    """read_trace_csv with the second process forced on or off: (its outcome
+    as _read_outcome gives it, the number of os.fork calls, the rows
+    appended in this process).  No child is left."""
+    appended = []
+    real_append = SimTrace.append
+
+    def append(self, *cells):
+        appended.append(None)
+        return real_append(self, *cells)
+
+    with _split_forced(split) as forks, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimTrace, "append", append)
+        outcome = _read_outcome(read_trace_csv, path, L)
+    _assert_no_child_left()
+    return outcome, len(forks), len(appended)
+
+
+def _split_row(data: bytes, n: int):
+    """The row k0 that the first line of the trace CSV ``data`` (``n``
+    rows) starting at or after half its length holds, if 2 <= k0 < n: the
+    first row the child parses.  None where there is no such row."""
+    half, start = len(data) // 2, 0
+    for k, line in enumerate(data.split(b"\n")):  # line k holds row k - 1
+        if start >= half:
+            return k - 1 if 2 <= k - 1 < n else None
+        start += len(line) + 1
+    return None
+
+
+def _text_of_size(*ends):
+    """A trace CSV of zeros on the step h = 1 whose lines end exactly at
+    each of the byte counts ``ends``: the last row before each end has its u
+    cell padded with leading zeros."""
+    lines, size = [H], len(H)
+    for end in ends:
+        while True:
+            k = len(lines) - 1
+            line = f"{k},0,0,0,0,0,0,0,0,0,0\n"
+            if end - size < 3 * len(line):
+                line = f"{k},0,0,0,0,0,0,{'0' * (end - size - len(line) + 1)},0,0,0\n"
+            lines.append(line)
+            size += len(line)
+            if size == end:
+                break
+    return "".join(lines)
+
+
+def _write_text(path, text):
+    """Writes ``text`` to ``path``, a lone surrogate as the byte it stands for."""
+    path.write_bytes(text.encode(errors="surrogateescape"))
+    return path
+
+
+# Edits that make a row bad, each from the row's cells to the new cells.
+BAD_ROWS = {
+    "non-numeric-cell": lambda cells: ["abc", *cells[1:]],
+    "too-few-fields": lambda cells: cells[:-1],
+    "z3-ulp": lambda cells: [*cells[:3], repr(math.nextafter(float(cells[3]), math.inf)),
+                             *cells[4:]],
+    "t-ulp": lambda cells: [repr(math.nextafter(float(cells[0]), math.inf)), *cells[1:]],
+    "undecodable-cell": lambda cells: [*cells[:7], "\udcff", *cells[8:]],
+}
+
+
+@cache
+def _race_text():
+    """The CSV of a run of paper-implicit to t = 0.12 (121 rows, L = 5)."""
+    trace, _ = run_preset("paper-implicit", {"t_final": 0.12})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        write_trace_csv(trace, path)
+        return Path(path).read_bytes()
+
+
+def _row_end(k):
+    """The byte count of _race_text() up to the end of row k."""
+    return len(b"".join(_race_text().splitlines(keepends=True)[:k + 2]))
+
+
+def _resized(k):
+    """A change to a file: cut it to, or fill it up to, the end of row k of
+    _race_text(); with a negative k, to 20 bytes into row -k."""
+    def change(path):
+        size = _row_end(k) if k >= 0 else _row_end(-k - 1) + 20
+        with open(path, "r+b") as f:
+            f.truncate(size)
+            f.seek(0, os.SEEK_END)
+            f.write(_race_text()[f.tell():size])
+    return change
+
+
+def _with_u(path, k, u):
+    """The bytes of ``path`` with row k's u cell set to u(cell)."""
+    lines = path.read_bytes().split(b"\n")
+    cells = lines[k + 1].split(b",")
+    cells[7] = u(cells[7])
+    lines[k + 1] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+def _replaced(path):
+    """Moves a copy of ``path``, with row 90's u cell written as zeros of the
+    same width, into its place: the child's rows would parse, as other
+    values."""
+    copy = path.with_name("copy.csv")
+    copy.write_bytes(_with_u(path, 90, lambda cell: b"0" * len(cell)))
+    os.replace(copy, path)
+
+
+def _shifted(path):
+    """Rewrites ``path`` in place with the last digit of row 10's u cell
+    dropped.  Every later line starts one byte earlier, so the child's first
+    line, read from the counted offset, lacks its leading 0 and still
+    parses: t < 1 there."""
+    data = _with_u(path, 10, lambda cell: cell[:-1])
+    with open(path, "r+b") as f:
+        f.write(data)
+        f.truncate()
+
+
+# Each case: the change made to a 101-row file after the count, before the
+# parse.
+RACES = {
+    "grew": _resized(120),
+    "shrank-in-childs-half": _resized(90),
+    "shrank-mid-line": _resized(-90),
+    "shrank-into-parents-half": _resized(20),
+    "replaced": _replaced,
+    "shifted": _shifted,
+}
+
+READ_PREDICATE_CASES = {
+    **{key: (*PREDICATE_CASES[key], False)
+       for key in ("two-cpus", "rows-below-split", "one-cpu", "thread-alive")},
+    "fifo": (2_000, TWO_CPUS, 0, True),
+}
+READ_SCRIPT = """
+import hashlib, os, sys, threading
+from ctasim import plant
+
+forks, real_fork, stop = [], os.fork, threading.Event()
+
+def fork():
+    forks.append(None)
+    return real_fork()
+
+os.fork = fork
+exec(sys.argv[1])
+try:
+    trace = plant.read_trace_csv(sys.argv[2], float(sys.argv[3]))
+finally:
+    stop.set()
+print(len(forks), trace.n, hashlib.sha256(trace._rows).hexdigest())
+"""
+
+
+class TestTwoProcessRead:
+    @given(drawn_traces(readable_cells))
+    @example("paper-implicit")
+    @example(_widest(3))  # the child starts at row 2
+    @example((1.0, 1.0, [(0.0,) * 6] * 2 + _widest(1)[2]))  # row 2 runs past half the file
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_in_one_or_two_processes(self, split_dir, drawn):
+        trace = _preset_trace() if drawn == "paper-implicit" else _trace(*drawn)
+        path = split_dir / "read.csv"
+        write_trace_csv(trace, str(path))
+        one, forks, appended = _read_split(path, trace.L, split=False)
+        assert forks == 0
+        two, forks, appended = _read_split(path, trace.L, split=True)
+        assert two == one
+        k0 = _split_row(path.read_bytes(), trace.n)
+        if isinstance(one, tuple):
+            assert (forks, appended) == ((0, trace.n) if k0 is None else (1, k0))
+        else:  # a bad row 0 or 1 (lines 2 and 3), which set the step, stops it before the fork
+            assert forks == (k0 is not None and int(one.split(":")[1]) > 3)
+
+    @pytest.mark.parametrize("ends", [(65_536, 131_072), (65_537, 131_074)],
+                             ids=["newline-ends-first-block", "newline-starts-second-block"])
+    def test_split_at_a_block_boundary(self, tmp_path, ends):
+        # The count reads 64 KiB blocks; here the file's middle line starts
+        # at byte 65,536 or 65,537, and the newline before it ends one block
+        # or starts the next.
+        path = _write_text(tmp_path / "trace.csv", _text_of_size(*ends))
+        data = path.read_bytes()
+        assert len(data) == ends[1] and data[ends[0] - 1:ends[0]] == b"\n"
+        n = data.count(b"\n") - 1
+        k0 = _split_row(data, n)
+        assert data[:ends[0]].count(b"\n") - 1 == k0
+        one, forks, appended = _read_split(path, 1.0, split=False)
+        assert (one[0], forks, appended) == (n, 0, n)
+        assert _read_split(path, 1.0, split=True) == (one, 1, k0)
+
+    @pytest.mark.parametrize("text, L, message", REJECTED, ids=REJECTED_IDS)
+    def test_rejected_with_its_message(self, tmp_path, text, L, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with _split_forced(True), pytest.raises(ValueError) as info:
+            read_trace_csv(str(path), L)
+        assert str(info.value) == message.format(path)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("edit", BAD_ROWS.values(), ids=BAD_ROWS)
+    def test_first_bad_row_in_either_half_is_reported(self, tmp_path, edit):
+        # The 11-row trace splits at row 6: rows 0..5 are parsed here, 6..10
+        # in the child.
+        text = _short_trace_text("paper-implicit")
+        assert _split_row(text.encode(), 11) == 6
+        outcomes = {}
+        for bad in [(3,), (8,), (3, 8)]:
+            lines = text.split("\n")
+            for k in bad:
+                lines[k + 1] = ",".join(edit(lines[k + 1].split(",")))
+            path = _write_text(tmp_path / "bad.csv", "\n".join(lines))
+            one, _, appended = _read_split(path, 5.0, split=False)
+            assert _read_split(path, 5.0, split=True) == (one, 1, appended)
+            assert one == _read_outcome(read_trace_csv_text, path)
+            assert isinstance(one, str)
+            outcomes[bad] = one
+        assert outcomes[3, 8] == outcomes[3,]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reads_every_edit_as_in_one_process(self, scratch_csv, data):
+        text = _edited_trace(data.draw)
+        scratch_csv.write_bytes(text.encode())
+        assert _read_split(scratch_csv, 5.0, split=True)[0] == _read_split(
+            scratch_csv, 5.0, split=False)[0], text
+
+    def test_failed_fork_reads_in_one_process(self, tmp_path, monkeypatch):
+        trace = _preset_trace()
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        monkeypatch.setattr(plant, "_two_processes", lambda rows: True)
+        monkeypatch.setattr(plant.os, "fork", _failed_fork)
+        back = read_trace_csv(str(path), trace.L)
+        assert (back.n, back._rows, back.t) == (trace.n, trace._rows, trace.t)
+
+    def test_paper_implicit_read_peaks_at_the_trace(self, tmp_path):
+        # The child's rows, 48 B each, arrive through a shared mapping, which
+        # is not on this heap.
+        _assert_read_peaks_at_the_trace(tmp_path, split=True)
+
+    @pytest.mark.parametrize("change", RACES.values(), ids=RACES)
+    def test_file_changed_after_the_count_reads_as_in_one_process(
+            self, tmp_path, monkeypatch, change):
+        # Every row is then parsed here.  The child reads the file, never a
+        # mapping of it, which a file cut short would turn into SIGBUS.
+        path = tmp_path / "trace.csv"
+        real_count = plant._data_rows
+
+        def count(f):
+            counted = real_count(f)
+            change(path)
+            return counted
+
+        monkeypatch.setattr(plant, "_data_rows", count)
+        reads = []
+        for split in (False, True):
+            path.write_bytes(_race_text()[:_row_end(100)])
+            reads.append(_read_split(path, 5.0, split))
+        (one, no_forks, appended), two = reads
+        assert no_forks == 0
+        assert two == (one, 1, appended)
+        assert isinstance(one, tuple) or "\n" not in one
+
+    @pytest.mark.parametrize("rows, setup, forks, fifo", READ_PREDICATE_CASES.values(),
+                             ids=READ_PREDICATE_CASES)
+    def test_second_process_only_where_it_pays(self, tmp_path, rows, setup, forks, fifo):
+        trace, _ = run_preset("zero", {"t_final": rows - 1.0, "h": 1.0})
+        assert trace.n == rows
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        source = path
+        if fifo:  # it cannot seek back after a count, so it is read in one pass
+            source = tmp_path / "trace.fifo"
+            os.mkfifo(source)
+            writer = threading.Thread(target=lambda: source.write_bytes(path.read_bytes()),
+                                      daemon=True)
+            writer.start()
+        src = str(Path(ctasim.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", READ_SCRIPT, setup, str(source),
+             repr(trace.L)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        if fifo:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        digest = hashlib.sha256(trace._rows).hexdigest()
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"{forks} {rows} {digest}\n")
 
 
 class TestSweep:
