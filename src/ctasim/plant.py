@@ -373,9 +373,12 @@ def _csv_rows(trace: SimTrace, a: int, b: int):
 
 
 # Forking and waiting take about 1 ms from the command line's process, and
-# more from a larger one; a row takes about 3.6 us to format.  Below this
-# many rows a second process costs more than it saves.
-_SPLIT_ROWS = 2_000
+# more from a larger one, and the child starts 1-5 ms after the fork.  Below
+# this many rows a second process costs more than it saves: on a 2-vCPU KVM
+# guest, timed in one process with the child on the other CPU, a split write
+# broke even at 1,000-2,000 rows and a split read, which also opens the file
+# again and copies its rows back, at 2,000-2,500.
+_SPLIT_ROWS = 3_000
 
 
 def _two_processes(rows: int) -> bool:
@@ -397,12 +400,30 @@ def _two_processes(rows: int) -> bool:
     return cpus > 1 and threads == 1
 
 
-def _with_child(split: bool, child, parent) -> int | None:
+def _leave_parents_cpu() -> None:
+    """Moves this forked child off the CPU its parent last ran on, where
+    the kernel often starts it, so that the two halves run side by side
+    rather than in turns.  Does nothing where the CPU cannot be read from
+    /proc or no other CPU is usable."""
+    with contextlib.suppress(OSError, AttributeError, IndexError, ValueError):
+        fd = os.open(f"/proc/{os.getppid()}/stat", os.O_RDONLY)
+        try:
+            stat = os.read(fd, 4096)
+        finally:
+            os.close(fd)
+        cpu = int(stat.rsplit(b")", 1)[1].split()[36])  # field 39, processor
+        os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
+
+
+def _with_child(split: bool, child, parent) -> int | str | None:
     """Run child() in a forked child process, if ``split``, while parent()
     runs here.  Returns the child's exit code: 0 once child() returns, 1 if
-    it raises, minus the signal's number if one ends it.  Returns None, and
-    has run parent() alone, when ``split`` is false or os.fork fails (EAGAIN,
-    ENOMEM): the caller then does the child's part itself.
+    it raises, minus the signal's number if one ends it, or "unknown" where
+    the kernel reaped the child itself (SIGCHLD is ignored).  Returns None,
+    and has run parent() alone, when ``split`` is false or os.fork fails
+    (EAGAIN, ENOMEM): the caller then does the child's part itself.  So a
+    caller learns whether child() finished from what it left in shared
+    memory, not from the code.
 
     The child ends in os._exit, so it never flushes the files it inherits,
     runs its callers' cleanup (replacing's removal of the temporary) or
@@ -415,15 +436,21 @@ def _with_child(split: bool, child, parent) -> int | None:
     if pid == 0:
         code = 1
         try:
+            _leave_parents_cpu()
             child()
             code = 0
         finally:
             os._exit(code)
+    code = None
     try:
         parent()
     finally:
-        status = os.waitpid(pid, 0)[1] if pid else None
-    return None if status is None else os.waitstatus_to_exitcode(status)
+        if pid:
+            try:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            except ChildProcessError:  # raised only once the reaped child has ended
+                code = "unknown"
+    return code
 
 
 def write_trace_csv(trace: SimTrace, path: str) -> None:
@@ -438,8 +465,9 @@ def write_trace_csv(trace: SimTrace, path: str) -> None:
     either way.
 
     Any failure in the child, a row that does not fit the mapping included,
-    ends it with status 1, and a child that ends with any status but 0
-    raises OSError here.  No child outlives the call (see _with_child).
+    ends it with status 1 before it writes its used length, and a child
+    that leaves no used length raises OSError here, naming its status.  No
+    child outlives the call (see _with_child).
     """
     n = trace.n
     m = n // 2 if _two_processes(n) else n
@@ -456,13 +484,14 @@ def write_trace_csv(trace: SimTrace, path: str) -> None:
     with replacing(path) as f:
         f.write(TRACE_HEADER.encode() + b"\n")
         code = _with_child(m < n, child, lambda: f.writelines(_csv_rows(trace, 0, m)))
+        used = _USED.unpack_from(shared)[0]
         if code is None:
             f.writelines(_csv_rows(trace, m, n))
-        elif code:
+        elif not used:
             raise OSError(f"the child process formatting trace rows {m}..{n - 1} ended "
                           f"with status {code}")
         else:
-            f.write(memoryview(shared)[_USED.size:_USED.unpack_from(shared)[0]])
+            f.write(memoryview(shared)[_USED.size:used])
 
 
 def _data_rows(f) -> tuple[int, int, int]:

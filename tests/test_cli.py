@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -410,6 +411,18 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@contextmanager
+def _sigchld_ignored():
+    """Within the block SIGCHLD is ignored, so the kernel reaps each child
+    itself, and os.waitpid raises ChildProcessError once the child has
+    ended."""
+    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+
+
 @pytest.fixture(scope="module")
 def split_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("split")
@@ -420,17 +433,17 @@ def split_dir(tmp_path_factory):
 # calls the write makes.
 TWO_CPUS = "os.sched_getaffinity = lambda pid: {0, 1}; "
 PREDICATE_CASES = {
-    "two-cpus": (2_000, TWO_CPUS, 1),
-    "rows-below-split": (1_999, TWO_CPUS, 0),
-    "one-cpu": (2_000, "os.sched_getaffinity = lambda pid: {0}", 0),
-    "cpu-count-two": (2_000, "del os.sched_getaffinity; os.cpu_count = lambda: 2", 1),
-    "cpu-count-one": (2_000, "del os.sched_getaffinity; os.cpu_count = lambda: 1", 0),
-    "cpu-count-unknown": (2_000, "del os.sched_getaffinity; os.cpu_count = lambda: None", 0),
-    "no-fork": (2_000, TWO_CPUS + "del os.fork", 0),
-    "no-fork-rows-below-split": (1_999, TWO_CPUS + "del os.fork", 0),
-    "thread-alive": (2_000, TWO_CPUS + "threading.Thread(target=stop.wait).start()", 0),
-    "threads-not-listed": (2_000, TWO_CPUS + "os.listdir = unlisted", 1),
-    "threads-not-listed-one-alive": (2_000, TWO_CPUS + "os.listdir = unlisted; "
+    "two-cpus": (3_000, TWO_CPUS, 1),
+    "rows-below-split": (2_999, TWO_CPUS, 0),
+    "one-cpu": (3_000, "os.sched_getaffinity = lambda pid: {0}", 0),
+    "cpu-count-two": (3_000, "del os.sched_getaffinity; os.cpu_count = lambda: 2", 1),
+    "cpu-count-one": (3_000, "del os.sched_getaffinity; os.cpu_count = lambda: 1", 0),
+    "cpu-count-unknown": (3_000, "del os.sched_getaffinity; os.cpu_count = lambda: None", 0),
+    "no-fork": (3_000, TWO_CPUS + "del os.fork", 0),
+    "no-fork-rows-below-split": (2_999, TWO_CPUS + "del os.fork", 0),
+    "thread-alive": (3_000, TWO_CPUS + "threading.Thread(target=stop.wait).start()", 0),
+    "threads-not-listed": (3_000, TWO_CPUS + "os.listdir = unlisted", 1),
+    "threads-not-listed-one-alive": (3_000, TWO_CPUS + "os.listdir = unlisted; "
                                      "threading.Thread(target=stop.wait).start()", 0),
 }
 PREDICATE_SCRIPT = """
@@ -512,6 +525,40 @@ class TestTwoProcessWrite:
         one, _ = _written(widest, tmp_path / "one.csv", split=False)
         assert target.read_bytes() == one
         assert len(one.splitlines(keepends=True)[2]) == 274
+        _assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_child_leaves_the_parents_cpu(self, monkeypatch):
+        # A process blocked on its stdin stands in for the parent, which
+        # waits for the child: the CPU it last ran on then stays put.
+        calls = []
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, cpus)))
+        with subprocess.Popen([sys.executable, "-c", "print(flush=True); input()"],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE) as parent:
+            parent.stdout.readline()
+            monkeypatch.setattr(os, "getppid", lambda: parent.pid)
+            plant._leave_parents_cpu()
+            stat = Path(f"/proc/{parent.pid}/stat").read_bytes()
+            parent.communicate(b"\n")
+        cpu = int(stat[stat.rindex(b")") + 2:].split(b" ")[39 - 3])  # field 39
+        assert calls == [(0, os.sched_getaffinity(0) - {cpu})]
+        monkeypatch.setattr(os, "getppid", lambda: 0)  # no /proc/0: nothing is moved
+        plant._leave_parents_cpu()
+        assert len(calls) == 1
+
+    def test_child_reaped_by_the_kernel(self, tmp_path, monkeypatch, capsys):
+        # The wait cannot learn the status; the child's used length decides.
+        trace = _preset_trace()
+        one, _ = _written(trace, tmp_path / "one.csv", split=False)
+        target = tmp_path / "trace.csv"
+        with _sigchld_ignored():
+            assert _written(trace, target, split=True) == (one, 1)
+            monkeypatch.setattr(plant, "_two_processes", lambda rows: True)
+            monkeypatch.setattr(plant, "_CSV_ROW_BYTES", 100)
+            assert main(["simulate", "--preset", "paper-implicit", "--out", str(target)]) == 1
+        assert capsys.readouterr().err == ("error: the child process formatting trace rows "
+                                           "5000..10000 ended with status unknown\n")
+        assert target.read_bytes() == one
         _assert_no_child_left()
 
     def test_failing_child_leaves_no_file(self, tmp_path, monkeypatch):
@@ -719,7 +766,7 @@ RACES = {
 READ_PREDICATE_CASES = {
     **{key: (*PREDICATE_CASES[key], False)
        for key in ("two-cpus", "rows-below-split", "one-cpu", "thread-alive")},
-    "fifo": (2_000, TWO_CPUS, 0, True),
+    "fifo": (3_000, TWO_CPUS, 0, True),
 }
 READ_SCRIPT = """
 import hashlib, os, sys, threading
@@ -739,6 +786,12 @@ finally:
     stop.set()
 print(len(forks), trace.n, hashlib.sha256(trace._rows).hexdigest())
 """
+
+
+# The rows of REJECTED whose files are long enough to split; the others
+# are read in one process whatever the predicate says.
+REJECTED_SPLIT = {key: case for key, case in zip(REJECTED_IDS, REJECTED)
+                  if _split_row(case[0].encode(), case[0].count("\n") - 1) is not None}
 
 
 class TestTwoProcessRead:
@@ -777,14 +830,11 @@ class TestTwoProcessRead:
         assert (one[0], forks, appended) == (n, 0, n)
         assert _read_split(path, 1.0, split=True) == (one, 1, k0)
 
-    @pytest.mark.parametrize("text, L, message", REJECTED, ids=REJECTED_IDS)
+    @pytest.mark.parametrize("text, L, message", REJECTED_SPLIT.values(), ids=REJECTED_SPLIT)
     def test_rejected_with_its_message(self, tmp_path, text, L, message):
         path = tmp_path / "trace.csv"
         path.write_text(text)
-        with _split_forced(True), pytest.raises(ValueError) as info:
-            read_trace_csv(str(path), L)
-        assert str(info.value) == message.format(path)
-        _assert_no_child_left()
+        assert _read_split(path, L, split=True)[:2] == (message.format(path), 1)
 
     @pytest.mark.parametrize("edit", BAD_ROWS.values(), ids=BAD_ROWS)
     def test_first_bad_row_in_either_half_is_reported(self, tmp_path, edit):
@@ -821,6 +871,16 @@ class TestTwoProcessRead:
         monkeypatch.setattr(plant.os, "fork", _failed_fork)
         back = read_trace_csv(str(path), trace.L)
         assert (back.n, back._rows, back.t) == (trace.n, trace._rows, trace.t)
+
+    def test_child_reaped_by_the_kernel(self, tmp_path):
+        # The wait cannot learn the status; the child's used length decides.
+        trace = _preset_trace()
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        one, _, _ = _read_split(path, trace.L, split=False)
+        with _sigchld_ignored():
+            two = _read_split(path, trace.L, split=True)
+        assert two == (one, 1, _split_row(path.read_bytes(), trace.n))
 
     def test_paper_implicit_read_peaks_at_the_trace(self, tmp_path):
         # The child's rows, 48 B each, arrive through a shared mapping, which
