@@ -24,10 +24,11 @@ a finite t = k*h, L > 0) and selects a window's rows (widen_window).  It
 forms z3 = eta + delta and x = z/L on each read; for speed, read_trace_csv
 and metrics.WindowMax restate them per row.  The CSV codec sits beside it;
 where a second CPU is usable, write_trace_csv formats half of the rows in
-a forked child process, and read_trace_csv parses half of them in one, and
-the file's bytes, the trace read back and every error are the same either
-way.  A run passes its rows to a sink (see run_simulation), by default a
-SimTrace.
+a forked child process, and read_trace_csv parses half of them in one.  A
+child that cannot be started or does not finish leaves its rows to this
+process (see _with_child), so the file's bytes, the trace read back and
+every error are the same either way.  A run passes its rows to a sink
+(see run_simulation), by default a SimTrace.
 """
 
 from __future__ import annotations
@@ -415,15 +416,18 @@ def _leave_parents_cpu() -> None:
         os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
 
 
-def _with_child(split: bool, child, parent) -> int | str | None:
-    """Run child() in a forked child process, if ``split``, while parent()
-    runs here.  Returns the child's exit code: 0 once child() returns, 1 if
-    it raises, minus the signal's number if one ends it, or "unknown" where
-    the kernel reaped the child itself (SIGCHLD is ignored).  Returns None,
-    and has run parent() alone, when ``split`` is false or os.fork fails
-    (EAGAIN, ENOMEM): the caller then does the child's part itself.  So a
-    caller learns whether child() finished from what it left in shared
-    memory, not from the code.
+def _with_child(split: bool, size: int, child, parent) -> memoryview | None:
+    """Run child(out) in a forked child process, if ``split``, while
+    parent() runs here.  ``out`` is a shared anonymous mapping, positioned
+    for at most ``size`` bytes: child writes its result there with
+    out.write, and once child returns, the child process writes the used
+    length in front of it.  Returns those bytes, or None if child raised,
+    the child process was killed before it wrote the length, or it never
+    ran: ``split`` is false, or the mapping or os.fork failed (ENOMEM,
+    EAGAIN).  On None the caller does the child's part itself, so a split
+    never fails where one process succeeds.  The used length, not the exit
+    status, decides, so a child that the kernel reaps itself (SIGCHLD
+    ignored) counts as well.
 
     The child ends in os._exit, so it never flushes the files it inherits,
     runs its callers' cleanup (replacing's removal of the temporary) or
@@ -432,25 +436,26 @@ def _with_child(split: bool, child, parent) -> int | str | None:
     pid = None
     if split:
         with contextlib.suppress(OSError):
+            # Never closed: the view returned holds it, and it goes with its
+            # last reference.
+            out = mmap.mmap(-1, _USED.size + size)
+            out.seek(_USED.size)
             pid = os.fork()
     if pid == 0:
-        code = 1
         try:
             _leave_parents_cpu()
-            child()
-            code = 0
+            child(out)
+            _USED.pack_into(out, 0, out.tell())
         finally:
-            os._exit(code)
-    code = None
+            os._exit(0)
     try:
         parent()
     finally:
         if pid:
-            try:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            except ChildProcessError:  # raised only once the reaped child has ended
-                code = "unknown"
-    return code
+            with contextlib.suppress(ChildProcessError):  # reaped by the kernel once it ended
+                os.waitpid(pid, 0)
+    used = _USED.unpack_from(out)[0] if pid else 0
+    return memoryview(out)[_USED.size:used] if used else None
 
 
 def write_trace_csv(trace: SimTrace, path: str) -> None:
@@ -458,40 +463,22 @@ def write_trace_csv(trace: SimTrace, path: str) -> None:
 
     The rows stream to a file that replaces ``path`` only once it is
     complete (see replacing).  Where _two_processes allows it, a forked
-    child formats rows m..n-1, m = n//2, into an anonymous shared mapping
-    sized for 275 B per row, while this process writes rows 0..m-1; then it
-    waits for the child and appends the child's bytes.  Otherwise, or if
-    the fork fails, this process writes every row.  The bytes are the same
-    either way.
-
-    Any failure in the child, a row that does not fit the mapping included,
-    ends it with status 1 before it writes its used length, and a child
-    that leaves no used length raises OSError here, naming its status.  No
-    child outlives the call (see _with_child).
+    child formats rows m..n-1, m = n//2, 275 B per row at most, while this
+    process writes rows 0..m-1; then this process appends the child's bytes,
+    or formats those rows itself if the child did not finish (see
+    _with_child).  The bytes are the same either way.
     """
     n = trace.n
     m = n // 2 if _two_processes(n) else n
-    # Not closed by a with block: while a failed write's traceback holds a
-    # view of the mapping, close raises BufferError in place of that error.
-    # The mapping goes with its last reference.
-    shared = mmap.mmap(-1, _USED.size + _CSV_ROW_BYTES * (n - m))
-
-    def child():
-        shared.seek(_USED.size)
-        shared.write(b"".join(_csv_rows(trace, m, n)))  # ValueError if it does not fit
-        _USED.pack_into(shared, 0, shared.tell())
-
     with replacing(path) as f:
         f.write(TRACE_HEADER.encode() + b"\n")
-        code = _with_child(m < n, child, lambda: f.writelines(_csv_rows(trace, 0, m)))
-        used = _USED.unpack_from(shared)[0]
-        if code is None:
+        rows = _with_child(m < n, _CSV_ROW_BYTES * (n - m),
+                           lambda out: out.write(b"".join(_csv_rows(trace, m, n))),
+                           lambda: f.writelines(_csv_rows(trace, 0, m)))
+        if rows is None:
             f.writelines(_csv_rows(trace, m, n))
-        elif not used:
-            raise OSError(f"the child process formatting trace rows {m}..{n - 1} ended "
-                          f"with status {code}")
         else:
-            f.write(memoryview(shared)[_USED.size:used])
+            f.write(rows)
 
 
 def _data_rows(f) -> tuple[int, int, int]:
@@ -563,31 +550,28 @@ def _rows_from_child(path: str, trace: SimTrace, f, s: int, k0: int) -> bool:
     _parse_rows, and reads from byte ``s`` through a file description of its
     own, because it shares the file offset of ``f``.  It never maps the
     file, since a file truncated under a mapping ends the process with
-    SIGBUS.  It copies its rows, 48 B each, into an anonymous shared mapping,
-    then writes their used length before them.  False, with rows k0.. left
-    for this process to parse, unless that length says the child filled the
-    mapping with exactly the rows the count found, and ``f`` stops at ``s``:
-    a bad row, a file that grew, shrank or was replaced since the count, a
-    failed fork and a child that dies all end here.  So every error is
-    raised here, by the one-process loop, in file order."""
+    SIGBUS.  It hands back its rows, 48 B each, through _with_child.  False,
+    with rows k0.. left for this process to parse, unless the child returned
+    exactly the rows the count found, and ``f`` stops at ``s``: a bad row, a
+    file that grew, shrank or was replaced since the count, and a child
+    that did not finish all end here.  So every error is raised here, by the
+    one-process loop, in file order."""
     a = k0 * _ROW_BYTES
-    shared = mmap.mmap(-1, _USED.size + trace._allocated - a)
+    size = trace._allocated - a
 
-    def child():
+    def child(out):
         with open(path, "rb") as g:
             if not os.path.sameopenfile(f.fileno(), g.fileno()):
-                return  # another file took path's name: the used length stays 0
+                return  # another file took path's name: no rows
             g.seek(s)
             trace._end = a
             _parse_rows(path, trace, g)
-        shared.seek(_USED.size)
-        shared.write(memoryview(trace._rows).cast("B")[a:trace._end])  # ValueError if it grew
-        _USED.pack_into(shared, 0, shared.tell())
+        out.write(memoryview(trace._rows).cast("B")[a:trace._end])  # ValueError if it grew
 
-    _with_child(True, child, lambda: _parse_rows(path, trace, f, k0))
-    if f.tell() != s or _USED.unpack_from(shared)[0] != len(shared):
+    rows = _with_child(True, size, child, lambda: _parse_rows(path, trace, f, k0))
+    if rows is None or len(rows) != size or f.tell() != s:
         return False
-    memoryview(trace._rows).cast("B")[a:] = memoryview(shared)[_USED.size:]
+    memoryview(trace._rows).cast("B")[a:] = rows
     trace._end = trace._allocated
     return True
 

@@ -145,21 +145,6 @@ REJECTED_IDS = ["header-config-file", "header-empty-file", "z3-negative-zero", "
 
 
 class TestTraceCsv:
-    def test_round_trip_is_exact(self, tmp_path):
-        trace, _ = run_preset("paper-implicit", {"t_final": 0.05})
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, str(path))
-        back = read_trace_csv(str(path), L=trace.L)
-        assert back.n == trace.n
-        for i in range(trace.n):
-            assert row(back, i) == row(trace, i)
-
-    def test_header(self, tmp_path):
-        trace, _ = run_preset("zero", {"t_final": 0.01})
-        path = tmp_path / "t.csv"
-        write_trace_csv(trace, str(path))
-        assert path.read_text().startswith(H)
-
     @pytest.mark.parametrize("text, L, message", REJECTED, ids=REJECTED_IDS)
     def test_rejected_with_its_message(self, tmp_path, text, L, message):
         path = tmp_path / "trace.csv"
@@ -406,6 +391,15 @@ def _failed_fork():
     raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
 
+def _formatted_here(monkeypatch):
+    """A list that gets (a, b) for each _csv_rows(trace, a, b) call made in
+    this process, not in a forked child."""
+    here, real = [], plant._csv_rows
+    monkeypatch.setattr(plant, "_csv_rows",
+                        lambda trace, a, b: here.append((a, b)) or real(trace, a, b))
+    return here
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -498,34 +492,34 @@ class TestTwoProcessWrite:
 
         monkeypatch.setattr(plant.mmap, "mmap", spy)
         trace, _ = run_preset("paper-implicit", {})
+        _written(trace, tmp_path / "trace.csv", split=False)
+        assert sizes == []
         _written(trace, tmp_path / "trace.csv", split=True)
         assert (trace.n, sizes) == (10_001, [8 + 275 * 5_001])
 
-    def test_row_that_does_not_fit_fails_the_write(self, tmp_path, monkeypatch, capsys):
-        # A child that cannot fit its rows fails the write; it never cuts one
-        # short.  main reports it on one line.
+    def test_row_that_does_not_fit_is_formatted_here(self, tmp_path, monkeypatch, capsys):
+        # A child that cannot fit its rows never cuts one short: it leaves
+        # them all to this process, and the write succeeds.
+        one, _ = _written(_preset_trace(), tmp_path / "one.csv", split=False)
         monkeypatch.setattr(plant, "_two_processes", lambda rows: True)
         monkeypatch.setattr(plant, "_CSV_ROW_BYTES", 100)
         target = tmp_path / "trace.csv"
-        assert main(["simulate", "--preset", "paper-implicit", "--out", str(target)]) == 1
-        assert capsys.readouterr().err == (
-            "error: the child process formatting trace rows 5000..10000 ended with status 1\n")
-        assert list(tmp_path.iterdir()) == []
+        assert main(["simulate", "--preset", "paper-implicit", "--out", str(target)]) == 0
+        assert capsys.readouterr().err == ""
+        assert target.read_bytes() == one
         _assert_no_child_left()
         # The child's row 1 of this trace is the widest a trace holds, 274 B:
         # it fits in 274, not in 273.
         widest = _trace(*_widest(2))
-        monkeypatch.setattr(plant, "_CSV_ROW_BYTES", 273)
-        with pytest.raises(OSError, match="rows 1..1 ended with status 1"):
-            write_trace_csv(widest, str(target))
-        assert list(tmp_path.iterdir()) == []
-        _assert_no_child_left()
-        monkeypatch.setattr(plant, "_CSV_ROW_BYTES", 274)
-        write_trace_csv(widest, str(target))
         one, _ = _written(widest, tmp_path / "one.csv", split=False)
-        assert target.read_bytes() == one
         assert len(one.splitlines(keepends=True)[2]) == 274
-        _assert_no_child_left()
+        here = _formatted_here(monkeypatch)
+        for row_bytes, formatted in [(273, [(0, 1), (1, 2)]), (274, [(0, 1)])]:
+            monkeypatch.setattr(plant, "_CSV_ROW_BYTES", row_bytes)
+            here.clear()
+            write_trace_csv(widest, str(target))
+            assert (target.read_bytes(), here) == (one, formatted)
+            _assert_no_child_left()
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
     def test_child_leaves_the_parents_cpu(self, monkeypatch):
@@ -546,22 +540,24 @@ class TestTwoProcessWrite:
         plant._leave_parents_cpu()
         assert len(calls) == 1
 
-    def test_child_reaped_by_the_kernel(self, tmp_path, monkeypatch, capsys):
+    def test_child_reaped_by_the_kernel(self, tmp_path, monkeypatch):
         # The wait cannot learn the status; the child's used length decides.
         trace = _preset_trace()
         one, _ = _written(trace, tmp_path / "one.csv", split=False)
         target = tmp_path / "trace.csv"
+        here = _formatted_here(monkeypatch)
         with _sigchld_ignored():
             assert _written(trace, target, split=True) == (one, 1)
-            monkeypatch.setattr(plant, "_two_processes", lambda rows: True)
-            monkeypatch.setattr(plant, "_CSV_ROW_BYTES", 100)
-            assert main(["simulate", "--preset", "paper-implicit", "--out", str(target)]) == 1
-        assert capsys.readouterr().err == ("error: the child process formatting trace rows "
-                                           "5000..10000 ended with status unknown\n")
-        assert target.read_bytes() == one
+            assert here == [(0, 5_000)]
+            monkeypatch.setattr(plant, "_CSV_ROW_BYTES", 100)  # the child fails
+            here.clear()
+            assert _written(trace, target, split=True) == (one, 1)
+            assert here == [(0, 5_000), (5_000, 10_001)]
         _assert_no_child_left()
 
-    def test_failing_child_leaves_no_file(self, tmp_path, monkeypatch):
+    def test_failing_child_leaves_its_error_to_this_process(self, tmp_path, monkeypatch):
+        # This process formats the child's rows itself, so it raises the
+        # error that stopped the child, and no file is left.
         trace, _ = run_preset("paper-implicit", {})
         m = trace.n // 2
         real_view = trace.view
@@ -572,7 +568,7 @@ class TestTwoProcessWrite:
             return real_view(name, a, b)
 
         monkeypatch.setattr(trace, "view", view)
-        with pytest.raises(OSError, match="rows 5000..10000 ended with status 1"):
+        with pytest.raises(ValueError, match="^row 5000 is unreadable$"):
             _written(trace, tmp_path / "trace.csv", split=True)
         assert list(tmp_path.iterdir()) == []
         _assert_no_child_left()
@@ -935,6 +931,29 @@ class TestTwoProcessRead:
             assert not writer.is_alive()
         digest = hashlib.sha256(trace._rows).hexdigest()
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"{forks} {rows} {digest}\n")
+
+
+def _failed_mmap(fileno, length):
+    raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+
+@pytest.mark.parametrize("direction", ["write", "read"])
+def test_failed_mapping_leaves_the_rows_to_one_process(tmp_path, monkeypatch, direction):
+    # As where the address space runs out: the codec then forks no child
+    # and does its part in this process.
+    trace = _preset_trace()
+    path = tmp_path / "trace.csv"
+    one, _ = _written(trace, path, split=False)
+    monkeypatch.setattr(plant.mmap, "mmap", _failed_mmap)
+    with _split_forced(True) as forks:
+        if direction == "write":
+            write_trace_csv(trace, str(path))
+            assert path.read_bytes() == one
+        else:
+            back = read_trace_csv(str(path), trace.L)
+            assert (back.n, back._rows, back.t) == (trace.n, trace._rows, trace.t)
+    assert forks == []
+    _assert_no_child_left()
 
 
 class TestSweep:
