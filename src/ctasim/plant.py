@@ -23,12 +23,11 @@ the stored row layout, derives t = k*h, holds the row invariants (row k at
 a finite t = k*h, L > 0) and selects a window's rows (widen_window).  It
 forms z3 = eta + delta and x = z/L on each read; for speed, read_trace_csv
 and metrics.WindowMax restate them per row.  The CSV codec sits beside it;
-where a second CPU is usable, write_trace_csv formats half of the rows in
-a forked child process, and read_trace_csv parses half of them in one.  A
-child that cannot be started or does not finish leaves its rows to this
-process (see _with_child), so the file's bytes, the trace read back and
-every error are the same either way.  A run passes its rows to a sink
-(see run_simulation), by default a SimTrace.
+where a second CPU is usable, it splits its rows in blocks between this
+process and a forked child, which start from either end and meet where
+they meet (_from_both_ends).  Whatever the child does not finish is done
+here, so the bytes, the trace and every error are as in one process.  A
+run passes its rows to a sink (see run_simulation), by default a SimTrace.
 """
 
 from __future__ import annotations
@@ -204,15 +203,12 @@ class SimTrace:
     it writes anything, so the rows are in time order and every t reads back
     bit for bit.  rows_between selects a time window's rows by bisection.
 
-    ``SimTrace(L, rows)`` allocates ``rows`` rows up front, and append fills
-    them in place before it grows the array; run_simulation and
-    read_trace_csv size their traces exactly this way.  ``n`` counts the
-    rows appended, and every read stops there.
-
+    ``SimTrace(L, rows)`` allocates ``rows`` rows up front, which append
+    fills in place before it grows the array, as run_simulation and
+    read_trace_csv use it.  ``n`` counts the rows appended; reads stop there.
     L must be positive and finite, so that x = z/L keeps the sign and order
     of z.  Each column attribute returns a fresh array('d') copy, O(n): bind
-    a column once before indexing it in a loop, or read it with view().
-    """
+    it once before indexing it in a loop, or read it with view()."""
 
     def __init__(self, L: float, rows: int = 0):
         if not (L > 0.0 and math.isfinite(L)):
@@ -235,17 +231,13 @@ class SimTrace:
     t, z1, z2, z3, x1, x2, x3, u, u1, eta, delta = map(_copy, TRACE_COLUMNS)
 
     def view(self, name: str, a: int = 0, b: int | None = None):
-        """Rows a..b-1 of column ``name``, read in place.
-
-        A stored column is a read-only strided memoryview; z3 = eta + delta
-        (the float operation run_simulation performs) and x = z/L are lazy
-        maps over such views, and t is a lazy map over the row numbers k,
-        giving k*h.  Each memoryview covers the rows appended so far and
-        holds the trace's buffer, so an append that grows the array raises
-        BufferError while it is alive: take a memoryview in a ``with``
-        block, and use a map up within one expression.  An unknown name
-        raises ValueError.
-        """
+        """Rows a..b-1 of column ``name``, read in place: a stored column as
+        a read-only strided memoryview; z3 = eta + delta (run_simulation's
+        float operation) and x = z/L as lazy maps over such views, and t as
+        a lazy map of k*h over the row numbers k.  A memoryview holds the
+        trace's buffer, so an append that grows the array raises BufferError
+        while it is alive: take one in a ``with`` block, and use a map up
+        within one expression.  An unknown name raises ValueError."""
         if name in _STORED:
             j = _STORED.index(name)
             return memoryview(self._rows).toreadonly()[j:_WIDTH * self.n:_WIDTH][a:b]
@@ -315,20 +307,15 @@ class SimTrace:
 @contextlib.contextmanager
 def replacing(path: str):
     """``with replacing(path) as f:`` writes the binary file ``path`` whole
-    or not at all.
-
-    ``f`` is a new file beside ``path``, ``.NAME.PID.RANDOM.tmp``, which
-    os.replace moves over ``path`` once the block ends and the file closes
-    without error.  Any exception removes it, so a write that fails part way
-    leaves neither a truncated ``path`` nor a temporary.  A file already at
-    that name, such as one a killed run left, is never written: it is left
-    as it is and another name is drawn.  A symlink's target is replaced,
-    not the link.  A path with no file name (empty, or ending in a
-    separator) and one that exists but is not a regular file (a device, a
-    FIFO) are opened in place: open reports the first, and the second is
-    written as it always was.  A file that cannot be created is reported
-    under ``path`` as given.
-    """
+    or not at all: ``f`` is a new file beside it, ``.NAME.PID.RANDOM.tmp``,
+    which os.replace moves over ``path`` once the block ends and the file
+    closes without error, and any exception removes.  A file already at
+    that name (a killed run's) is left as it is and another name drawn.  A
+    symlink's target is replaced, not the link.  A path with no file name
+    (empty, or ending in a separator) and one that exists but is not a
+    regular file (a device, a FIFO) are opened in place: open reports the
+    first, and the second is written as it always was.  A file that cannot
+    be created is reported under ``path`` as given."""
     tmp = None
     if os.path.basename(path) and (os.path.isfile(path) or not os.path.exists(path)):
         real = os.path.realpath(path)
@@ -364,7 +351,11 @@ def replacing(path: str):
 # is -2.2250738585072014e-308), each followed by a comma or the newline.
 _CSV_ROW = b",".join([b"%.17g"] * len(TRACE_COLUMNS)) + b"\n"
 _CSV_ROW_BYTES = len(TRACE_COLUMNS) * (24 + 1)  # 275
-_USED = struct.Struct("Q")  # the bytes a child wrote, at the start of its mapping
+_USED = struct.Struct("Q")  # the bytes in one of the writer's slots, at its start
+# A split job's blocks: the writer's hold _BLOCK_ROWS rows; each of the
+# reader's starts at the first line that starts in a _BLOCK_BYTES block.
+_BLOCK_ROWS = 256
+_BLOCK_BYTES = 1 << 16
 
 
 def _csv_rows(trace: SimTrace, a: int, b: int):
@@ -373,27 +364,21 @@ def _csv_rows(trace: SimTrace, a: int, b: int):
     return map(_CSV_ROW.__mod__, zip(*[trace.view(name, a, b) for name in TRACE_COLUMNS]))
 
 
-# Forking and waiting take about 1 ms from the command line's process, and
-# more from a larger one, and the child starts 1-5 ms after the fork.  Below
-# this many rows a second process costs more than it saves: on a 2-vCPU KVM
-# guest, timed in one process with the child on the other CPU, a split write
-# broke even at 1,000-2,000 rows and a split read, which also opens the file
-# again and copies its rows back, at 2,000-2,500.
+# Forking and waiting take about 1 ms, and the child starts 1-5 ms later, so
+# a second process pays only from this many rows: on a 2-vCPU KVM guest a
+# split write broke even at 1,000-2,000 rows and a split read at 2,000-2,500.
 _SPLIT_ROWS = 3_000
 
 
 def _two_processes(rows: int) -> bool:
-    """Whether the CSV codec splits its ``rows`` rows between this process
-    and a forked child: only for at least _SPLIT_ROWS rows, where os.fork
-    exists, more than one CPU is usable and no other thread is alive.
-    Threads are counted by the kernel where it lists them, native ones
-    included, as Python 3.12+ counts them when it warns about a fork."""
+    """Whether the CSV codec splits its ``rows`` rows with a forked child:
+    from _SPLIT_ROWS rows, where os.fork exists, more than one CPU is usable
+    and no other thread is alive, counted by the kernel where it lists them
+    (native ones too, as Python 3.12+ counts them when it warns of a fork)."""
     if rows < _SPLIT_ROWS or not hasattr(os, "fork"):
         return False
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     try:
         threads = len(os.listdir("/proc/self/task"))
     except OSError:
@@ -402,10 +387,9 @@ def _two_processes(rows: int) -> bool:
 
 
 def _leave_parents_cpu() -> None:
-    """Moves this forked child off the CPU its parent last ran on, where
-    the kernel often starts it, so that the two halves run side by side
-    rather than in turns.  Does nothing where the CPU cannot be read from
-    /proc or no other CPU is usable."""
+    """Moves this forked child off the CPU its parent last ran on, where the
+    kernel often starts it, so that the two run side by side, not in turns;
+    not where /proc has no such CPU or no other CPU is usable."""
     with contextlib.suppress(OSError, AttributeError, IndexError, ValueError):
         fd = os.open(f"/proc/{os.getppid()}/stat", os.O_RDONLY)
         try:
@@ -416,94 +400,122 @@ def _leave_parents_cpu() -> None:
         os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
 
 
-def _with_child(split: bool, size: int, child, parent) -> memoryview | None:
-    """Run child(out) in a forked child process, if ``split``, while
-    parent() runs here.  ``out`` is a shared anonymous mapping, positioned
-    for at most ``size`` bytes: child writes its result there with
-    out.write, and once child returns, the child process writes the used
-    length in front of it.  Returns those bytes, or None if child raised,
-    the child process was killed before it wrote the length, or it never
-    ran: ``split`` is false, or the mapping or os.fork failed (ENOMEM,
-    EAGAIN).  On None the caller does the child's part itself, so a split
-    never fails where one process succeeds.  The used length, not the exit
-    status, decides, so a child that the kernel reaps itself (SIGCHLD
-    ignored) counts as well.
+def _claimed(progress, nb: int):
+    """The child's blocks, nb-1 down to 1 until this process has one (progress[0]),
+    each claimed in progress[1], and finished in progress[2] once it asks for the next."""
+    for j in range(nb - 1, 0, -1):
+        progress[1] = j
+        if progress[0] >= j:
+            return
+        yield j
+        progress[2] = j
 
-    The child ends in os._exit, so it never flushes the files it inherits,
-    runs its callers' cleanup (replacing's removal of the temporary) or
-    runs atexit handlers.  The wait is in a finally block, so no child
-    outlives the call, even when parent() raises."""
-    pid = None
-    if split:
+
+def _from_both_ends(nb: int, size: int, here, child):
+    """Do blocks 0..nb-1 of a codec job from both ends: this process calls
+    here(0), here(1), ... while, if nb > 1, a forked child runs child(out,
+    blocks) and does each block of ``blocks`` (_claimed: nb-1, nb-2, ...)
+    into ``out``, ``size`` bytes of a shared anonymous mapping.  Each side
+    claims a block in the mapping's header before it starts it and stops
+    at the first block the other has claimed, so the faster does more.
+
+    Returns (d, out): the child finished blocks d..nb-1 in ``out``, and this
+    process did 0..d-1.  The child's are read after the wait, from where this
+    process stopped on; it does any block in between itself, in order: one
+    a child that raised, was killed or never forked (nb < 2, or the mapping
+    or os.fork failed) left, or one both passed over.  So no result depends
+    on memory order.  The child ends in os._exit, never flushing inherited
+    files or running cleanup or atexit handlers; the wait is in a finally
+    block, so no child outlives the call."""
+    # This process's block, the child's, and the first the child finished.
+    pid, out, progress = None, None, [0, nb, nb]
+    if nb > 1:
         with contextlib.suppress(OSError):
-            # Never closed: the view returned holds it, and it goes with its
-            # last reference.
-            out = mmap.mmap(-1, _USED.size + size)
-            out.seek(_USED.size)
+            # Never closed: it goes with the last reference to a view of it.
+            mapped = mmap.mmap(-1, 24 + size)
+            progress, out = memoryview(mapped)[:24].cast("Q"), memoryview(mapped)[24:]
+            progress[1] = progress[2] = nb
             pid = os.fork()
     if pid == 0:
         try:
             _leave_parents_cpu()
-            child(out)
-            _USED.pack_into(out, 0, out.tell())
+            child(out, _claimed(progress, nb))
         finally:
             os._exit(0)
+    done = 0
     try:
-        parent()
+        for i in range(nb):
+            progress[0] = i
+            if progress[1] <= i:  # the child has it
+                break
+            here(i)
+            done = i + 1
     finally:
+        progress[0] = nb  # the child stops at its next block
         if pid:
             with contextlib.suppress(ChildProcessError):  # reaped by the kernel once it ended
                 os.waitpid(pid, 0)
-    used = _USED.unpack_from(out)[0] if pid else 0
-    return memoryview(out)[_USED.size:used] if used else None
+    for i in range(done, progress[2]):
+        here(i)
+    return max(done, progress[2]), out
 
 
 def write_trace_csv(trace: SimTrace, path: str) -> None:
     """17 significant digits: parsing the file reproduces the doubles exactly.
 
     The rows stream to a file that replaces ``path`` only once it is
-    complete (see replacing).  Where _two_processes allows it, a forked
-    child formats rows m..n-1, m = n//2, 275 B per row at most, while this
-    process writes rows 0..m-1; then this process appends the child's bytes,
-    or formats those rows itself if the child did not finish (see
-    _with_child).  The bytes are the same either way.
-    """
+    complete (see replacing).  Where _two_processes allows it, blocks of
+    _BLOCK_ROWS rows are split from both ends (_from_both_ends): this
+    process writes its blocks as it formats them, then the child's, each in
+    a slot of 275 B per row (a block that does not fit is left here).  The
+    bytes are the same however the blocks fall."""
     n = trace.n
-    m = n // 2 if _two_processes(n) else n
+    rows = _BLOCK_ROWS if _two_processes(n) else max(n, 1)
+    slot = _USED.size + _CSV_ROW_BYTES * rows
+
+    def block(i):
+        return _csv_rows(trace, i * rows, min(n, i * rows + rows))
+
+    def fill(mine, data):  # a call, so that a block's bytes go before the next's
+        struct.pack_into(f"Q{len(data)}s", mine, 0, len(data), data)
+
+    def child(out, blocks):
+        for j in blocks:  # struct.error for a block that does not fit its slot
+            fill(out[j * slot:j * slot + slot], b"".join(block(j)))
+
     with replacing(path) as f:
         f.write(TRACE_HEADER.encode() + b"\n")
-        rows = _with_child(m < n, _CSV_ROW_BYTES * (n - m),
-                           lambda out: out.write(b"".join(_csv_rows(trace, m, n))),
-                           lambda: f.writelines(_csv_rows(trace, 0, m)))
-        if rows is None:
-            f.writelines(_csv_rows(trace, m, n))
-        else:
-            f.write(rows)
+        nb = -(-n // rows)
+        d, out = _from_both_ends(nb, nb * slot, lambda i: f.writelines(block(i)), child)
+        for j in range(d, nb):
+            a = j * slot + _USED.size
+            f.write(out[a:a + _USED.unpack_from(out, j * slot)[0]])
 
 
-def _data_rows(f) -> tuple[int, int, int]:
-    """(rows, s, k0) for the binary file ``f``, from one pass over its
-    newlines in 64 KiB blocks: ``rows``, the lines after the header, a last
-    line with no newline included; ``s``, the byte offset of the first line
-    that starts at or after half the file's size, and ``k0``, that line's
-    row number, or (0, 0) if no line starts there.  (0, 0, 0), without
-    reading, when ``f`` cannot seek back to its start (a pipe)."""
+def _data_rows(f) -> tuple[int, array, array]:
+    """(rows, offsets, ks) for the binary file ``f`` from one pass over its
+    newlines in _BLOCK_BYTES blocks: the lines after the header, a last one
+    with no newline included, and the offset and row k of the first line
+    that starts in each block, where k >= 2, then the file's size and rows.
+    (0, [], []), without reading, when ``f`` cannot seek back (a pipe)."""
+    offsets, ks = array("q"), array("q")
     if not f.seekable():
-        return 0, 0, 0
-    half = f.seek(0, os.SEEK_END) // 2
-    f.seek(0)
-    newlines = pos = s = k0 = 0
-    last = b""
-    for block in iter(lambda: f.read(1 << 16), b""):
-        if not s and pos + len(block) >= half:
-            i = block.find(b"\n", max(half - 1 - pos, 0))
-            if i >= 0:  # the line after this newline starts at or after half
-                s, k0 = pos + i + 1, newlines + block.count(b"\n", 0, i)
+        return 0, offsets, ks
+    newlines, pos, last = 0, 0, b""
+    for block in iter(lambda: f.read(_BLOCK_BYTES), b""):
+        at = last == b"\n"  # a line starts at pos; else, after the block's first newline
+        i = -1 if at else block.find(b"\n", 0, len(block) - 1)
+        if (at or i >= 0) and newlines - at >= 2:
+            offsets.append(pos + i + 1)
+            ks.append(newlines - at)
         newlines += block.count(b"\n")
         pos += len(block)
         last = block[-1:]
     f.seek(0)
-    return newlines - 1 if last == b"\n" else newlines, s, k0
+    rows = newlines - 1 if last == b"\n" else newlines
+    offsets.append(pos)
+    ks.append(rows)
+    return rows, offsets, ks
 
 
 def _parse_rows(path: str, trace: SimTrace, lines, stop: int | None = None) -> None:
@@ -541,41 +553,6 @@ def _parse_rows(path: str, trace: SimTrace, lines, stop: int | None = None) -> N
                              f"{nan if any(map(math.isnan, (x1, x2, x3))) else ''}")
 
 
-def _rows_from_child(path: str, trace: SimTrace, f, s: int, k0: int) -> bool:
-    """Parse rows k0.. of the file ``path`` in a forked child while this
-    process parses rows trace.n..k0-1 from ``f``; True once the child's rows
-    are in ``trace``, which is then full.
-
-    The child goes on from its copy of ``trace`` at row k0, through the same
-    _parse_rows, and reads from byte ``s`` through a file description of its
-    own, because it shares the file offset of ``f``.  It never maps the
-    file, since a file truncated under a mapping ends the process with
-    SIGBUS.  It hands back its rows, 48 B each, through _with_child.  False,
-    with rows k0.. left for this process to parse, unless the child returned
-    exactly the rows the count found, and ``f`` stops at ``s``: a bad row, a
-    file that grew, shrank or was replaced since the count, and a child
-    that did not finish all end here.  So every error is raised here, by the
-    one-process loop, in file order."""
-    a = k0 * _ROW_BYTES
-    size = trace._allocated - a
-
-    def child(out):
-        with open(path, "rb") as g:
-            if not os.path.sameopenfile(f.fileno(), g.fileno()):
-                return  # another file took path's name: no rows
-            g.seek(s)
-            trace._end = a
-            _parse_rows(path, trace, g)
-        out.write(memoryview(trace._rows).cast("B")[a:trace._end])  # ValueError if it grew
-
-    rows = _with_child(True, size, child, lambda: _parse_rows(path, trace, f, k0))
-    if rows is None or len(rows) != size or f.tell() != s:
-        return False
-    memoryview(trace._rows).cast("B")[a:] = rows
-    trace._end = trace._allocated
-    return True
-
-
 def read_trace_csv(path: str, L: float) -> SimTrace:
     """Parse a trace CSV.  The t, z3 and x columns are not stored (see
     SimTrace).  A header other than TRACE_HEADER (lineno 1), a malformed
@@ -588,34 +565,57 @@ def read_trace_csv(path: str, L: float) -> SimTrace:
     An L that is not positive and finite raises ValueError before the file
     is opened.
 
-    The trace is allocated for the rows a first pass over the file's
-    newlines counts, and each row goes through SimTrace.append, which fills
-    them in place, so the trace holds no growth slack; it grows only past
-    that count (a file that grew in between, or a pipe, which is read in
-    one pass).  Lines end at LF (a CR before it is whitespace; a lone CR
-    ends no line) and split into cells as bytes; a line whose bytes do not
-    parse is decoded and parsed again, for cells such as non-ASCII digits
-    that float() reads only as text.
+    The trace is allocated for the rows a first pass over the newlines
+    counts and filled in place through SimTrace.append, so it holds no
+    growth slack; it grows only past that count (a file that grew since, or
+    a pipe, read in one pass).  Lines end at LF (a CR before it is
+    whitespace; a lone CR ends no line) and split into cells as bytes; a
+    line whose bytes do not parse is decoded and parsed again, for cells
+    such as non-ASCII digits that float() reads only as text.
 
     Where _two_processes allows it, this process parses rows 0 and 1, which
-    set the step, then forks a child that parses the rows from the first
-    line at or after half the file while this process parses the rows
-    before it (see _rows_from_child).  The trace and every error message
-    are the same either way: any child outcome but a full set of good rows
-    leaves those rows to this process, so an error is always the first in
-    file order."""
+    set the step; the rest go in blocks, each from the first line in a
+    _BLOCK_BYTES block of the file, split from both ends (_from_both_ends).
+    The child reads through its own file description, never a mapping,
+    which a file cut short turns into SIGBUS, parses each block's rows into
+    their place in the shared mapping, and hands a block over only if it
+    ends where the count found the next (the last, at the end of the file).
+    This process takes the child's rows only if its own end where they
+    begin.  So a bad row, a file changed since the count and a child that
+    did not finish leave their rows here: the trace and every error are as
+    in one process, in file order."""
     SimTrace(L=L)  # rejects a bad L before the file is opened
     try:
         with open(path, "rb") as f:
-            rows, s, k0 = _data_rows(f)
+            # Block i ends where block i + 1 starts: at offsets[i], row ks[i].
+            rows, offsets, ks = _data_rows(f)
             trace = SimTrace(L=L, rows=rows)
             # decoded first: str.strip() also removes \x1c-\x1f
             header = f.readline().decode().strip()
             if header != TRACE_HEADER:
                 raise ValueError(f"{path}:1: unexpected trace header: {header!r}")
-            if 2 <= k0 < rows and _two_processes(rows):
+            nb = len(ks) if _two_processes(rows) else 0
+
+            def child(out, blocks):
+                with open(path, "rb") as g:
+                    if not os.path.sameopenfile(f.fileno(), g.fileno()):
+                        return  # another file took path's name
+                    trace._rows = out  # row k at byte 48*k, as in the trace
+                    for j in blocks:
+                        g.seek(offsets[j - 1])
+                        trace._end = ks[j - 1] * _ROW_BYTES
+                        _parse_rows(path, trace, g, ks[j])
+                        if (g.tell(), trace.n) != (offsets[j], ks[j]) or j == nb - 1 and g.read(1):
+                            return
+
+            if nb > 1:
                 _parse_rows(path, trace, f, 2)
-                if _rows_from_child(path, trace, f, s, k0):
+                d, out = _from_both_ends(nb, trace._allocated,
+                                         lambda i: _parse_rows(path, trace, f, ks[i]), child)
+                if d < nb and (f.tell(), trace.n) == (offsets[d - 1], ks[d - 1]):
+                    a = ks[d - 1] * _ROW_BYTES
+                    memoryview(trace._rows).cast("B")[a:] = out[a:]
+                    trace._end = trace._allocated
                     return trace
             _parse_rows(path, trace, f)
     except UnicodeDecodeError as exc:

@@ -357,10 +357,16 @@ def _trace(L, h, rows):
     return trace
 
 
+# Blocks small enough that a trace of a few rows splits into several: the
+# writer's rows per block and the reader's bytes per block.
+SMALL_BLOCKS = {"_BLOCK_ROWS": 2, "_BLOCK_BYTES": 128}
+
+
 @contextmanager
-def _split_forced(split):
+def _split_forced(split, small=False):
     """Within the block, the CSV codec's second process is forced on or off
-    (plant._two_processes); yields the list that each os.fork call adds to."""
+    (plant._two_processes), and its blocks are SMALL_BLOCKS if ``small``;
+    yields the list that each os.fork call adds to."""
     forks = []
     real_fork = os.fork
 
@@ -371,15 +377,79 @@ def _split_forced(split):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(plant, "_two_processes", lambda rows: split)
         mp.setattr(os, "fork", fork)
+        for name, value in SMALL_BLOCKS.items() if small else ():
+            mp.setattr(plant, name, value)
         yield forks
 
 
-def _written(trace, path, split):
+def _written(trace, path, split, small=False):
     """write_trace_csv with the second process forced on or off: (the file's
     bytes, the number of os.fork calls)."""
-    with _split_forced(split) as forks:
+    with _split_forced(split, small) as forks:
         write_trace_csv(trace, str(path))
     return Path(path).read_bytes(), len(forks)
+
+
+def _write_blocks(n, rows=plant._BLOCK_ROWS):
+    """The writer's blocks of an n-row trace, ``rows`` rows each, as (first
+    row, end row)."""
+    return [(a, min(a + rows, n)) for a in range(0, n, rows)]
+
+
+@contextmanager
+def _stalled(side):
+    """Within the block, one side of each split codec job waits, after the
+    fork, until the other is done: the ``"parent"`` until the child has
+    ended, so that the child does every block but block 0; the ``"child"``
+    until the parent waits for it, so that the parent does every block."""
+    real_fork, real_waitpid, ends = os.fork, os.waitpid, []
+
+    def fork():
+        r, w = os.pipe()
+        pid = real_fork()
+        if pid == 0 and side == "child":
+            os.close(w)
+            os.read(r, 1)  # b"" once the parent closes its end
+        elif pid:
+            os.close(r)
+            ends.append(w)
+            if side == "parent":
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        return pid
+
+    def waitpid(pid, options):
+        while ends:
+            os.close(ends.pop())
+        return real_waitpid(pid, options)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", fork)
+        mp.setattr(os, "waitpid", waitpid)
+        yield
+    for w in ends:
+        os.close(w)
+
+
+def _child_stops(block, stop):
+    """A plant._claimed under which the child calls stop() when it comes to
+    its block number ``block`` (1 is the first it claims, the last block)."""
+    real = plant._claimed
+
+    def claimed(progress, nb):
+        for j in real(progress, nb):
+            if j == nb - block:
+                stop()
+            yield j
+
+    return claimed
+
+
+def _killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _out_of_memory():
+    raise MemoryError
 
 
 def _no_fork():
@@ -477,8 +547,14 @@ class TestTwoProcessWrite:
         assert forks == 0
         assert one.decode() == H + "".join(",".join("%.17g" % cell for cell in row(trace, k))
                                            + "\n" for k in range(trace.n))
-        two, forks = _written(trace, split_dir / "two.csv", split=True)
-        assert forks == (trace.n > 0)
+        # In blocks of 2 rows: this process formats a prefix of whole blocks,
+        # and the child the rest.
+        blocks = _write_blocks(trace.n, SMALL_BLOCKS["_BLOCK_ROWS"])
+        with pytest.MonkeyPatch.context() as mp:
+            here = _formatted_here(mp)
+            two, forks = _written(trace, split_dir / "two.csv", split=True, small=True)
+        assert forks == (len(blocks) > 1)
+        assert here[:1] == blocks[:1] and here == blocks[:len(here)]
         assert two == one
         _assert_no_child_left()
 
@@ -494,8 +570,28 @@ class TestTwoProcessWrite:
         trace, _ = run_preset("paper-implicit", {})
         _written(trace, tmp_path / "trace.csv", split=False)
         assert sizes == []
+        # The mapping holds the 24 B header, then one slot per block of 256
+        # rows: the used length, then 275 B per row.
         _written(trace, tmp_path / "trace.csv", split=True)
-        assert (trace.n, sizes) == (10_001, [8 + 275 * 5_001])
+        assert (trace.n, sizes) == (10_001, [24 + 40 * (8 + 275 * 256)])
+        # The child's heap holds one block at a time, its rows and then their
+        # 61 KB joined, though it formats every block but block 0 (3.0 MB
+        # when it formatted a half).
+        r, w = os.pipe()
+        real = plant._claimed
+
+        def claimed(progress, nb):
+            tracemalloc.start()
+            yield from real(progress, nb)
+            os.write(w, b"%d" % tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(plant, "_claimed", claimed)
+        with _stalled("parent"):
+            assert _written(trace, tmp_path / "trace.csv", split=True)[1] == 1
+        os.close(w)
+        with os.fdopen(r, "rb") as child:
+            peak = int(child.read())
+        assert 256 * 200 < peak < 3 * 256 * 275
 
     def test_row_that_does_not_fit_is_formatted_here(self, tmp_path, monkeypatch, capsys):
         # A child that cannot fit its rows never cuts one short: it leaves
@@ -508,16 +604,18 @@ class TestTwoProcessWrite:
         assert capsys.readouterr().err == ""
         assert target.read_bytes() == one
         _assert_no_child_left()
-        # The child's row 1 of this trace is the widest a trace holds, 274 B:
-        # it fits in 274, not in 273.
-        widest = _trace(*_widest(2))
+        # The child's block 1 of this trace, rows 256..511, is of rows nearly
+        # all as wide as a row can be, 274 B: it fits in 274 B per row, not
+        # in 273.
+        widest = _trace(*_widest(512))
         one, _ = _written(widest, tmp_path / "one.csv", split=False)
-        assert len(one.splitlines(keepends=True)[2]) == 274
+        assert 273 * 256 < len(b"".join(one.splitlines(keepends=True)[257:])) <= 274 * 256
         here = _formatted_here(monkeypatch)
-        for row_bytes, formatted in [(273, [(0, 1), (1, 2)]), (274, [(0, 1)])]:
+        for row_bytes, formatted in [(273, [(0, 256), (256, 512)]), (274, [(0, 256)])]:
             monkeypatch.setattr(plant, "_CSV_ROW_BYTES", row_bytes)
             here.clear()
-            write_trace_csv(widest, str(target))
+            with _stalled("parent"):
+                write_trace_csv(widest, str(target))
             assert (target.read_bytes(), here) == (one, formatted)
             _assert_no_child_left()
 
@@ -541,34 +639,35 @@ class TestTwoProcessWrite:
         assert len(calls) == 1
 
     def test_child_reaped_by_the_kernel(self, tmp_path, monkeypatch):
-        # The wait cannot learn the status; the child's used length decides.
+        # The wait cannot learn the status; the blocks the child marked
+        # finished decide.
         trace = _preset_trace()
         one, _ = _written(trace, tmp_path / "one.csv", split=False)
         target = tmp_path / "trace.csv"
         here = _formatted_here(monkeypatch)
+        blocks = _write_blocks(trace.n)
         with _sigchld_ignored():
             assert _written(trace, target, split=True) == (one, 1)
-            assert here == [(0, 5_000)]
-            monkeypatch.setattr(plant, "_CSV_ROW_BYTES", 100)  # the child fails
+            assert here == blocks[:len(here)]
+            monkeypatch.setattr(plant, "_CSV_ROW_BYTES", 10)  # no block fits
             here.clear()
             assert _written(trace, target, split=True) == (one, 1)
-            assert here == [(0, 5_000), (5_000, 10_001)]
+            assert here == blocks
         _assert_no_child_left()
 
     def test_failing_child_leaves_its_error_to_this_process(self, tmp_path, monkeypatch):
         # This process formats the child's rows itself, so it raises the
         # error that stopped the child, and no file is left.
         trace, _ = run_preset("paper-implicit", {})
-        m = trace.n // 2
         real_view = trace.view
 
         def view(name, a=0, b=None):
-            if a >= m:
+            if a >= 5_120:  # block 20 and on
                 raise ValueError(f"row {a} is unreadable")
             return real_view(name, a, b)
 
         monkeypatch.setattr(trace, "view", view)
-        with pytest.raises(ValueError, match="^row 5000 is unreadable$"):
+        with pytest.raises(ValueError, match="^row 5120 is unreadable$"):
             _written(trace, tmp_path / "trace.csv", split=True)
         assert list(tmp_path.iterdir()) == []
         _assert_no_child_left()
@@ -627,10 +726,11 @@ def _preset_trace():
     return run_preset("paper-implicit")[0]
 
 
-def _read_split(path, L, split):
-    """read_trace_csv with the second process forced on or off: (its outcome
-    as _read_outcome gives it, the number of os.fork calls, the rows
-    appended in this process).  No child is left."""
+def _read_split(path, L, split, small=True):
+    """read_trace_csv with the second process forced on or off, in
+    SMALL_BLOCKS if ``small``: (its outcome as _read_outcome gives it, the
+    number of os.fork calls, the rows appended in this process).  No child
+    is left."""
     appended = []
     real_append = SimTrace.append
 
@@ -638,23 +738,34 @@ def _read_split(path, L, split):
         appended.append(None)
         return real_append(self, *cells)
 
-    with _split_forced(split) as forks, pytest.MonkeyPatch.context() as mp:
+    with _split_forced(split, small) as forks, pytest.MonkeyPatch.context() as mp:
         mp.setattr(SimTrace, "append", append)
         outcome = _read_outcome(read_trace_csv, path, L)
     _assert_no_child_left()
     return outcome, len(forks), len(appended)
 
 
-def _split_row(data: bytes, n: int):
-    """The row k0 that the first line of the trace CSV ``data`` (``n``
-    rows) starting at or after half its length holds, if 2 <= k0 < n: the
-    first row the child parses.  None where there is no such row."""
-    half, start = len(data) // 2, 0
+def _read_blocks(data: bytes, size=SMALL_BLOCKS["_BLOCK_BYTES"]):
+    """The rows at which the split reader's blocks of the trace CSV ``data``
+    end, in blocks of ``size`` bytes: the row of the first line that starts
+    in each block of the file, where that is row 2 or later, then the
+    file's row count.  Block 0 is parsed here; the child may take any
+    later ones."""
+    first, start, rows = {}, 0, 0
     for k, line in enumerate(data.split(b"\n")):  # line k holds row k - 1
-        if start >= half:
-            return k - 1 if 2 <= k - 1 < n else None
+        if 0 < start < len(data):
+            first.setdefault(start // size, k - 1)
+            rows = k
         start += len(line) + 1
-    return None
+    return [k for k in first.values() if k >= 2] + [rows]
+
+
+def _counted_ends(path, size=SMALL_BLOCKS["_BLOCK_BYTES"]):
+    """The rows at which the count of the file ``path``, in blocks of
+    ``size`` bytes, ends the reader's blocks (plant._data_rows)."""
+    with pytest.MonkeyPatch.context() as mp, open(path, "rb") as f:
+        mp.setattr(plant, "_BLOCK_BYTES", size)
+        return list(plant._data_rows(f)[2])
 
 
 def _text_of_size(*ends):
@@ -787,14 +898,14 @@ print(len(forks), trace.n, hashlib.sha256(trace._rows).hexdigest())
 # The rows of REJECTED whose files are long enough to split; the others
 # are read in one process whatever the predicate says.
 REJECTED_SPLIT = {key: case for key, case in zip(REJECTED_IDS, REJECTED)
-                  if _split_row(case[0].encode(), case[0].count("\n") - 1) is not None}
+                  if len(_read_blocks(case[0].encode())) > 1}
 
 
 class TestTwoProcessRead:
     @given(drawn_traces(readable_cells))
     @example("paper-implicit")
     @example(_widest(3))  # the child starts at row 2
-    @example((1.0, 1.0, [(0.0,) * 6] * 2 + _widest(1)[2]))  # row 2 runs past half the file
+    @example((1.0, 1.0, [(0.0,) * 6] * 2 + _widest(1)[2]))  # no line starts past block 0
     @settings(max_examples=60, deadline=None)
     def test_rows_equal_in_one_or_two_processes(self, split_dir, drawn):
         trace = _preset_trace() if drawn == "paper-implicit" else _trace(*drawn)
@@ -804,27 +915,42 @@ class TestTwoProcessRead:
         assert forks == 0
         two, forks, appended = _read_split(path, trace.L, split=True)
         assert two == one
-        k0 = _split_row(path.read_bytes(), trace.n)
+        ends = _read_blocks(path.read_bytes())
+        assert _counted_ends(path) == ends
         if isinstance(one, tuple):
-            assert (forks, appended) == ((0, trace.n) if k0 is None else (1, k0))
+            # This process parsed a prefix of whole blocks, and the child the rest.
+            assert (forks, appended in ends) == (len(ends) > 1, True)
         else:  # a bad row 0 or 1 (lines 2 and 3), which set the step, stops it before the fork
-            assert forks == (k0 is not None and int(one.split(":")[1]) > 3)
+            assert forks == (len(ends) > 1 and int(one.split(":")[1]) > 3)
 
     @pytest.mark.parametrize("ends", [(65_536, 131_072), (65_537, 131_074)],
                              ids=["newline-ends-first-block", "newline-starts-second-block"])
     def test_split_at_a_block_boundary(self, tmp_path, ends):
-        # The count reads 64 KiB blocks; here the file's middle line starts
-        # at byte 65,536 or 65,537, and the newline before it ends one block
-        # or starts the next.
+        # The count reads 64 KiB blocks; here a line starts at byte 65,536 or
+        # 65,537, and the newline before it ends block 0 or starts block 1.
+        # Either way block 1 starts at that line, the only block after 0, so
+        # a stalled parent parses the rows before it and the child the rest.
         path = _write_text(tmp_path / "trace.csv", _text_of_size(*ends))
         data = path.read_bytes()
         assert len(data) == ends[1] and data[ends[0] - 1:ends[0]] == b"\n"
         n = data.count(b"\n") - 1
-        k0 = _split_row(data, n)
-        assert data[:ends[0]].count(b"\n") - 1 == k0
+        k = data[:ends[0]].count(b"\n") - 1
+        assert _read_blocks(data, 1 << 16) == _counted_ends(path, 1 << 16) == [k, n]
         one, forks, appended = _read_split(path, 1.0, split=False)
         assert (one[0], forks, appended) == (n, 0, n)
-        assert _read_split(path, 1.0, split=True) == (one, 1, k0)
+        with _stalled("parent"):
+            assert _read_split(path, 1.0, split=True, small=False) == (one, 1, k)
+
+    def test_no_block_starts_at_row_0_or_1(self, tmp_path):
+        # Rows 0 and 1 set the step before the fork, so the count starts no
+        # block at either, even where one of them starts a block of the file.
+        path = tmp_path / "trace.csv"
+        path.write_text(_short_trace_text("zero"))
+        data = path.read_bytes()
+        for k in (0, 1):
+            size = len(b"".join(data.splitlines(keepends=True)[:k + 1]))  # row k's offset
+            assert data[size - 1:size] == b"\n"
+            assert _counted_ends(path, size) == _read_blocks(data, size)
 
     @pytest.mark.parametrize("text, L, message", REJECTED_SPLIT.values(), ids=REJECTED_SPLIT)
     def test_rejected_with_its_message(self, tmp_path, text, L, message):
@@ -834,10 +960,10 @@ class TestTwoProcessRead:
 
     @pytest.mark.parametrize("edit", BAD_ROWS.values(), ids=BAD_ROWS)
     def test_first_bad_row_in_either_half_is_reported(self, tmp_path, edit):
-        # The 11-row trace splits at row 6: rows 0..5 are parsed here, 6..10
-        # in the child.
+        # In blocks of 128 B the 11-row trace's rows 3 and 8 are in different
+        # blocks, so either process may come to either.
         text = _short_trace_text("paper-implicit")
-        assert _split_row(text.encode(), 11) == 6
+        assert any(3 < k <= 8 for k in _read_blocks(text.encode()))
         outcomes = {}
         for bad in [(3,), (8,), (3, 8)]:
             lines = text.split("\n")
@@ -869,14 +995,16 @@ class TestTwoProcessRead:
         assert (back.n, back._rows, back.t) == (trace.n, trace._rows, trace.t)
 
     def test_child_reaped_by_the_kernel(self, tmp_path):
-        # The wait cannot learn the status; the child's used length decides.
+        # The wait cannot learn the status; the blocks the child marked
+        # finished decide.
         trace = _preset_trace()
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, str(path))
         one, _, _ = _read_split(path, trace.L, split=False)
         with _sigchld_ignored():
-            two = _read_split(path, trace.L, split=True)
-        assert two == (one, 1, _split_row(path.read_bytes(), trace.n))
+            two, forks, appended = _read_split(path, trace.L, split=True, small=False)
+        assert (two, forks) == (one, 1)
+        assert appended in _read_blocks(path.read_bytes(), 1 << 16)
 
     def test_paper_implicit_read_peaks_at_the_trace(self, tmp_path):
         # The child's rows, 48 B each, arrive through a shared mapping, which
@@ -886,8 +1014,9 @@ class TestTwoProcessRead:
     @pytest.mark.parametrize("change", RACES.values(), ids=RACES)
     def test_file_changed_after_the_count_reads_as_in_one_process(
             self, tmp_path, monkeypatch, change):
-        # Every row is then parsed here.  The child reads the file, never a
-        # mapping of it, which a file cut short would turn into SIGBUS.
+        # Every row is then parsed here: the child, though it comes first to
+        # every block but block 0, hands none over.  It reads the file, never
+        # a mapping of it, which a file cut short would turn into SIGBUS.
         path = tmp_path / "trace.csv"
         real_count = plant._data_rows
 
@@ -900,7 +1029,8 @@ class TestTwoProcessRead:
         reads = []
         for split in (False, True):
             path.write_bytes(_race_text()[:_row_end(100)])
-            reads.append(_read_split(path, 5.0, split))
+            with _stalled("parent"):
+                reads.append(_read_split(path, 5.0, split))
         (one, no_forks, appended), two = reads
         assert no_forks == 0
         assert two == (one, 1, appended)
@@ -953,6 +1083,53 @@ def test_failed_mapping_leaves_the_rows_to_one_process(tmp_path, monkeypatch, di
             back = read_trace_csv(str(path), trace.L)
             assert (back.n, back._rows, back.t) == (trace.n, trace._rows, trace.t)
     assert forks == []
+    _assert_no_child_left()
+
+
+def test_child_claims_blocks_from_the_end():
+    # The child claims blocks nb-1, nb-2, ... down to 1 and stops at the
+    # first block this process has claimed, each finished once it asks for
+    # the next.
+    progress = [0, 4, 4]
+    assert list(plant._claimed(progress, 4)) == [3, 2, 1]
+    assert progress == [0, 1, 1]
+    progress = [2, 4, 4]
+    blocks = plant._claimed(progress, 4)
+    assert (next(blocks), progress) == (3, [2, 3, 4])
+    assert (list(blocks), progress) == ([], [2, 2, 3])
+    assert list(plant._claimed([3, 4, 4], 4)) == []
+
+
+# Each case: the side that waits until the other is done, what the child does
+# when it comes to its third block, if anything, and how many blocks of nb it
+# hands over.
+FROM_BOTH_ENDS = {
+    "stalled-child": ("child", None, lambda nb: 0),
+    "stalled-parent": ("parent", None, lambda nb: nb - 1),
+    "child-dies": ("parent", _killed, lambda nb: 2),
+    "child-raises": ("parent", _out_of_memory, lambda nb: 2),
+}
+
+
+@pytest.mark.parametrize("side, stop, taken", FROM_BOTH_ENDS.values(), ids=FROM_BOTH_ENDS)
+def test_each_block_is_done_once_from_either_end(tmp_path, monkeypatch, side, stop, taken):
+    # In both directions this process does a prefix of whole blocks and the
+    # child the rest, however far each gets: a block the child did not
+    # finish is done here, and the bytes and the trace are those of one
+    # process.
+    trace = _preset_trace()
+    path = tmp_path / "trace.csv"
+    one, _ = _written(trace, path, split=False)
+    read, _, _ = _read_split(path, trace.L, split=False)
+    written, ends = _write_blocks(trace.n), _read_blocks(one, 1 << 16)
+    if stop:
+        monkeypatch.setattr(plant, "_claimed", _child_stops(3, stop))
+    here = _formatted_here(monkeypatch)
+    with _stalled(side):
+        assert _written(trace, tmp_path / "two.csv", split=True) == (one, 1)
+        assert _read_split(path, trace.L, split=True, small=False) == (
+            read, 1, ends[len(ends) - 1 - taken(len(ends))])
+    assert here == written[:len(written) - taken(len(written))]
     _assert_no_child_left()
 
 
@@ -1439,8 +1616,8 @@ class TestCommandLine:
                      id="sweep-out"),
         pytest.param(["sweep", "--preset", "zero", "--h-list", "0.5,0.25,0.2", "--summary"], 60,
                      id="sweep-summary"),
-        # The 2,375,196 B trace: the header and rows 0..4999 take 1,174,963 B,
-        # so the room runs out while the child's rows are copied.
+        # The 2,375,196 B trace: the room runs out 1.5 MB in, in this
+        # process's blocks or the child's, wherever the two met.
         pytest.param(["simulate", "--preset", "paper-implicit", "--out"], 1_500_000,
                      id="simulate-out-child-rows"),
     ])
